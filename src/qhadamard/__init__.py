@@ -2,7 +2,7 @@
 their derived families: recursive orthogonal designs, doubled
 semi-regular matrices, and maximum-excess real Hadamard matrices."""
 
-from .field import FieldCtx, FieldError, GFElement, make_field
+from .field import BudgetError, FieldCtx, FieldError, GFElement, make_field
 from .qmatrix import (
     MatrixError,
     QMatrix,
@@ -44,7 +44,7 @@ from .verify import (
 from .matio import ParseError, parse, serialize
 
 __all__ = [
-    "CODMatrix", "ExcessReport", "FieldCtx", "FieldError", "GFElement",
+    "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError", "GFElement",
     "MatrixError", "ParseError", "PropertyReport", "QMatrix", "SignMatrix",
     "block2", "build_triple", "certify_gram", "certify_weighing",
     "check_quaternary_hadamard", "check_semi_regular", "check_skew_type",

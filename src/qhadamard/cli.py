@@ -12,7 +12,7 @@ import sys
 
 from . import builder, cod, matio, verify
 from .excess import run_pipeline
-from .field import FieldError, make_field
+from .field import BudgetError, FieldError, make_field
 from .qmatrix import MatrixError, QMatrix, SignMatrix, diag_similarity, realify
 
 EXIT_VERIFY = 1
@@ -27,11 +27,12 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file's text; a non-ASCII byte is a ParseError."""
     if path == "-":
-        return sys.stdin.read()
+        return matio.decode(sys.stdin.buffer.read())
     try:
-        with open(path, encoding="ascii") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return matio.decode(fh.read())
     except OSError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
 
@@ -39,9 +40,12 @@ def _read_text(path: str) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def _load_matrix(path: str):
@@ -61,9 +65,10 @@ def _load_qmatrix(path: str) -> QMatrix:
 def _field(p: int):
     try:
         return make_field(p)
+    except BudgetError as exc:
+        raise CliError(str(exc), EXIT_BUDGET) from exc
     except FieldError as exc:
-        code = EXIT_BUDGET if "budget" in str(exc) else EXIT_PARSE
-        raise CliError(str(exc), code) from exc
+        raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def cmd_construct(args) -> int:
@@ -122,8 +127,10 @@ def cmd_cod(args) -> int:
     ctx = _field(args.p)
     try:
         design = cod.cod_recurse(ctx, args.k)
-    except MatrixError as exc:
+    except BudgetError as exc:
         raise CliError(str(exc), EXIT_BUDGET) from exc
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
     s1, s2 = design.stype
     summary = {
         "order": design.n,

@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldCtx, order_within_budget
-from .qmatrix import MatrixError, QMatrix, _check_integral, _is_alphabet
+from .field import BudgetError, FieldCtx, order_within_budget
+from .qmatrix import (
+    MatrixError,
+    QMatrix,
+    _check_integral,
+    _gram_complex,
+    _gram_is_scalar,
+    _is_alphabet,
+)
 from .builder import skew_core, skew_regular_qhm
 
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
@@ -57,9 +64,17 @@ class CODMatrix:
         return QMatrix(self.evaluate(a, b))
 
 
+def _parts_at(d: CODMatrix, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Real and imaginary parts of the evaluation at (a, b), and the bound
+    on |entry|^2: each cell carries at most one variable with a unit or
+    zero coefficient, so it is at most max(a^2, b^2)."""
+    re = a * d.acoef.real + b * d.bcoef.real
+    im = a * d.acoef.imag + b * d.bcoef.imag
+    return re, im, max(a * a, b * b)
+
+
 def gram_at(d: CODMatrix, a: int, b: int) -> np.ndarray:
-    x = d.evaluate(a, b)
-    return _check_integral(x @ x.conj().T)
+    return _gram_complex(*_parts_at(d, a, b))
 
 
 def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
@@ -70,11 +85,9 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     With ``conjugate=False`` checks the plain-transpose variant instead.
     """
     s1, s2 = d.stype
-    eye = np.eye(d.n)
     for a, b in EVAL_POINTS:
-        x = d.evaluate(a, b)
-        g = x @ (x.conj().T if conjugate else x.T)
-        if not np.array_equal(g, (s1 * a * a + s2 * b * b) * eye):
+        if not _gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b,
+                               conjugate):
             return False
     return True
 
@@ -98,7 +111,7 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
         raise ValueError("k must be nonnegative")
     order = (1 + ctx.q) * ctx.q**k
     if not order_within_budget(order):
-        raise MatrixError(f"order {order} exceeds the memory budget")
+        raise BudgetError(f"order {order} exceeds the memory budget")
     d = cod_base(ctx)
     if k == 0:
         return d

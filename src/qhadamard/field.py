@@ -18,7 +18,12 @@ _BUDGET_ENV = "MEM_BUDGET_MB"
 
 
 class FieldError(ValueError):
-    """Invalid field parameter (non-prime p, p=2, or order over budget)."""
+    """Invalid field parameter (non-prime p, p=2, a malformed budget, or
+    an order over budget, see BudgetError)."""
+
+
+class BudgetError(FieldError):
+    """A requested order does not fit the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,13 @@ def memory_budget_mb() -> int:
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET_MB
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise FieldError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 def order_within_budget(order: int, budget_mb: int | None = None) -> bool:
@@ -78,7 +89,7 @@ class FieldCtx:
         if p == 2:
             raise FieldError("p must be odd")
         if not order_within_budget(1 + p * p, budget_mb):
-            raise FieldError(
+            raise BudgetError(
                 f"p={p} exceeds the memory budget; raise {_BUDGET_ENV} to allow it"
             )
         self.p = p

@@ -1,9 +1,11 @@
 """Dense exact matrices over {0, 1, i, -1, -i} and their real counterparts.
 
-Entries and all derived quantities are small Gaussian integers, so
-complex128 arithmetic is exact here: every intermediate is an integer
-far below 2**53 in each component.  Products are verified integral
-after the fact as a belt-and-braces check.
+Entries and all derived quantities are small Gaussian integers.  Gram
+matrices are formed from the real and imaginary parts with real float
+BLAS products in a float type chosen from an explicit bound on the
+order and the entry size (``_exact_dtype``), under which every partial
+sum is an exactly representable integer.  Other products are complex128
+and verified integral after the fact.
 """
 
 from __future__ import annotations
@@ -127,12 +129,94 @@ def multiply(a: QMatrix, b: QMatrix) -> np.ndarray:
     return _check_integral(a.data @ b.data)
 
 
+def _exact_dtype(n: int, max_abs_sq: int) -> type:
+    """Float type in which the Gram products of ``_gram_parts`` are exact
+    for an order-n matrix X = A + iB of integers with |x|^2 <= max_abs_sq.
+
+    Every entry of A A^T, B B^T, A A^T +- B B^T, B A^T and B A^T +- A B^T,
+    and every partial sum BLAS forms towards one in whatever order, is an
+    integer sum over some k of terms bounded by |a_ik a_jk| + |b_ik b_jk|
+    or |b_ik a_jk| + |a_ik b_jk|.  By Cauchy-Schwarz on the vectors
+    (a, b) each such bound is at most |x_ik| |x_jk| <= max|x|^2, so every
+    value is an integer of absolute value at most n * max|x|^2.  A float
+    with a p-bit significand holds all integers below 2^p exactly, so no
+    operation rounds while n * max|x|^2 < 2^24 (float32) or < 2^53
+    (float64).  Beyond that no float type is exact.
+    """
+    bound = n * max_abs_sq
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise MatrixError(
+        f"order {n} with |entry|^2 up to {max_abs_sq} exceeds exact float arithmetic"
+    )
+
+
+def _gram_parts(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
+                conjugate: bool = True):
+    """Yield the real part, then the imaginary part of X X* for
+    X = re + i*im (X X^T when ``conjugate`` is false), exactly.
+
+    ``re`` and ``im`` hold integers with re^2 + im^2 <= max_abs_sq; ``im``
+    None means X is real, and then the imaginary part yielded is None.
+    With M = B A^T, X X* = A A^T + B B^T + i(M - M^T) and
+    X X^T = A A^T - B B^T + i(M + M^T).  The imaginary part is only
+    computed when the caller asks for it.
+    """
+    dtype = _exact_dtype(re.shape[0], max_abs_sq)
+    a = np.asarray(re, dtype=dtype)
+    g = a @ a.T
+    if im is None:
+        yield g
+        yield None
+        return
+    b = np.asarray(im, dtype=dtype)
+    if conjugate:
+        g += b @ b.T
+    else:
+        g -= b @ b.T
+    yield g
+    del g
+    m = b @ a.T
+    yield m - m.T if conjugate else m + m.T
+
+
+def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
+                    c: complex, conjugate: bool = True) -> bool:
+    """Exact certificate X X* = cI (X X^T = cI unless ``conjugate``); see
+    ``_gram_parts``.  Stops before the imaginary part when the real part
+    already fails."""
+    c = complex(c)
+    for part, target in zip(_gram_parts(re, im, max_abs_sq, conjugate), (c.real, c.imag)):
+        if part is None:
+            if target != 0:
+                return False
+            continue
+        # float64 holds the exact diagonal; comparing in the part's own
+        # float32 would round the target.
+        if not (part.diagonal().astype(np.float64) == target).all():
+            return False
+        np.fill_diagonal(part, 0)
+        if part.any():
+            return False
+    return True
+
+
+def _gram_complex(re: np.ndarray, im: np.ndarray, max_abs_sq: int) -> np.ndarray:
+    """X X* as a complex128 array; see ``_gram_parts``."""
+    g_re, g_im = _gram_parts(re, im, max_abs_sq)
+    out = g_re.astype(np.complex128)
+    out.imag = g_im
+    return out
+
+
 def gram(m: QMatrix) -> np.ndarray:
-    return _check_integral(m.data @ m.data.conj().T)
+    return _gram_complex(m.data.real, m.data.imag, 1)
 
 
 def gram_is_scalar(m: QMatrix, c: complex) -> bool:
-    return np.array_equal(gram(m), c * np.eye(m.n))
+    return _gram_is_scalar(m.data.real, m.data.imag, 1, c)
 
 
 def row_sums(m: QMatrix) -> list[complex]:
@@ -187,8 +271,10 @@ def realify(m: QMatrix) -> SignMatrix:
 
 
 def sign_gram(w: SignMatrix) -> np.ndarray:
-    return w.data @ w.data.T
+    """W W^T as an int64 array."""
+    g, _ = _gram_parts(w.data, None, 1)
+    return g.astype(np.int64)
 
 
 def sign_gram_is_scalar(w: SignMatrix, c: int) -> bool:
-    return np.array_equal(sign_gram(w), c * np.eye(w.n, dtype=np.int64))
+    return _gram_is_scalar(w.data, None, 1, c)

@@ -5,6 +5,7 @@ pytest -s output directly.
 """
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -155,10 +156,15 @@ def test_criterion_7_roundtrip_and_cli(tmp_path):
         s = skew_regular(p)
         assert matio.parse(serialize(s)) == s
 
+    # The child imports the package from this checkout, installed or not.
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def cli(args, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "qhadamard.cli", *args],
-            input=stdin, capture_output=True, text=True,
+            input=stdin, capture_output=True, text=True, env=env,
         )
 
     constructed = cli(["construct", "--p", "3"])

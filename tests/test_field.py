@@ -6,7 +6,7 @@ pairs (a, b) with theta^2 = n, squares enumerated from scratch.
 
 import pytest
 
-from qhadamard import FieldError, GFElement, make_field
+from qhadamard import BudgetError, FieldError, GFElement, cod_recurse, make_field
 from conftest import field
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -39,6 +39,24 @@ def test_make_field_rejects_over_budget():
     with pytest.raises(FieldError):
         make_field(103, budget_mb=1700)
     make_field(101, budget_mb=1700)
+
+
+def test_over_budget_is_a_budget_error(monkeypatch):
+    with pytest.raises(BudgetError):
+        make_field(103, budget_mb=1700)
+    with pytest.raises(BudgetError):
+        cod_recurse(make_field(3), 6)
+    monkeypatch.setenv("MEM_BUDGET_MB", "1")
+    with pytest.raises(BudgetError):
+        make_field(31)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
+def test_malformed_budget_is_a_field_error(monkeypatch, raw):
+    monkeypatch.setenv("MEM_BUDGET_MB", raw)
+    with pytest.raises(FieldError) as err:
+        make_field(3)
+    assert not isinstance(err.value, BudgetError)
 
 
 def test_chi_zero():

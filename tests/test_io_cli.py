@@ -72,7 +72,7 @@ def test_phase_vector_rejects_zero():
 def run_cli(capsys, monkeypatch, argv, stdin=None):
     if stdin is not None:
         import io
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -139,6 +139,53 @@ def test_cli_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("MEM_BUDGET_MB", "1700")
     code, _, err = run_cli(capsys, monkeypatch, ["construct", "--p", "103"])
     assert code == 3
+
+
+def test_cli_cod_budget_exit_code(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, monkeypatch, ["cod", "--p", "3", "--k", "6"])
+    assert code == 3 and err.startswith("error:")
+
+
+def _s3(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "s3.qhm"
+    run_cli(capsys, monkeypatch, ["construct", "--p", "3", "--out", str(path)])
+    return path
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["verify", "{bad}"], "(line 3 col 4)"),
+    (["twist", "{s3}", "--v", "{badv}"], "(line 2 col 1)"),
+], ids=["verify", "twist-vector"])
+def test_cli_non_ascii_byte_is_a_parse_error(capsys, monkeypatch, tmp_path, argv, where):
+    s3 = _s3(capsys, monkeypatch, tmp_path)
+    lines = s3.read_bytes().split(b"\n")
+    lines[2] = lines[2][:3] + b"\xe9" + lines[2][4:]
+    bad = tmp_path / "bad.qhm"
+    bad.write_bytes(b"\n".join(lines))
+    badv = tmp_path / "bad.phv"
+    badv.write_bytes(b"1\n\xff\n" + b"1\n" * 8)
+    argv = [a.format(bad=bad, s3=s3, badv=badv) for a in argv]
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: non-ASCII byte") and where in err
+
+
+def test_cli_out_in_missing_directory(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "missing" / "s3.qhm"
+    code, _, err = run_cli(capsys, monkeypatch, ["construct", "--p", "3", "--out", str(out)])
+    assert code == 2 and err.startswith("error:")
+
+
+def test_cli_cod_negative_k(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, monkeypatch, ["cod", "--p", "3", "--k", "-1"])
+    assert code == 2 and err.startswith("error:") and "k must be nonnegative" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_cli_malformed_budget(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MEM_BUDGET_MB", raw)
+    code, _, err = run_cli(capsys, monkeypatch, ["construct", "--p", "3"])
+    assert code == 2 and err.startswith("error:") and "MEM_BUDGET_MB" in err
 
 
 def test_cli_excess_json(capsys, monkeypatch):

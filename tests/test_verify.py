@@ -78,6 +78,26 @@ def test_report_json_schema():
     assert payload["hadamard"] and payload["skew"]
 
 
+def _corrupted(m):
+    data = np.array(m.data)
+    data[1, 2] = -data[1, 2]
+    return type(m)(data)
+
+
+@pytest.mark.parametrize("make, hadamard", [
+    (lambda: skew_regular(3), True),
+    (lambda: _corrupted(skew_regular(3)), False),
+    (lambda: realify(skew_regular(3)), True),
+    (lambda: _corrupted(realify(skew_regular(3))), False),
+], ids=["qhm", "qhm-rejected", "rhm", "rhm-rejected"])
+def test_report_json_serializes_with_bool_verdicts(make, hadamard):
+    payload = full_report(make()).to_json()
+    json.dumps(payload)
+    for key in ("hadamard", "skew", "abs_regular"):
+        assert type(payload[key]) is bool, key
+    assert payload["hadamard"] is hadamard
+
+
 def test_sign_matrix_report():
     w = SignMatrix([[1, 1], [1, -1]])
     report = full_report(w)
