@@ -41,13 +41,13 @@ def conference_matrix(ctx: FieldCtx) -> QMatrix:
     c[0, 1:] = 1
     c[1:, 0] = 1
     c[1:, 1:] = chi
-    return QMatrix(c)
+    return QMatrix._trusted(c)
 
 
 def paley_qhm(ctx: FieldCtx) -> QMatrix:
     """H = I - iC: unit diagonal, +-i off-diagonal, HH* = (q+1) I."""
     c = conference_matrix(ctx)
-    return QMatrix(np.eye(ctx.q + 1) - 1j * c.data)
+    return QMatrix._trusted(np.eye(ctx.q + 1) - 1j * c.data)
 
 
 def half_coset_split(ctx: FieldCtx) -> tuple[range, range]:
@@ -123,7 +123,7 @@ def skew_core(h: QMatrix) -> QMatrix:
     if not (np.array_equal(normalized.data[0], np.ones(h.n))
             and np.array_equal(normalized.data[1:, 0], -np.ones(h.n - 1))):
         raise MatrixError("input is not normalizable to the bordered form")
-    return QMatrix(normalized.data[1:, 1:])
+    return QMatrix._trusted(normalized.data[1:, 1:])
 
 
 def double(h: QMatrix) -> QMatrix:

@@ -131,15 +131,14 @@ def cmd_cod(args) -> int:
         raise CliError(str(exc), EXIT_BUDGET) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    s1, s2 = design.stype
-    summary = {
-        "order": design.n,
-        "type": [s1, s2],
-        "gram_conjugate": cod.certify_gram(design),
-        "gram_transpose": cod.certify_gram(design, conjugate=False),
-    }
     if args.eval is None:
-        print(json.dumps(summary))
+        s1, s2 = design.stype
+        print(json.dumps({
+            "order": design.n,
+            "type": [s1, s2],
+            "gram_conjugate": cod.certify_gram(design),
+            "gram_transpose": cod.certify_gram(design, conjugate=False),
+        }))
         return 0
     try:
         a, b = (int(v) for v in args.eval.split(","))
@@ -184,6 +183,35 @@ def cmd_twist(args) -> int:
     return 0
 
 
+FILE = ("file", {})
+OUT = ("--out", {})
+P = ("--p", {"type": int, "required": True})
+
+# (name, handler, help, arguments), in --help order.
+COMMANDS = (
+    ("construct", cmd_construct, "build the order 1+p^2 matrix", (P, OUT)),
+    ("verify", cmd_verify, "report properties of a matrix file", (
+        FILE,
+        ("--expect-regular", {"metavar": "RE,IM"}),
+        ("--expect-skew", {"action": "store_true"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("double", cmd_double, "order-doubling block construction", (FILE, OUT)),
+    ("core", cmd_core, "extract the skew-core", (FILE, OUT)),
+    ("cod", cmd_cod, "recursive orthogonal design", (
+        P,
+        ("--k", {"type": int, "required": True}),
+        ("--eval", {"metavar": "A,B"}),
+        OUT,
+    )),
+    ("excess", cmd_excess, "maximum-excess pipeline",
+     (P, ("--json", {"action": "store_true"}))),
+    ("realify", cmd_realify, "quaternary to real conversion", (FILE, OUT)),
+    ("twist", cmd_twist, "diagonal phase similarity",
+     (FILE, ("--v", {"required": True}), OUT)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhadamard",
@@ -191,52 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
         "of order 1 + p^2 and their derived families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_construct = sub.add_parser("construct", help="build the order 1+p^2 matrix")
-    p_construct.add_argument("--p", type=int, required=True)
-    p_construct.add_argument("--out")
-    p_construct.set_defaults(func=cmd_construct)
-
-    p_verify = sub.add_parser("verify", help="report properties of a matrix file")
-    p_verify.add_argument("file")
-    p_verify.add_argument("--expect-regular", metavar="RE,IM")
-    p_verify.add_argument("--expect-skew", action="store_true")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_double = sub.add_parser("double", help="order-doubling block construction")
-    p_double.add_argument("file")
-    p_double.add_argument("--out")
-    p_double.set_defaults(func=cmd_double)
-
-    p_core = sub.add_parser("core", help="extract the skew-core")
-    p_core.add_argument("file")
-    p_core.add_argument("--out")
-    p_core.set_defaults(func=cmd_core)
-
-    p_cod = sub.add_parser("cod", help="recursive orthogonal design")
-    p_cod.add_argument("--p", type=int, required=True)
-    p_cod.add_argument("--k", type=int, required=True)
-    p_cod.add_argument("--eval", metavar="A,B")
-    p_cod.add_argument("--out")
-    p_cod.set_defaults(func=cmd_cod)
-
-    p_excess = sub.add_parser("excess", help="maximum-excess pipeline")
-    p_excess.add_argument("--p", type=int, required=True)
-    p_excess.add_argument("--json", action="store_true")
-    p_excess.set_defaults(func=cmd_excess)
-
-    p_realify = sub.add_parser("realify", help="quaternary to real conversion")
-    p_realify.add_argument("file")
-    p_realify.add_argument("--out")
-    p_realify.set_defaults(func=cmd_realify)
-
-    p_twist = sub.add_parser("twist", help="diagonal phase similarity")
-    p_twist.add_argument("file")
-    p_twist.add_argument("--v", required=True)
-    p_twist.add_argument("--out")
-    p_twist.set_defaults(func=cmd_twist)
-
+    for name, handler, help_text, arguments in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=handler)
     return parser
 
 

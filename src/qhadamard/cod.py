@@ -23,7 +23,7 @@ from .qmatrix import (
 )
 from .builder import skew_core, skew_regular_qhm
 
-EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
+EVAL_POINTS = ((1, 0), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,16 @@ class CODMatrix:
             raise MatrixError("coefficients must be 0 or fourth roots of unity")
         if ((a != 0) & (b != 0)).any():
             raise MatrixError("each cell may carry at most one variable")
+
+    @classmethod
+    def _trusted(cls, acoef: np.ndarray, bcoef: np.ndarray) -> "CODMatrix":
+        """Wrap freshly built coefficient arrays already known to form a
+        design: read-only, unchecked, not copied."""
+        d = object.__new__(cls)
+        for name, arr in (("acoef", acoef), ("bcoef", bcoef)):
+            arr.setflags(write=False)
+            object.__setattr__(d, name, arr)
+        return d
 
     @property
     def n(self) -> int:
@@ -78,11 +88,16 @@ def gram_at(d: CODMatrix, a: int, b: int) -> np.ndarray:
 
 
 def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
-    """Check X X* = (s1 a^2 + s2 b^2) I at the four standard points.
+    """Check X X* = (s1 a^2 + s2 b^2) I at (1, 0), (0, 1) and (1, 1).
 
-    A two-variable quadratic form agreeing with the claimed one at these
-    points is identical to it, so this certifies the symbolic identity.
-    With ``conjugate=False`` checks the plain-transpose variant instead.
+    For X = aA + bB with real a, b,
+    X X* = a^2 AA* + b^2 BB* + ab (AB* + BA*), a form with three matrix
+    coefficients.  Its differences P, R, T from the claimed coefficients
+    s1 I, s2 I and 0 are P at (1, 0), R at (0, 1) and P + R + T at (1, 1),
+    so the form agrees with the claim at these three points exactly when
+    P = R = T = 0, which certifies the symbolic identity.  With
+    ``conjugate=False`` checks the plain-transpose variant X X^T the same
+    way.
     """
     s1, s2 = d.stype
     for a, b in EVAL_POINTS:
@@ -95,8 +110,7 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
 def cod_base(ctx: FieldCtx) -> CODMatrix:
     """a I + b Q from the skew-regular matrix I + Q: type (1, p^2)."""
     s = skew_regular_qhm(ctx)
-    q = s.data - np.eye(s.n)
-    return CODMatrix(np.eye(s.n, dtype=np.complex128), q)
+    return CODMatrix._trusted(np.eye(s.n, dtype=np.complex128), s.data - np.eye(s.n))
 
 
 def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
@@ -122,7 +136,7 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     for _ in range(k):
         acoef = np.kron(d.bcoef, eye)
         bcoef = np.kron(d.acoef, ones) + np.kron(d.bcoef, q_core)
-        d = CODMatrix(acoef, bcoef)
+        d = CODMatrix._trusted(acoef, bcoef)
     return d
 
 

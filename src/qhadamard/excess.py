@@ -33,7 +33,7 @@ def build_triple(s: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
             and is_regular(s) is not None):
         raise MatrixError("input is not a skew-regular quaternary Hadamard matrix")
     eye = QMatrix.identity(s.n)
-    q = QMatrix(s.data - eye.data)
+    q = QMatrix._trusted(s.data - eye.data)
 
     def doubled(m: QMatrix) -> QMatrix:
         return block2(m, m.scale(1j), m.scale(1j), m)
@@ -73,7 +73,7 @@ def maximize_excess_rows(w: SignMatrix) -> tuple[SignMatrix, ExcessReport]:
     """Negate every row with a negative sum; zero-sum rows stay put."""
     sums = w.data.sum(axis=1)
     negate = sums < 0
-    flipped = SignMatrix(np.where(negate[:, None], -w.data, w.data))
+    flipped = SignMatrix._trusted(np.where(negate[:, None], -w.data, w.data))
     weight = int((w.data[0] != 0).sum())
     return flipped, ExcessReport(
         order=w.n,
@@ -87,7 +87,7 @@ def maximize_excess_rows(w: SignMatrix) -> tuple[SignMatrix, ExcessReport]:
 def negate_rows(w: SignMatrix, rows: list[int]) -> SignMatrix:
     out = w.data.copy()
     out[rows] *= -1
-    return SignMatrix(out)
+    return SignMatrix._trusted(out)
 
 
 def certify_weighing(w: SignMatrix, n: int, weight: int) -> bool:

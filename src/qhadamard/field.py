@@ -122,12 +122,6 @@ class FieldCtx:
 
     # -- ring operations --------------------------------------------------
 
-    def add(self, x: GFElement, y: GFElement) -> GFElement:
-        return self.element(x.a + y.a, x.b + y.b)
-
-    def sub(self, x: GFElement, y: GFElement) -> GFElement:
-        return self.element(x.a - y.a, x.b - y.b)
-
     def mul(self, x: GFElement, y: GFElement) -> GFElement:
         n = self.nonresidue
         return self.element(x.a * y.a + n * x.b * y.b, x.a * y.b + x.b * y.a)

@@ -90,7 +90,8 @@ def parse(text: str) -> QMatrix | SignMatrix:
 
     Errors are reported in reading order: header, then the row count,
     then row by row, where a row of the wrong length is reported before
-    any bad cell in it.
+    any bad cell in it.  Every cell is checked against its table, so the
+    result is wrapped without a second alphabet check.
     """
     text = text.replace("\r\n", "\n")
     head, newline, body = text.partition("\n")
@@ -126,8 +127,8 @@ def parse(text: str) -> QMatrix | SignMatrix:
     if ragged < n:
         raise ParseError(f"expected {n} cells, got {lengths[ragged]}", ragged + 2)
     if real:
-        return SignMatrix(codes.astype(np.int64) // 3 - 1)
-    return QMatrix(np.take(_CODE_VALUE, codes))
+        return SignMatrix._trusted(codes.astype(np.int64) // 3 - 1)
+    return QMatrix._trusted(np.take(_CODE_VALUE, codes))
 
 
 def serialize_phase_vector(v) -> str:

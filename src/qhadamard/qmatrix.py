@@ -27,99 +27,102 @@ def _check_integral(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _is_alphabet(arr: np.ndarray) -> bool:
+def _is_alphabet(arr: np.ndarray, alphabet=QALPHABET) -> bool:
     ok = np.zeros(arr.shape, dtype=bool)
-    for v in QALPHABET:
+    for v in alphabet:
         ok |= arr == v
     return bool(ok.all())
 
 
-class QMatrix:
-    """Immutable square matrix with entries in {0, 1, i, -1, -i}."""
+class _ExactMatrix:
+    """Immutable square matrix over a small alphabet of Gaussian integers.
+
+    The constructor is the only validating path: it checks shape and
+    alphabet and keeps a read-only copy.  Results that the package builds
+    from already validated operands go through ``_trusted`` instead.
+    Equality requires the same leaf type.
+    """
 
     __slots__ = ("data",)
+    _dtype: type
+    _alphabet: tuple
+    _alphabet_error: str
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.complex128)
+        arr = np.asarray(data, dtype=self._dtype)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixError(f"expected a square matrix, got shape {arr.shape}")
-        if not _is_alphabet(arr):
-            raise MatrixError("entries must be 0 or fourth roots of unity")
+        if not _is_alphabet(arr, self._alphabet):
+            raise MatrixError(self._alphabet_error)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray):
+        """Wrap a freshly built square array of the class's dtype whose
+        entries are known to lie in the alphabet: read-only, unchecked,
+        not copied."""
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", arr)
+        return m
+
     def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and np.array_equal(self.data, other.data)
+        return type(other) is type(self) and np.array_equal(self.data, other.data)
 
     def __hash__(self):
-        return hash((self.n, self.data.tobytes()))
+        # + 0 turns -0.0, which conj() writes, into the 0.0 it equals.
+        return hash((self.n, (self.data + 0).tobytes()))
 
     def __repr__(self):
-        return f"QMatrix(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
+
+    def __add__(self, other):
+        # In the alphabet only when the supports are disjoint, so validated.
+        return type(self)(self.data + other.data)
+
+
+class QMatrix(_ExactMatrix):
+    """Immutable square matrix with entries in {0, 1, i, -1, -i}."""
+
+    __slots__ = ()
+    _dtype = np.complex128
+    _alphabet = QALPHABET
+    _alphabet_error = "entries must be 0 or fourth roots of unity"
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
+        return cls._trusted(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, n: int) -> "QMatrix":
-        return cls(np.zeros((n, n), dtype=np.complex128))
+        return cls._trusted(np.zeros((n, n), dtype=np.complex128))
 
     def scale(self, phase: complex) -> "QMatrix":
         if phase not in PHASES:
             raise MatrixError(f"{phase!r} is not a phase")
-        return QMatrix(self.data * phase)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        # Defined only when supports are disjoint (the sum stays quaternary).
-        return QMatrix(self.data + other.data)
+        return QMatrix._trusted(self.data * phase)
 
 
-class SignMatrix:
+class SignMatrix(_ExactMatrix):
     """Immutable square matrix with entries in {-1, 0, +1}."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise MatrixError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isin(arr, (-1, 0, 1)).all():
-            raise MatrixError("entries must be in {-1, 0, +1}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignMatrix) and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.n, self.data.tobytes()))
-
-    def __repr__(self):
-        return f"SignMatrix(n={self.n})"
-
-    def __add__(self, other: "SignMatrix") -> "SignMatrix":
-        return SignMatrix(self.data + other.data)
+    __slots__ = ()
+    _dtype = np.int64
+    _alphabet = (-1, 0, 1)
+    _alphabet_error = "entries must be in {-1, 0, +1}"
 
 
 def conj_transpose(m: QMatrix) -> QMatrix:
-    return QMatrix(m.data.conj().T)
+    return QMatrix._trusted(m.data.conj().T)
 
 
 def multiply(a: QMatrix, b: QMatrix) -> np.ndarray:
@@ -219,22 +222,15 @@ def gram_is_scalar(m: QMatrix, c: complex) -> bool:
     return _gram_is_scalar(m.data.real, m.data.imag, 1, c)
 
 
-def row_sums(m: QMatrix) -> list[complex]:
+def row_sums(m: QMatrix | SignMatrix) -> list[complex]:
     return [complex(s) for s in m.data.sum(axis=1)]
-
-
-def col_sums(m: QMatrix) -> list[complex]:
-    return [complex(s) for s in m.data.sum(axis=0)]
 
 
 def check_phase_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1:
         raise MatrixError("phase vector must be one-dimensional")
-    ok = np.zeros(arr.shape, dtype=bool)
-    for ph in PHASES:
-        ok |= arr == ph
-    if not ok.all():
+    if not _is_alphabet(arr, PHASES):
         raise MatrixError("vector entries must be fourth roots of unity")
     return arr
 
@@ -244,20 +240,19 @@ def diag_similarity(m: QMatrix, v) -> QMatrix:
     arr = check_phase_vector(v)
     if arr.shape[0] != m.n:
         raise MatrixError(f"vector length {arr.shape[0]} != order {m.n}")
-    return QMatrix(arr[:, None] * m.data * arr.conj()[None, :])
+    return QMatrix._trusted(arr[:, None] * m.data * arr.conj()[None, :])
 
 
 def block2(m11: QMatrix, m12: QMatrix, m21: QMatrix, m22: QMatrix) -> QMatrix:
     if not (m11.n == m12.n == m21.n == m22.n):
         raise MatrixError("block orders differ")
-    return QMatrix(np.block([[m11.data, m12.data], [m21.data, m22.data]]))
+    return QMatrix._trusted(np.block([[m11.data, m12.data], [m21.data, m22.data]]))
 
 
 def split_real_imag(m: QMatrix) -> tuple[SignMatrix, SignMatrix]:
     """M = A + iB with A, B of disjoint support."""
-    a = m.data.real.astype(np.int64)
-    b = m.data.imag.astype(np.int64)
-    return SignMatrix(a), SignMatrix(b)
+    return (SignMatrix._trusted(m.data.real.astype(np.int64)),
+            SignMatrix._trusted(m.data.imag.astype(np.int64)))
 
 
 _REAL_CELL = np.array([[1, 1], [1, -1]], dtype=np.int64)
@@ -267,7 +262,7 @@ _IMAG_CELL = np.array([[-1, 1], [1, 1]], dtype=np.int64)
 def realify(m: QMatrix) -> SignMatrix:
     """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]]."""
     a, b = split_real_imag(m)
-    return SignMatrix(np.kron(a.data, _REAL_CELL) + np.kron(b.data, _IMAG_CELL))
+    return SignMatrix._trusted(np.kron(a.data, _REAL_CELL) + np.kron(b.data, _IMAG_CELL))
 
 
 def sign_gram(w: SignMatrix) -> np.ndarray:

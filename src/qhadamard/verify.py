@@ -11,7 +11,6 @@ import numpy as np
 from .qmatrix import (
     QMatrix,
     SignMatrix,
-    col_sums,
     gram_is_scalar,
     row_sums,
     sign_gram_is_scalar,
@@ -27,22 +26,18 @@ def check_real_hadamard(w: SignMatrix) -> bool:
     return bool((w.data != 0).all()) and sign_gram_is_scalar(w, w.n)
 
 
-def check_skew_type(m: QMatrix) -> bool:
+def check_skew_type(m: QMatrix | SignMatrix) -> bool:
     """M = I + Q with Q* = -Q, i.e. M + M* = 2I."""
     return np.array_equal(m.data + m.data.conj().T, 2 * np.eye(m.n))
 
 
-def check_sign_skew_type(w: SignMatrix) -> bool:
-    return np.array_equal(w.data + w.data.T, 2 * np.eye(w.n, dtype=np.int64))
-
-
-def is_regular(m: QMatrix) -> complex | None:
+def is_regular(m: QMatrix | SignMatrix) -> complex | None:
     """The common row sum, or None when row sums differ."""
     sums = row_sums(m)
     return sums[0] if all(s == sums[0] for s in sums) else None
 
 
-def is_absolutely_regular(m: QMatrix) -> tuple[bool, int | None]:
+def is_absolutely_regular(m: QMatrix | SignMatrix) -> tuple[bool, int | None]:
     """Whether all |row sum|^2 agree, and the common value if so."""
     norms = [int(round(s.real)) ** 2 + int(round(s.imag)) ** 2 for s in row_sums(m)]
     if all(v == norms[0] for v in norms):
@@ -56,7 +51,7 @@ def semi_regular_set(a: int, b: int) -> set[complex]:
     }
 
 
-def check_semi_regular(m: QMatrix, a: int, b: int) -> bool:
+def check_semi_regular(m: QMatrix | SignMatrix, a: int, b: int) -> bool:
     """Row sums confined to {+-a +-bi, +-b +-ai}; requires a^2 + b^2 = n."""
     if a * a + b * b != m.n:
         raise ValueError(f"a^2 + b^2 = {a * a + b * b} != order {m.n}")
@@ -64,7 +59,7 @@ def check_semi_regular(m: QMatrix, a: int, b: int) -> bool:
     return all(s in allowed for s in row_sums(m))
 
 
-def find_semi_regular_witness(m: QMatrix) -> tuple[int, int] | None:
+def find_semi_regular_witness(m: QMatrix | SignMatrix) -> tuple[int, int] | None:
     """Smallest (a, b) with a <= b, a^2 + b^2 = n, and row sums in the set."""
     for a in range(math.isqrt(m.n) + 1):
         b2 = m.n - a * a
@@ -106,35 +101,27 @@ class PropertyReport:
 
 def full_report(m: QMatrix | SignMatrix) -> PropertyReport:
     if isinstance(m, SignMatrix):
-        m_q = QMatrix(m.data.astype(np.complex128))
         hadamard = check_real_hadamard(m)
-        skew = check_sign_skew_type(m)
         total = int(m.data.sum())
     else:
-        m_q = m
         hadamard = check_quaternary_hadamard(m)
-        skew = check_skew_type(m)
         total = None
-    regular = is_regular(m_q)
-    abs_reg, abs_sq = is_absolutely_regular(m_q)
+    regular = is_regular(m)
+    abs_reg, abs_sq = is_absolutely_regular(m)
     if regular is not None:
         # A regular quaternary Hadamard matrix must have |row sum|^2 = order.
-        if hadamard and abs_sq != m_q.n:
+        if hadamard and abs_sq != m.n:
             raise AssertionError(
-                f"regular Hadamard matrix of order {m_q.n} with |row sum|^2 = {abs_sq}"
+                f"regular Hadamard matrix of order {m.n} with |row sum|^2 = {abs_sq}"
             )
     return PropertyReport(
-        order=m_q.n,
+        order=m.n,
         hadamard=hadamard,
-        skew=skew,
-        row_sum_multiset=dict(Counter(row_sums(m_q))),
+        skew=check_skew_type(m),
+        row_sum_multiset=dict(Counter(row_sums(m))),
         regular=regular,
         abs_regular=abs_reg,
         abs_value_sq=abs_sq,
-        semi_regular_witness=find_semi_regular_witness(m_q) if hadamard else None,
+        semi_regular_witness=find_semi_regular_witness(m) if hadamard else None,
         excess=total,
     )
-
-
-def column_sums(m: QMatrix) -> list[complex]:
-    return col_sums(m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhadamard import (
+    CODMatrix,
     certify_gram,
     check_quaternary_hadamard,
     check_skew_type,
@@ -10,8 +11,12 @@ from qhadamard import (
     expected_row_sum,
     row_sums,
 )
-from qhadamard.cod import EVAL_POINTS, gram_at
+from qhadamard.cod import _parts_at, gram_at
+from qhadamard.qmatrix import _gram_is_scalar
 from conftest import field, skew_regular
+
+# The three points of certify_gram and one with |entry|^2 = 9.
+EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
 
 
 def test_cod_base_examples():
@@ -86,3 +91,15 @@ def test_row_sum_norm_matches_order(p, level):
     s = expected_row_sum(p, level)
     order = p ** (2 * (level - 1)) * (1 + p * p)
     assert s.real**2 + s.imag**2 == order
+
+
+def test_certify_gram_needs_the_cross_term_point():
+    # X = aI + b(iQ): both squares are scalar, but the cross term
+    # I(iQ)* + (iQ)I* = 2iQ is not zero, which only (1, 1) sees.
+    d = cod_base(field(3))
+    x = CODMatrix(d.acoef, 1j * d.bcoef)
+    s1, s2 = x.stype
+    verdicts = [_gram_is_scalar(*_parts_at(x, a, b), s1 * a * a + s2 * b * b)
+                for a, b in ((1, 0), (0, 1), (1, 1))]
+    assert verdicts == [True, True, False]
+    assert not certify_gram(x)

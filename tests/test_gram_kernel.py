@@ -14,7 +14,7 @@ from qhadamard import (
     gram_is_scalar,
     realify,
 )
-from qhadamard.cod import EVAL_POINTS, gram_at
+from qhadamard.cod import gram_at
 from qhadamard.qmatrix import (
     QALPHABET,
     _exact_dtype,
@@ -25,6 +25,9 @@ from qhadamard.qmatrix import (
 )
 from conftest import field, skew_regular
 from reference import gauss_gram, gauss_is_scalar
+
+# The three points of certify_gram and one with |entry|^2 = 9.
+EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
 
 COD_ENTRIES = (0, 2, -2, 3, -3, 2j, -2j, 3j, -3j)
 

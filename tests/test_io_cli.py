@@ -247,3 +247,34 @@ def test_cli_appendix_twist_matches_printed(capsys, monkeypatch, tmp_path):
     )
     assert code == 0
     assert out.read_text() == (FIXTURES / "appendixB_DHD.qhm").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["double", "{w}"], ["core", "{w}"], ["realify", "{w}"], ["twist", "{w}", "--v", "{v}"],
+])
+def test_cli_quaternary_commands_reject_real_files(capsys, monkeypatch, tmp_path, argv):
+    w = tmp_path / "w.rhm"
+    w.write_text(serialize(realify(skew_regular(3))))
+    v = tmp_path / "v.phv"
+    v.write_text("1\n" * 20)
+    code, out, err = run_cli(capsys, monkeypatch, [a.format(w=w, v=v) for a in argv])
+    assert code == 2 and out == ""
+    assert err == "error: expected a QHM file\n"
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("construct", "--p P [--out OUT]"),
+    ("verify", "[--expect-regular RE,IM] [--expect-skew] [--json] file"),
+    ("double", "[--out OUT] file"),
+    ("core", "[--out OUT] file"),
+    ("cod", "--p P --k K [--eval A,B] [--out OUT]"),
+    ("excess", "--p P [--json]"),
+    ("realify", "[--out OUT] file"),
+    ("twist", "--v V [--out OUT] file"),
+])
+def test_cli_usage(capsys, monkeypatch, command, usage):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qhadamard {command} [-h] {usage}\n")

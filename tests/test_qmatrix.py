@@ -106,3 +106,25 @@ def test_realify_gram_doubling_p3():
     s = skew_regular(3)
     w = realify(s)
     assert sign_gram_is_scalar(w, 20)
+
+
+def test_hash_agrees_with_eq():
+    # conj() writes -0.0 where the literal has 0.0.
+    c = conj_transpose(QMatrix([[1, 1j], [1j, 1]]))
+    d = QMatrix([[1, -1j], [-1j, 1]])
+    assert c == d and hash(c) == hash(d)
+    assert len({c, d}) == 1
+
+
+def test_leaf_types_compare_unequal():
+    assert QMatrix([[1, 0], [0, -1]]) != SignMatrix([[1, 0], [0, -1]])
+    assert SignMatrix([[1]]) != QMatrix([[1]])
+
+
+def test_constructor_copies_and_freezes():
+    arr = np.eye(2)
+    m = QMatrix(arr)
+    arr[0, 0] = 0
+    assert m == QMatrix.identity(2) and not m.data.flags.writeable
+    with pytest.raises(AttributeError):
+        m.data = arr
