@@ -25,7 +25,14 @@ from .builder import (
     skew_regular_qhm,
     twist_vector,
 )
-from .cod import CODMatrix, certify_gram, cod_base, cod_recurse, expected_row_sum
+from .cod import (
+    CODMatrix,
+    certify_gram,
+    cod_base,
+    cod_recurse,
+    expected_row_sum,
+    factored_summary,
+)
 from .excess import (
     ExcessReport,
     build_triple,
@@ -49,7 +56,8 @@ __all__ = [
     "block2", "build_triple", "certify_gram", "certify_weighing",
     "check_quaternary_hadamard", "check_semi_regular", "check_skew_type",
     "cod_base", "cod_recurse", "conference_matrix", "conj_transpose",
-    "diag_similarity", "double", "excess", "expected_row_sum", "full_report",
+    "diag_similarity", "double", "excess", "expected_row_sum", "factored_summary",
+    "full_report",
     "gram", "gram_is_scalar", "make_field", "maximize_excess_rows", "multiply",
     "paley_qhm", "parse", "realify", "row_sums", "run_pipeline", "serialize",
     "skew_core", "skew_regular_qhm", "split_real_imag", "twist_vector",

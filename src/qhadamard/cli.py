@@ -125,20 +125,17 @@ def cmd_core(args) -> int:
 
 def cmd_cod(args) -> int:
     ctx = _field(args.p)
+    # The summary certifies the design from its factors; only --eval
+    # materialises it.
+    build = cod.factored_summary if args.eval is None else cod.cod_recurse
     try:
-        design = cod.cod_recurse(ctx, args.k)
+        result = build(ctx, args.k)
     except BudgetError as exc:
         raise CliError(str(exc), EXIT_BUDGET) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     if args.eval is None:
-        s1, s2 = design.stype
-        print(json.dumps({
-            "order": design.n,
-            "type": [s1, s2],
-            "gram_conjugate": cod.certify_gram(design),
-            "gram_transpose": cod.certify_gram(design, conjugate=False),
-        }))
+        print(json.dumps(result))
         return 0
     try:
         a, b = (int(v) for v in args.eval.split(","))
@@ -146,7 +143,7 @@ def cmd_cod(args) -> int:
         raise CliError("--eval wants A,B", EXIT_PARSE) from None
     if not {a, b} <= {0, 1}:
         raise CliError("only --eval values in {0,1} are serializable", EXIT_PARSE)
-    _write_text(args.out, matio.serialize(design.evaluate_qmatrix(a, b)))
+    _write_text(args.out, matio.serialize(result.evaluate_qmatrix(a, b)))
     return 0
 
 

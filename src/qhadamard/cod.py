@@ -14,6 +14,7 @@ import numpy as np
 
 from .field import BudgetError, FieldCtx, order_within_budget
 from .qmatrix import (
+    PHASES,
     MatrixError,
     QMatrix,
     _check_integral,
@@ -24,6 +25,7 @@ from .qmatrix import (
 from .builder import skew_core, skew_regular_qhm
 
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1))
+_UNITS = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,19 @@ class CODMatrix:
         return _check_integral(a * self.acoef + b * self.bcoef)
 
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
-        """Evaluation for a, b in {0, 1}, where the result stays quaternary."""
+        """Evaluation as a quaternary matrix.
+
+        For a, b in {-1, 0, 1} every cell is one unit coefficient times a
+        unit or zero (the supports are disjoint), so the result is in the
+        alphabet and is wrapped unchecked; other points are validated.
+        The unit case is summed in place, so its only array of the full
+        order is the result.
+        """
+        if a in _UNITS and b in _UNITS:
+            x = a * self.acoef
+            if b:
+                (np.add if b == 1 else np.subtract)(x, self.bcoef, out=x)
+            return QMatrix._trusted(x)
         return QMatrix(self.evaluate(a, b))
 
 
@@ -87,6 +101,10 @@ def gram_at(d: CODMatrix, a: int, b: int) -> np.ndarray:
     return _gram_complex(*_parts_at(d, a, b))
 
 
+def _is_real(d: CODMatrix) -> bool:
+    return not (d.acoef.imag.any() or d.bcoef.imag.any())
+
+
 def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     """Check X X* = (s1 a^2 + s2 b^2) I at (1, 0), (0, 1) and (1, 1).
 
@@ -95,22 +113,46 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     coefficients.  Its differences P, R, T from the claimed coefficients
     s1 I, s2 I and 0 are P at (1, 0), R at (0, 1) and P + R + T at (1, 1),
     so the form agrees with the claim at these three points exactly when
-    P = R = T = 0, which certifies the symbolic identity.  With
-    ``conjugate=False`` checks the plain-transpose variant X X^T the same
-    way.
+    P = R = T = 0, which certifies the symbolic identity.
+
+    With ``conjugate=False`` checks the plain-transpose variant X X^T,
+    which holds exactly when the design is real and X X* holds: the
+    diagonal of X X^T at (1, 0) counts the real minus the imaginary cells
+    in a row of A, so it equals s1 only when A has no imaginary cell, and
+    likewise for B at (0, 1); for a real X, X^T = X*.
     """
     s1, s2 = d.stype
+    if not (conjugate or _is_real(d)):
+        return False
     for a, b in EVAL_POINTS:
-        if not _gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b,
-                               conjugate):
+        if not _gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b):
             return False
     return True
 
 
+def _factors(ctx: FieldCtx) -> tuple[CODMatrix, np.ndarray]:
+    """The base design a I + b (S - I) and the core Q = skew_core(S) - I of
+    the recursion, from one build of the skew-regular matrix S."""
+    s = skew_regular_qhm(ctx)
+    eye = np.eye(s.n, dtype=np.complex128)
+    base = CODMatrix._trusted(eye, s.data - eye)
+    return base, skew_core(s).data - np.eye(ctx.q)
+
+
+def _checked_order(ctx: FieldCtx, k: int) -> int:
+    """The order of level k, checked against the budget for the dense
+    design before anything is built."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    order = (1 + ctx.q) * ctx.q**k
+    if not order_within_budget(order):
+        raise BudgetError(f"order {order} exceeds the memory budget")
+    return order
+
+
 def cod_base(ctx: FieldCtx) -> CODMatrix:
     """a I + b Q from the skew-regular matrix I + Q: type (1, p^2)."""
-    s = skew_regular_qhm(ctx)
-    return CODMatrix._trusted(np.eye(s.n, dtype=np.complex128), s.data - np.eye(s.n))
+    return _factors(ctx)[0]
 
 
 def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
@@ -118,26 +160,91 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
 
     Each step sends an a-cell with phase e to the p^2 x p^2 block e*b*J
     and a b-cell with phase e to e*(a I + b Q), Q the skew-core minus
-    its identity.  In coefficient form that is a pair of Kronecker
-    products per step.
+    its identity.  In coefficient form that is A' = B (x) I and
+    B' = A (x) J + B (x) Q, written straight into the two new arrays,
+    viewed as (n, q, n, q) blocks, with no Kronecker temporaries.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    order = (1 + ctx.q) * ctx.q**k
-    if not order_within_budget(order):
-        raise BudgetError(f"order {order} exceeds the memory budget")
-    d = cod_base(ctx)
-    if k == 0:
-        return d
-    core = skew_core(skew_regular_qhm(ctx))
-    q_core = core.data - np.eye(core.n)
-    eye = np.eye(ctx.q, dtype=np.complex128)
-    ones = np.ones((ctx.q, ctx.q), dtype=np.complex128)
+    _checked_order(ctx, k)
+    d, q_core = _factors(ctx)
+    q, diag = ctx.q, np.arange(ctx.q)
     for _ in range(k):
-        acoef = np.kron(d.bcoef, eye)
-        bcoef = np.kron(d.acoef, ones) + np.kron(d.bcoef, q_core)
-        d = CODMatrix._trusted(acoef, bcoef)
+        n = d.n
+        acoef = np.zeros((n, q, n, q), dtype=np.complex128)
+        acoef[:, diag, :, diag] = d.bcoef
+        bcoef = np.multiply(d.bcoef[:, None, :, None], q_core[None, :, None, :])
+        bcoef += d.acoef[:, None, :, None]
+        d = CODMatrix._trusted(acoef.reshape(n * q, n * q), bcoef.reshape(n * q, n * q))
     return d
+
+
+def _broken_identity(base: CODMatrix, q_core: np.ndarray, q: int) -> str | None:
+    """The first hypothesis of the factored certificate that the factors
+    fail, by name; None when all hold.  Every check is exact: the cells
+    are Gaussian integers, the sums have at most q unit terms, and QQ* is
+    formed by the exact kernel."""
+    off = ~np.eye(q, dtype=bool)
+    if q_core.diagonal().any() or not _is_alphabet(q_core[off], PHASES):
+        return "Q has zero diagonal and unit cells off it"
+    if not np.array_equal(q_core.conj().T, -q_core):
+        return "Q* = -Q"
+    if q_core.sum(axis=1).any():
+        return "QJ = 0"
+    if not np.array_equal(_gram_complex(q_core.real, q_core.imag, 1),
+                          q * np.eye(q) - 1):
+        return "QQ* = qI - J"
+    s1, s2 = base.stype
+    if s2 != q * s1:
+        return "s2 = q s1"
+    return None
+
+
+def factored_summary(ctx: FieldCtx, k: int) -> dict:
+    """Order, row type and both Gram verdicts of ``cod_recurse(ctx, k)``,
+    certified from its factors without forming the design.
+
+    Suppose level k satisfies AA* = s1 I, BB* = s2 I, AB* + BA* = 0 and
+    s2 = q s1.  One step sets A' = B (x) I and B' = A (x) J + B (x) Q, and
+    JQ* = (QJ)* = 0.  Then
+      A'A'* = s2 I,
+      B'B'* = q s1 I (x) J + s2 I (x) (qI - J) = q s2 I,
+      A'B'* + B'A'* = (AB* + BA*) (x) J + s2 I (x) (Q + Q*) = 0,
+    and s2' = q s2 = q s1', so the hypotheses carry over.  Since Q has a
+    zero diagonal and unit cells off it, and A and B have disjoint
+    supports, every cell of A', B' is one unit or zero with disjoint
+    supports, and a row of B' has s1 q + s2 (q - 1) = q s2 cells: the row
+    type steps as (s1, s2) -> (s2, q s2).  By induction level k is
+    certified by the dense base certificate and the q x q facts
+    Q zero-diagonal with unit cells off it, Q* = -Q, QJ = 0,
+    QQ* = qI - J, and s2 = q s1 at the base.  The order (1+q) q^k is an
+    exact int.
+
+    Level k is real exactly when the base is and (k = 0 or Q is real): an
+    imaginary cell of A or B reappears in B' or A', and a real B, with
+    s2 > 0 cells a row, times a non-real Q puts one in B'.  With the
+    conjugate verdict this decides the transpose verdict (see
+    ``certify_gram``).
+
+    Should a hypothesis fail, its name is reported under "broken" and the
+    verdicts are those of the dense design, so a broken hypothesis never
+    yields a verdict.
+    """
+    order = _checked_order(ctx, k)
+    base, q_core = _factors(ctx)
+    broken = (_broken_identity(base, q_core, ctx.q) if certify_gram(base)
+              else "base Gram")
+    if broken is not None:
+        d = cod_recurse(ctx, k)
+        s1, s2 = d.stype
+        return {"order": d.n, "type": [s1, s2],
+                "gram_conjugate": certify_gram(d),
+                "gram_transpose": certify_gram(d, conjugate=False),
+                "broken": broken}
+    s1, s2 = base.stype
+    for _ in range(k):
+        s1, s2 = s2, ctx.q * s2
+    real = _is_real(base) and (k == 0 or not q_core.imag.any())
+    return {"order": order, "type": [s1, s2],
+            "gram_conjugate": True, "gram_transpose": real}
 
 
 def expected_row_sum(p: int, level: int) -> complex:

@@ -255,14 +255,19 @@ def split_real_imag(m: QMatrix) -> tuple[SignMatrix, SignMatrix]:
             SignMatrix._trusted(m.data.imag.astype(np.int64)))
 
 
-_REAL_CELL = np.array([[1, 1], [1, -1]], dtype=np.int64)
-_IMAG_CELL = np.array([[-1, 1], [1, 1]], dtype=np.int64)
-
-
 def realify(m: QMatrix) -> SignMatrix:
-    """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]]."""
-    a, b = split_real_imag(m)
-    return SignMatrix._trusted(np.kron(a.data, _REAL_CELL) + np.kron(b.data, _IMAG_CELL))
+    """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]].
+
+    A cell a + bi becomes [[a-b, a+b], [a+b, b-a]], written as four
+    strided quarters of the result.
+    """
+    a, b = m.data.real, m.data.imag
+    out = np.empty((2 * m.n, 2 * m.n), dtype=np.int64)
+    np.subtract(a, b, out=out[0::2, 0::2], casting="unsafe")
+    np.add(a, b, out=out[0::2, 1::2], casting="unsafe")
+    out[1::2, 0::2] = out[0::2, 1::2]
+    np.negative(out[0::2, 0::2], out=out[1::2, 1::2])
+    return SignMatrix._trusted(out)
 
 
 def sign_gram(w: SignMatrix) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
+    BudgetError,
     CODMatrix,
     certify_gram,
     check_quaternary_hadamard,
@@ -9,10 +11,12 @@ from qhadamard import (
     cod_base,
     cod_recurse,
     expected_row_sum,
+    factored_summary,
     row_sums,
 )
-from qhadamard.cod import _parts_at, gram_at
-from qhadamard.qmatrix import _gram_is_scalar
+from qhadamard import cod
+from qhadamard.cod import _broken_identity, _parts_at, gram_at
+from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar
 from conftest import field, skew_regular
 
 # The three points of certify_gram and one with |entry|^2 = 9.
@@ -103,3 +107,167 @@ def test_certify_gram_needs_the_cross_term_point():
                 for a, b in ((1, 0), (0, 1), (1, 1))]
     assert verdicts == [True, True, False]
     assert not certify_gram(x)
+
+
+def kernel_verdict(d, conjugate):
+    """certify_gram's three points, each through the kernel's own mode."""
+    s1, s2 = d.stype
+    return all(_gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b, conjugate)
+               for a, b in ((1, 0), (0, 1), (1, 1)))
+
+
+def dense_summary(ctx, k):
+    d = cod_recurse(ctx, k)
+    s1, s2 = d.stype
+    verdicts = (certify_gram(d), certify_gram(d, conjugate=False))
+    assert verdicts == (kernel_verdict(d, True), kernel_verdict(d, False))
+    return {"order": d.n, "type": [s1, s2],
+            "gram_conjugate": verdicts[0], "gram_transpose": verdicts[1]}
+
+
+@pytest.mark.parametrize(
+    "p,k", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (7, 0), (11, 0)]
+)
+def test_factored_summary_matches_dense(p, k):
+    ctx = field(p)
+    summary = factored_summary(ctx, k)
+    assert summary == dense_summary(ctx, k)
+    assert type(summary["order"]) is int
+
+
+def test_factored_summary_checks_order_first():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        factored_summary(field(3), -1)
+    with pytest.raises(BudgetError):
+        factored_summary(field(3), 6)
+
+
+def corrupt_core(monkeypatch, cells):
+    """Make the recursion's skew core carry sign flips at ``cells`` of Q."""
+    real_skew_core = cod.skew_core
+
+    def corrupted(s):
+        data = real_skew_core(s).data.copy()
+        for i, j in cells:
+            data[i, j] = -data[i, j]
+        return QMatrix(data)
+
+    monkeypatch.setattr(cod, "skew_core", corrupted)
+
+
+@pytest.mark.parametrize("cells, broken", [
+    ([(0, 1)], "Q* = -Q"),
+    ([(0, 1), (1, 0)], "QJ = 0"),
+])
+def test_corrupted_core_names_identity_and_falls_back(monkeypatch, cells, broken):
+    ctx = field(3)
+    corrupt_core(monkeypatch, cells)
+    summary = factored_summary(ctx, 1)
+    assert summary.pop("broken") == broken
+    assert summary == dense_summary(ctx, 1)
+    assert not summary["gram_conjugate"]
+
+
+def test_broken_identity_names():
+    ctx = field(3)
+    base, q_core = cod._factors(ctx)
+    assert _broken_identity(base, q_core, ctx.q) is None
+    diag = q_core.copy()
+    diag[0, 0] = 1
+    assert _broken_identity(base, diag, ctx.q) == "Q has zero diagonal and unit cells off it"
+    # iQ keeps the zero diagonal and the unit cells but is Hermitian.
+    assert _broken_identity(base, 1j * q_core, ctx.q) == "Q* = -Q"
+    no_b = CODMatrix(base.acoef, np.zeros_like(base.bcoef))
+    assert _broken_identity(no_b, q_core, ctx.q) == "s2 = q s1"
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])
+def test_cod_recurse_matches_kron_steps(p, k):
+    ctx = field(p)
+    base = cod_base(ctx)
+    q_core = cod._factors(ctx)[1]
+    eye, ones = np.eye(ctx.q), np.ones((ctx.q, ctx.q))
+    a, b = base.acoef, base.bcoef
+    for _ in range(k):
+        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, q_core)
+    d = cod_recurse(ctx, k)
+    assert np.array_equal(d.acoef, a) and np.array_equal(d.bcoef, b)
+    assert d.acoef.dtype == d.bcoef.dtype == np.complex128
+
+
+def test_cod_recurse_builds_skew_regular_once(monkeypatch):
+    calls = []
+    real_build = cod.skew_regular_qhm
+
+    def counted(ctx):
+        calls.append(ctx.p)
+        return real_build(ctx)
+
+    monkeypatch.setattr(cod, "skew_regular_qhm", counted)
+    for k in (1, 2):
+        calls.clear()
+        cod_recurse(field(3), k)
+        assert calls == [3]
+    calls.clear()
+    factored_summary(field(3), 2)
+    assert calls == [3]
+
+
+# X = aI + bC: a real skew design of order 4 and type (1, 3).
+SKEW4 = np.array([[0, 1, 1, 1], [-1, 0, 1, -1], [-1, -1, 0, 1], [-1, 1, -1, 0]])
+
+
+def random_designs():
+    """Designs with constant row type: random ones, which mostly fail, and
+    phase or signed-permutation similarities of passing ones."""
+
+    @st.composite
+    def random_design(draw):
+        n = draw(st.integers(1, 6))
+        s1 = draw(st.integers(0, n))
+        s2 = draw(st.integers(0, n - s1))
+        alphabet = draw(st.sampled_from((PHASES, (1, -1))))
+        acoef = np.zeros((n, n), dtype=np.complex128)
+        bcoef = np.zeros((n, n), dtype=np.complex128)
+        for i in range(n):
+            cols = draw(st.permutations(range(n)))
+            for j in cols[:s1]:
+                acoef[i, j] = draw(st.sampled_from(alphabet))
+            for j in cols[s1:s1 + s2]:
+                bcoef[i, j] = draw(st.sampled_from(alphabet))
+        return CODMatrix(acoef, bcoef)
+
+    @st.composite
+    def similar_design(draw):
+        acoef, bcoef = draw(st.sampled_from((
+            (np.eye(4), SKEW4),
+            (cod_base(field(3)).acoef, cod_base(field(3)).bcoef),
+        )))
+        n = acoef.shape[0]
+        phases = draw(st.sampled_from(((1, -1), PHASES)))
+        v = np.array(draw(st.lists(st.sampled_from(phases), min_size=n, max_size=n)))
+        perm = np.array(draw(st.permutations(range(n))))
+
+        def similar(x):
+            return (v[:, None] * x * v.conj()[None, :])[np.ix_(perm, perm)]
+
+        return CODMatrix(similar(acoef).astype(np.complex128),
+                         similar(bcoef).astype(np.complex128))
+
+    return st.one_of(random_design(), similar_design())
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_designs())
+def test_transpose_verdict_is_realness_and_conjugate(d):
+    assert certify_gram(d, conjugate=False) == kernel_verdict(d, False)
+    assert certify_gram(d) == kernel_verdict(d, True)
+    real = not (d.acoef.imag.any() or d.bcoef.imag.any())
+    assert certify_gram(d, conjugate=False) == (real and certify_gram(d))
+
+
+def test_real_skew_design_passes_both_modes():
+    d = CODMatrix(np.eye(4), SKEW4)
+    assert d.stype == (1, 3)
+    assert certify_gram(d) and certify_gram(d, conjugate=False)
+    assert kernel_verdict(d, True) and kernel_verdict(d, False)

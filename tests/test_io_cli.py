@@ -237,6 +237,17 @@ def test_cli_cod_summary_and_eval(capsys, monkeypatch, tmp_path):
     assert m.n == 90
 
 
+def test_cli_cod_summary_never_materialises(capsys, monkeypatch):
+    def refuse(ctx, k):
+        raise AssertionError("the summary formed the dense design")
+
+    monkeypatch.setattr("qhadamard.cod.cod_recurse", refuse)
+    code, out, _ = run_cli(capsys, monkeypatch, ["cod", "--p", "3", "--k", "2"])
+    assert code == 0
+    assert json.loads(out) == {"order": 810, "type": [81, 729],
+                               "gram_conjugate": True, "gram_transpose": False}
+
+
 def test_cli_appendix_twist_matches_printed(capsys, monkeypatch, tmp_path):
     # Appendix B: twisting H by the printed v reproduces the printed matrix
     out = tmp_path / "t.qhm"

@@ -101,3 +101,17 @@ def test_realify_additive_on_disjoint_supports(m):
     part_b = QMatrix(m.data - diag)
     lhs = realify(part_a).data + realify(part_b).data
     assert np.array_equal(lhs, realify(m).data)
+
+
+_REAL_CELL = np.array([[1, 1], [1, -1]], dtype=np.int64)
+_IMAG_CELL = np.array([[-1, 1], [1, 1]], dtype=np.int64)
+
+
+@settings(max_examples=120)
+@given(qmatrices(8))
+def test_realify_matches_kron_reference(m):
+    a, b = split_real_imag(m)
+    ref = np.kron(a.data, _REAL_CELL) + np.kron(b.data, _IMAG_CELL)
+    w = realify(m)
+    assert w.data.dtype == np.int64
+    assert np.array_equal(w.data, ref)

@@ -92,6 +92,17 @@ def test_cod_designs(p, k):
         CODMatrix(d.acoef, d.bcoef)
 
 
+@pytest.mark.parametrize("p, k", [(3, 0), (3, 1)])
+def test_evaluate_qmatrix_at_units(p, k):
+    d = cod_recurse(field(p), k)
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            m = d.evaluate_qmatrix(a, b)
+            assert m.data.dtype == np.complex128
+            assert not m.data.flags.writeable
+            assert m == QMatrix(d.evaluate(a, b))
+
+
 def test_evaluate_qmatrix_still_validates():
     d = cod_base(field(3))
     with pytest.raises(MatrixError):
