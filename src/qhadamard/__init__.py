@@ -2,7 +2,7 @@
 their derived families: recursive orthogonal designs, doubled
 semi-regular matrices, and maximum-excess real Hadamard matrices."""
 
-from .field import BudgetError, FieldCtx, FieldError, GFElement, make_field
+from .field import BudgetError, FieldCtx, FieldError, make_field
 from .qmatrix import (
     MatrixError,
     QMatrix,
@@ -10,12 +10,9 @@ from .qmatrix import (
     block2,
     conj_transpose,
     diag_similarity,
-    gram,
     gram_is_scalar,
-    multiply,
     realify,
     row_sums,
-    split_real_imag,
 )
 from .builder import (
     conference_matrix,
@@ -36,8 +33,6 @@ from .cod import (
 from .excess import (
     ExcessReport,
     build_triple,
-    certify_weighing,
-    excess,
     maximize_excess_rows,
     run_pipeline,
 )
@@ -51,16 +46,15 @@ from .verify import (
 from .matio import ParseError, parse, serialize
 
 __all__ = [
-    "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError", "GFElement",
+    "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError",
     "MatrixError", "ParseError", "PropertyReport", "QMatrix", "SignMatrix",
-    "block2", "build_triple", "certify_gram", "certify_weighing",
+    "block2", "build_triple", "certify_gram",
     "check_quaternary_hadamard", "check_semi_regular", "check_skew_type",
     "cod_base", "cod_recurse", "conference_matrix", "conj_transpose",
-    "diag_similarity", "double", "excess", "expected_row_sum", "factored_summary",
-    "full_report",
-    "gram", "gram_is_scalar", "make_field", "maximize_excess_rows", "multiply",
+    "diag_similarity", "double", "expected_row_sum", "factored_summary",
+    "full_report", "gram_is_scalar", "make_field", "maximize_excess_rows",
     "paley_qhm", "parse", "realify", "row_sums", "run_pipeline", "serialize",
-    "skew_core", "skew_regular_qhm", "split_real_imag", "twist_vector",
+    "skew_core", "skew_regular_qhm", "twist_vector",
 ]
 
 __version__ = "0.1.0"

@@ -25,15 +25,9 @@ from .qmatrix import (
 # contiguous block of p positions.
 
 
-def _element_coords(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(ctx.q)
-    return idx % ctx.p, idx // ctx.p
-
-
 def conference_matrix(ctx: FieldCtx) -> QMatrix:
     """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere."""
-    p, q = ctx.p, ctx.q
-    a, b = _element_coords(ctx)
+    p, q, a, b = ctx.p, ctx.q, ctx.a, ctx.b
     da = (a[:, None] - a[None, :]) % p
     db = (b[:, None] - b[None, :]) % p
     chi = ctx.char_table[db * p + da]
@@ -50,58 +44,19 @@ def paley_qhm(ctx: FieldCtx) -> QMatrix:
     return QMatrix._trusted(np.eye(ctx.q + 1) - 1j * c.data)
 
 
-def half_coset_split(ctx: FieldCtx) -> tuple[range, range]:
-    """Coset indices assigned phase -i and phase +i respectively."""
-    half = (ctx.p - 1) // 2
-    return range(1, half + 1), range(half + 1, ctx.p)
-
-
 def twist_vector(ctx: FieldCtx) -> np.ndarray:
-    """Phase vector: 1 on {infinity} and GF(p), -i / +i on the two coset halves."""
-    _, b = _element_coords(ctx)
-    lo, _ = half_coset_split(ctx)
+    """Phase vector: 1 on {infinity} and GF(p), -i on the cosets 1..(p-1)/2
+    and +i on the others."""
+    b = ctx.b
     v = np.empty(ctx.q + 1, dtype=np.complex128)
     v[0] = 1
-    v[1:] = np.where(b == 0, 1, np.where(b <= lo.stop - 1, -1j, 1j))
+    v[1:] = np.where(b == 0, 1, np.where(b <= (ctx.p - 1) // 2, -1j, 1j))
     return v
 
 
 def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
     """The order 1+p^2 matrix with Gram (1+p^2) I, row sums 1 - p*i, S + S* = 2I."""
     return diag_similarity(paley_qhm(ctx), twist_vector(ctx))
-
-
-def row_sum_parts(ctx: FieldCtx, row: int) -> list[complex]:
-    """Partial row sums of the twisted matrix, split by column class.
-
-    For the first row the columns split into {infinity}, GF(p), and the
-    two coset halves; for field rows into {infinity}, the diagonal cell,
-    GF(p), the row's own coset, and the remainder.  Each group has a
-    known closed-form value pinned down by the tests, and the parts add
-    up to the full row sum 1 - p*i.
-    """
-    s = skew_regular_qhm(ctx).data
-    q, p = ctx.q, ctx.p
-    _, b = _element_coords(ctx)
-    lo, _ = half_coset_split(ctx)
-    infty = np.concatenate(([True], np.zeros(q, dtype=bool)))
-    in_fp = np.concatenate(([False], b == 0))
-    in_lo = np.concatenate(([False], (b >= 1) & (b <= lo.stop - 1)))
-    in_hi = ~infty & ~in_fp & ~in_lo
-    if row == 0:
-        groups = [infty, in_fp, in_lo, in_hi]
-    else:
-        k = b[row - 1]
-        self_col = np.arange(q + 1) == row
-        if k == 0:
-            groups = [infty, self_col, in_fp & ~self_col,
-                      ~infty & ~in_fp]
-        else:
-            in_own = np.concatenate(([False], b == k))
-            groups = [infty, self_col, in_fp,
-                      in_own & ~self_col,
-                      ~infty & ~in_fp & ~in_own]
-    return [complex(s[row][g].sum()) for g in groups]
 
 
 def skew_core(h: QMatrix) -> QMatrix:

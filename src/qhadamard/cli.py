@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import builder, cod, matio, verify
 from .excess import run_pipeline
 from .field import BudgetError, FieldError, make_field
-from .qmatrix import MatrixError, QMatrix, SignMatrix, diag_similarity, realify
+from .qmatrix import MatrixError, QMatrix, diag_similarity, realify
 
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
@@ -123,34 +124,39 @@ def cmd_core(args) -> int:
     return 0
 
 
-def cmd_cod(args) -> int:
-    ctx = _field(args.p)
-    # The summary certifies the design from its factors; only --eval
-    # materialises it.
-    build = cod.factored_summary if args.eval is None else cod.cod_recurse
+def _eval_point(raw: str) -> tuple[int, int]:
     try:
-        result = build(ctx, args.k)
-    except BudgetError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    if args.eval is None:
-        print(json.dumps(result))
-        return 0
-    try:
-        a, b = (int(v) for v in args.eval.split(","))
+        a, b = (int(v) for v in raw.split(","))
     except ValueError:
         raise CliError("--eval wants A,B", EXIT_PARSE) from None
     if not {a, b} <= {0, 1}:
         raise CliError("only --eval values in {0,1} are serializable", EXIT_PARSE)
-    _write_text(args.out, matio.serialize(result.evaluate_qmatrix(a, b)))
+    return a, b
+
+
+def cmd_cod(args) -> int:
+    ctx = _field(args.p)
+    # The summary certifies the design from its factors; only --eval
+    # materialises it, once k, the budget and the point are checked.
+    try:
+        if args.eval is None:
+            print(json.dumps(cod.factored_summary(ctx, args.k)))
+            return 0
+        cod._checked_order(ctx, args.k)
+        a, b = _eval_point(args.eval)
+        d = cod.cod_recurse(ctx, args.k)
+    except BudgetError as exc:
+        raise CliError(str(exc), EXIT_BUDGET) from exc
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
+    _write_text(args.out, matio.serialize(d.evaluate_qmatrix(a, b)))
     return 0
 
 
 def cmd_excess(args) -> int:
     ctx = _field(args.p)
     report, w1 = run_pipeline(ctx)
-    payload = report.to_json()
+    payload = dataclasses.asdict(report)
     if not args.json:
         payload.pop("w2_col_sums")
     print(json.dumps(payload))

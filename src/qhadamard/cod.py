@@ -17,7 +17,6 @@ from .qmatrix import (
     PHASES,
     MatrixError,
     QMatrix,
-    _check_integral,
     _gram_complex,
     _gram_is_scalar,
     _is_alphabet,
@@ -67,25 +66,20 @@ class CODMatrix:
             raise MatrixError("row type is not constant")
         return int(s1[0]), int(s2[0])
 
-    def evaluate(self, a: int, b: int) -> np.ndarray:
-        """Substitute integers for the variables; exact Gaussian-integer matrix."""
-        return _check_integral(a * self.acoef + b * self.bcoef)
-
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
-        """Evaluation as a quaternary matrix.
+        """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix.
 
-        For a, b in {-1, 0, 1} every cell is one unit coefficient times a
-        unit or zero (the supports are disjoint), so the result is in the
-        alphabet and is wrapped unchecked; other points are validated.
-        The unit case is summed in place, so its only array of the full
-        order is the result.
+        Every cell is one unit coefficient times a unit or zero (the
+        supports are disjoint), so the result is in the alphabet and is
+        wrapped unchecked.  It is summed in place, so its only array of
+        the full order is the result.
         """
-        if a in _UNITS and b in _UNITS:
-            x = a * self.acoef
-            if b:
-                (np.add if b == 1 else np.subtract)(x, self.bcoef, out=x)
-            return QMatrix._trusted(x)
-        return QMatrix(self.evaluate(a, b))
+        if not (a in _UNITS and b in _UNITS):
+            raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
+        x = a * self.acoef
+        if b:
+            (np.add if b == 1 else np.subtract)(x, self.bcoef, out=x)
+        return QMatrix._trusted(x)
 
 
 def _parts_at(d: CODMatrix, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -95,10 +89,6 @@ def _parts_at(d: CODMatrix, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int
     re = a * d.acoef.real + b * d.bcoef.real
     im = a * d.acoef.imag + b * d.bcoef.imag
     return re, im, max(a * a, b * b)
-
-
-def gram_at(d: CODMatrix, a: int, b: int) -> np.ndarray:
-    return _gram_complex(*_parts_at(d, a, b))
 
 
 def _is_real(d: CODMatrix) -> bool:

@@ -20,7 +20,6 @@ from .qmatrix import (
     SignMatrix,
     block2,
     realify,
-    sign_gram_is_scalar,
 )
 from .builder import skew_regular_qhm
 
@@ -59,16 +58,6 @@ class ExcessReport:
     rows_negated: list[int] = field(default_factory=list)
     bound_nk: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "excess_before": self.excess_before,
-            "excess_after": self.excess_after,
-            "rows_negated": self.rows_negated,
-            "bound_nk": self.bound_nk,
-        }
-
-
 def maximize_excess_rows(w: SignMatrix) -> tuple[SignMatrix, ExcessReport]:
     """Negate every row with a negative sum; zero-sum rows stay put."""
     sums = w.data.sum(axis=1)
@@ -90,15 +79,6 @@ def negate_rows(w: SignMatrix, rows: list[int]) -> SignMatrix:
     return SignMatrix._trusted(out)
 
 
-def certify_weighing(w: SignMatrix, n: int, weight: int) -> bool:
-    """W(n, weight): order n, each row weight nonzeros, W W^T = weight * I."""
-    if w.n != n:
-        return False
-    if not np.all((w.data != 0).sum(axis=1) == weight):
-        return False
-    return sign_gram_is_scalar(w, weight)
-
-
 @dataclass
 class PipelineReport:
     """Outcome of the full construction for one prime."""
@@ -111,19 +91,6 @@ class PipelineReport:
     w2_row_sums_constant: int | None
     w2_col_sums: list[int]
     w3_total: int
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "order": self.order,
-            "w1": self.w1.to_json(),
-            "w2_excess": self.w2_excess,
-            "w2_bound": self.w2_bound,
-            "w2_row_sums_constant": self.w2_row_sums_constant,
-            "w2_col_sums": self.w2_col_sums,
-            "w3_total": self.w3_total,
-        }
-
 
 def run_pipeline(ctx: FieldCtx) -> tuple[PipelineReport, SignMatrix]:
     """Build W1, W2, W3, negate the W1 rows with negative sums everywhere,

@@ -1,15 +1,15 @@
-"""Exact arithmetic in GF(p^2) and its quadratic character.
+"""The quadratic character of GF(p^2) as a table.
 
 Elements are a + b*theta with theta^2 = n, n the smallest quadratic
 nonresidue mod p.  The element index b*p + a fixes the row/column
 ordering used by every matrix construction, and makes each additive
-coset {a + k*theta : a in GF(p)} a contiguous block of p indices.
+coset {a + k*theta : a in GF(p)} the contiguous block [k*p, (k+1)*p) of
+indices.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,6 @@ class FieldError(ValueError):
 
 class BudgetError(FieldError):
     """A requested order does not fit the memory budget."""
-
-
-@dataclass(frozen=True)
-class GFElement:
-    """Canonical element a + b*theta of GF(p^2), coefficients in [0, p)."""
-
-    a: int
-    b: int
 
 
 def is_prime(n: int) -> bool:
@@ -78,9 +70,10 @@ def order_within_budget(order: int, budget_mb: int | None = None) -> bool:
 
 
 class FieldCtx:
-    """GF(p^2) with a precomputed character table and coset indexing.
+    """GF(p^2): element coordinates and the quadratic character table.
 
-    Immutable after construction; all methods are pure reads.
+    Element i is a[i] + b[i]*theta and chi(element i) is char_table[i].
+    Immutable after construction.
     """
 
     def __init__(self, p: int, budget_mb: int | None = None):
@@ -95,62 +88,20 @@ class FieldCtx:
         self.p = p
         self.q = p * p
         self.nonresidue = smallest_nonresidue(p)
+        idx = np.arange(self.q)
+        self.a, self.b = idx % p, idx // p
         self.char_table = self._build_char_table()
+        for arr in (self.a, self.b, self.char_table):
+            arr.setflags(write=False)
 
     def _build_char_table(self) -> np.ndarray:
-        # chi(x) = +1 iff x is the square of some nonzero element.
+        # chi(x) = +1 iff x is the square of some nonzero element; for
+        # x = a + b*theta, x^2 = (a^2 + n b^2) + 2ab*theta.
+        a, b, p = self.a, self.b, self.p
         table = np.full(self.q, -1, dtype=np.int8)
+        table[(2 * a * b % p) * p + (a * a + self.nonresidue * b * b) % p] = 1
         table[0] = 0
-        for i in range(1, self.q):
-            x = self.from_index(i)
-            table[self.index(self.mul(x, x))] = 1
         return table
-
-    # -- element plumbing -------------------------------------------------
-
-    def element(self, a: int, b: int = 0) -> GFElement:
-        return GFElement(a % self.p, b % self.p)
-
-    def index(self, x: GFElement) -> int:
-        return x.b * self.p + x.a
-
-    def from_index(self, i: int) -> GFElement:
-        return GFElement(i % self.p, i // self.p)
-
-    def elements(self):
-        return (self.from_index(i) for i in range(self.q))
-
-    # -- ring operations --------------------------------------------------
-
-    def mul(self, x: GFElement, y: GFElement) -> GFElement:
-        n = self.nonresidue
-        return self.element(x.a * y.a + n * x.b * y.b, x.a * y.b + x.b * y.a)
-
-    def pow(self, x: GFElement, e: int) -> GFElement:
-        result = self.element(1)
-        base = x
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    # -- character and cosets ---------------------------------------------
-
-    def chi(self, x: GFElement) -> int:
-        return int(self.char_table[self.index(x)])
-
-    def coset_index(self, x: GFElement) -> int:
-        return x.b
-
-    def coset(self, k: int):
-        """The additive coset {a + k*theta : a in GF(p)}."""
-        return (GFElement(a, k % self.p) for a in range(self.p))
-
-    def coset_char_sum(self, t: GFElement) -> int:
-        """Sum of chi over the translate t + GF(p), computed directly."""
-        return sum(self.chi(self.element(t.a + a, t.b)) for a in range(self.p))
 
 
 def make_field(p: int, budget_mb: int | None = None) -> FieldCtx:

@@ -4,8 +4,7 @@ Entries and all derived quantities are small Gaussian integers.  Gram
 matrices are formed from the real and imaginary parts with real float
 BLAS products in a float type chosen from an explicit bound on the
 order and the entry size (``_exact_dtype``), under which every partial
-sum is an exactly representable integer.  Other products are complex128
-and verified integral after the fact.
+sum is an exactly representable integer.
 """
 
 from __future__ import annotations
@@ -18,13 +17,6 @@ QALPHABET = (0j,) + PHASES
 
 class MatrixError(ValueError):
     """Shape or alphabet violation."""
-
-
-def _check_integral(arr: np.ndarray) -> np.ndarray:
-    rounded = np.rint(arr.real) + 1j * np.rint(arr.imag)
-    if not np.array_equal(rounded, arr):
-        raise MatrixError("arithmetic left the Gaussian integers")
-    return arr
 
 
 def _is_alphabet(arr: np.ndarray, alphabet=QALPHABET) -> bool:
@@ -85,10 +77,6 @@ class _ExactMatrix:
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
 
-    def __add__(self, other):
-        # In the alphabet only when the supports are disjoint, so validated.
-        return type(self)(self.data + other.data)
-
 
 class QMatrix(_ExactMatrix):
     """Immutable square matrix with entries in {0, 1, i, -1, -i}."""
@@ -101,10 +89,6 @@ class QMatrix(_ExactMatrix):
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls._trusted(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, n: int) -> "QMatrix":
-        return cls._trusted(np.zeros((n, n), dtype=np.complex128))
 
     def scale(self, phase: complex) -> "QMatrix":
         if phase not in PHASES:
@@ -123,13 +107,6 @@ class SignMatrix(_ExactMatrix):
 
 def conj_transpose(m: QMatrix) -> QMatrix:
     return QMatrix._trusted(m.data.conj().T)
-
-
-def multiply(a: QMatrix, b: QMatrix) -> np.ndarray:
-    """Exact Gaussian-integer product as a complex128 array."""
-    if a.n != b.n:
-        raise MatrixError(f"order mismatch: {a.n} vs {b.n}")
-    return _check_integral(a.data @ b.data)
 
 
 def _exact_dtype(n: int, max_abs_sq: int) -> type:
@@ -214,10 +191,6 @@ def _gram_complex(re: np.ndarray, im: np.ndarray, max_abs_sq: int) -> np.ndarray
     return out
 
 
-def gram(m: QMatrix) -> np.ndarray:
-    return _gram_complex(m.data.real, m.data.imag, 1)
-
-
 def gram_is_scalar(m: QMatrix, c: complex) -> bool:
     return _gram_is_scalar(m.data.real, m.data.imag, 1, c)
 
@@ -249,12 +222,6 @@ def block2(m11: QMatrix, m12: QMatrix, m21: QMatrix, m22: QMatrix) -> QMatrix:
     return QMatrix._trusted(np.block([[m11.data, m12.data], [m21.data, m22.data]]))
 
 
-def split_real_imag(m: QMatrix) -> tuple[SignMatrix, SignMatrix]:
-    """M = A + iB with A, B of disjoint support."""
-    return (SignMatrix._trusted(m.data.real.astype(np.int64)),
-            SignMatrix._trusted(m.data.imag.astype(np.int64)))
-
-
 def realify(m: QMatrix) -> SignMatrix:
     """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]].
 
@@ -268,12 +235,6 @@ def realify(m: QMatrix) -> SignMatrix:
     out[1::2, 0::2] = out[0::2, 1::2]
     np.negative(out[0::2, 0::2], out=out[1::2, 1::2])
     return SignMatrix._trusted(out)
-
-
-def sign_gram(w: SignMatrix) -> np.ndarray:
-    """W W^T as an int64 array."""
-    g, _ = _gram_parts(w.data, None, 1)
-    return g.astype(np.int64)
 
 
 def sign_gram_is_scalar(w: SignMatrix, c: int) -> bool:

@@ -45,17 +45,12 @@ def is_absolutely_regular(m: QMatrix | SignMatrix) -> tuple[bool, int | None]:
     return False, None
 
 
-def semi_regular_set(a: int, b: int) -> set[complex]:
-    return {complex(ea * a, eb * b) for ea in (1, -1) for eb in (1, -1)} | {
-        complex(ea * b, eb * a) for ea in (1, -1) for eb in (1, -1)
-    }
-
-
 def check_semi_regular(m: QMatrix | SignMatrix, a: int, b: int) -> bool:
     """Row sums confined to {+-a +-bi, +-b +-ai}; requires a^2 + b^2 = n."""
     if a * a + b * b != m.n:
         raise ValueError(f"a^2 + b^2 = {a * a + b * b} != order {m.n}")
-    allowed = semi_regular_set(a, b)
+    allowed = {complex(ea * x, eb * y) for x, y in ((a, b), (b, a))
+               for ea in (1, -1) for eb in (1, -1)}
     return all(s in allowed for s in row_sums(m))
 
 

@@ -1,9 +1,10 @@
 """Slow reference implementations that the library is tested against.
 
-The text format as it was first written, one Python step per cell, and
-a Gram product over Python integers.  Both are deliberately naive: they
-are the oracles for the table-driven ``matio`` and the float-BLAS Gram
-kernel in ``qmatrix``.
+The text format as it was first written, one Python step per cell, a
+Gram product over Python integers, and GF(p^2) arithmetic on coordinate
+pairs.  All are deliberately naive: they are the oracles for the
+table-driven ``matio``, the float-BLAS Gram kernel in ``qmatrix`` and
+the vectorized character table in ``field``.
 """
 
 import numpy as np
@@ -100,3 +101,20 @@ def gauss_is_scalar(re, im, c, conjugate=True):
         (g_re[i][j], g_im[i][j]) == ((c.real, c.imag) if i == j else (0, 0))
         for i in range(n) for j in range(n)
     )
+
+
+def gf_mul(p, n, x, y):
+    """(a + b theta)(c + d theta) in GF(p^2) with theta^2 = n, on pairs (a, b)."""
+    (a, b), (c, d) = x, y
+    return (a * c + n * b * d) % p, (a * d + b * c) % p
+
+
+def gf_pow(p, n, x, e):
+    """x^e in GF(p^2) by square-and-multiply."""
+    result = (1, 0)
+    while e > 0:
+        if e & 1:
+            result = gf_mul(p, n, result, x)
+        x = gf_mul(p, n, x, x)
+        e >>= 1
+    return result

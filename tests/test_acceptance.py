@@ -11,10 +11,8 @@ import sys
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from qhadamard import (
-    GFElement,
     certify_gram,
     check_quaternary_hadamard,
     check_semi_regular,
@@ -23,21 +21,19 @@ from qhadamard import (
     diag_similarity,
     double,
     expected_row_sum,
-    full_report,
     gram_is_scalar,
     realify,
     row_sums,
     serialize,
 )
 from qhadamard import matio
-from qhadamard.builder import row_sum_parts
 from qhadamard.excess import (
     build_triple,
-    certify_weighing,
     excess,
     maximize_excess_rows,
     negate_rows,
 )
+from qhadamard.qmatrix import sign_gram_is_scalar
 from qhadamard.verify import check_real_hadamard, is_absolutely_regular
 from conftest import field, skew_regular, FIXTURES
 
@@ -50,14 +46,12 @@ def report(name):
 
 def test_criterion_1_character_laws():
     for p in PRIMES:
-        ctx = field(p)
-        assert int(ctx.char_table.sum()) == 0
-        coset_sums = {
-            sum(ctx.chi(x) for x in ctx.coset(k)) for k in range(1, p)
-        }
-        assert len(coset_sums) == 1
-        for t in ctx.elements():
-            assert ctx.coset_char_sum(t) == (p - 1 if t.b == 0 else -1)
+        table = field(p).char_table
+        assert int(table.sum()) == 0
+        # Coset k is the index block [k*p, (k+1)*p); a translate t + GF(p)
+        # permutes the cells of t's coset, so its sum is the coset's.
+        coset_sums = table.reshape(p, p).sum(axis=1)
+        assert coset_sums[0] == p - 1 and set(coset_sums[1:].tolist()) == {-1}
     report("criterion 1: character laws for p in {3,5,7,11,13}")
 
 
@@ -69,19 +63,26 @@ def test_criterion_2_skew_regular_construction():
         assert set(row_sums(s)) == {complex(1, -p)}
         assert np.array_equal(s.data + s.data.conj().T, 2 * np.eye(n))
     for p in (3, 5, 7):
-        ctx = field(p)
-        q = ctx.q
-        half = (q - p) // 2
-        assert row_sum_parts(ctx, 0) == [1, complex(0, -p), half, -half]
+        # Partial row sums by column class: {infinity}, the diagonal cell,
+        # GF(p) (coset 0), the row's own coset and the rest; the first
+        # row splits the cosets 1..p-1 into the -i and +i halves.
+        s = skew_regular(p).data
+        q, half = p * p, (p - 1) // 2
+        by_coset = s[:, 1:].reshape(q + 1, p, p).sum(axis=2)
+        assert [s[0, 0], by_coset[0, 0], by_coset[0, 1:half + 1].sum(),
+                by_coset[0, half + 1:].sum()] == [1, -p * 1j, (q - p) // 2, -(q - p) // 2]
         for row in range(1, q + 1):
-            parts = row_sum_parts(ctx, row)
             k = (row - 1) // p
+            own = by_coset[row, k] - s[row, row]
             if k == 0:
-                assert parts == [-1j, 1, complex(0, -(p - 1)), 0]
-            elif k <= (p - 1) // 2:
-                assert parts == [-1, 1, 1, complex(0, -(p - 1)), -1j]
+                parts = [s[row, 0], s[row, row], own]
+                expected = [-1j, 1, complex(0, -(p - 1)), 0]
             else:
-                assert parts == [1, 1, -1, complex(0, -(p - 1)), -1j]
+                parts = [s[row, 0], s[row, row], by_coset[row, 0], own]
+                expected = [-1 if k <= half else 1, 1, 1 if k <= half else -1,
+                            complex(0, -(p - 1)), -1j]
+            parts.append(s[row].sum() - sum(parts))
+            assert parts == expected
             assert sum(parts) == complex(1, -p)
     report("criterion 2: main construction and per-case partial sums")
 
@@ -134,10 +135,10 @@ def test_criterion_6_excess():
         n = 4 + 4 * p * p
         q1, q2, q3 = build_triple(skew_regular(p))
         w1, w2, w3 = realify(q1), realify(q2), realify(q3)
-        assert certify_weighing(w1, n, n)
-        assert certify_weighing(w2, n, 4 * p * p)
-        assert certify_weighing(w3, n, 4)
-        assert w1 == w2 + w3
+        # W(n, weight): the Gram diagonal is the row weight.
+        for w, weight in ((w1, n), (w2, 4 * p * p), (w3, 4)):
+            assert w.n == n and sign_gram_is_scalar(w, weight)
+        assert np.array_equal(w1.data, w2.data + w3.data)
         w1_max, rep = maximize_excess_rows(w1)
         assert check_real_hadamard(w1_max)
         assert rep.excess_after == 8 * p * (1 + p * p) == expected_excess[p]
@@ -191,23 +192,20 @@ def test_criterion_8_property_suites():
     phases = np.array([1, 1j, -1, -1j])
     alphabet = np.array([0, 1, 1j, -1, -1j])
     s3 = skew_regular(3)
-    from qhadamard import QMatrix, conj_transpose, multiply, split_real_imag
-    from qhadamard.qmatrix import sign_gram
+    from qhadamard import QMatrix, conj_transpose
 
     for _ in range(100):
         v = phases[rng.integers(0, 4, size=10)]
         t = diag_similarity(s3, v)
         assert check_quaternary_hadamard(t) and check_skew_type(t)
         w = realify(t)
-        assert np.array_equal(sign_gram(w), 20 * np.eye(20, dtype=np.int64))
+        assert sign_gram_is_scalar(w, 20)
 
     for _ in range(100):
         n = int(rng.integers(1, 7))
         m = QMatrix(alphabet[rng.integers(0, 5, size=(n, n))])
-        a, b = split_real_imag(m)
-        assert QMatrix(a.data + 1j * b.data) == m
         other = QMatrix(alphabet[rng.integers(0, 5, size=(n, n))])
-        lhs = multiply(m, other).conj().T
+        lhs = (m.data @ other.data).conj().T
         rhs = conj_transpose(other).data @ conj_transpose(m).data
         assert np.array_equal(lhs, rhs)
     report("criterion 8: randomized property suites")

@@ -14,10 +14,8 @@ from qhadamard import (
     paley_qhm,
     row_sums,
     skew_core,
-    skew_regular_qhm,
     twist_vector,
 )
-from qhadamard.builder import row_sum_parts
 from conftest import field, skew_regular
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -83,20 +81,31 @@ def test_skew_regular_qhm(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_row_sum_parts_closed_forms(p):
-    ctx = field(p)
-    q = ctx.q
-    half = (q - p) // 2
-    assert row_sum_parts(ctx, 0) == [1, complex(0, -p), half, -half]
-    for row in range(1, q + 2 - 1):
-        k = (row - 1) // p
-        parts = row_sum_parts(ctx, row)
-        if k == 0:
-            assert parts == [-1j, 1, complex(0, -(p - 1)), 0]
-        elif k <= (p - 1) // 2:
-            assert parts == [-1, 1, 1, complex(0, -(p - 1)), -1j]
-        else:
-            assert parts == [1, 1, -1, complex(0, -(p - 1)), -1j]
-        assert sum(parts) == complex(1, -p)
+    """Partial row sums of S by column class.
+
+    The first row splits into {infinity}, GF(p) and the two coset halves;
+    a field row into {infinity}, its diagonal cell, GF(p), the rest of its
+    own coset and the remainder.  Column 1 + b*p + a holds a + b*theta,
+    so the coset sums are the blocks of p columns after the first.
+    """
+    s = skew_regular(p).data
+    q, half = p * p, (p - 1) // 2
+    by_coset = s[:, 1:].reshape(q + 1, p, p).sum(axis=2)
+    first = [s[0, 0], by_coset[0, 0], by_coset[0, 1:half + 1].sum(),
+             by_coset[0, half + 1:].sum()]
+    assert first == [1, complex(0, -p), (q - p) // 2, -(q - p) // 2]
+    rows = np.arange(1, q + 1)
+    k = (rows - 1) // p
+    infty, diag = s[rows, 0], s[rows, rows]
+    fp, own = by_coset[rows, 0], by_coset[rows, k] - diag
+    assert np.array_equal(diag, np.ones(q))
+    in_fp, lo = k == 0, (k >= 1) & (k <= half)
+    assert np.array_equal(infty, np.where(in_fp, -1j, np.where(lo, -1, 1)))
+    assert np.array_equal(own, np.full(q, -(p - 1) * 1j))
+    assert np.array_equal(fp[~in_fp], np.where(lo, 1, -1)[~in_fp])
+    rest = s[1:].sum(axis=1) - infty - diag - own - np.where(in_fp, 0, fp)
+    assert np.array_equal(rest, np.where(in_fp, 0, -1j))
+    assert np.array_equal(s[1:].sum(axis=1), np.full(q, 1 - p * 1j))
 
 
 def test_skew_core_smallest():

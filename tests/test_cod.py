@@ -15,8 +15,8 @@ from qhadamard import (
     row_sums,
 )
 from qhadamard import cod
-from qhadamard.cod import _broken_identity, _parts_at, gram_at
-from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar
+from qhadamard.cod import _broken_identity, _parts_at
+from qhadamard.qmatrix import PHASES, QMatrix, _gram_complex, _gram_is_scalar
 from conftest import field, skew_regular
 
 # The three points of certify_gram and one with |entry|^2 = 9.
@@ -27,15 +27,15 @@ def test_cod_base_examples():
     d = cod_base(field(3))
     assert d.n == 10 and d.stype == (1, 9)
     assert d.evaluate_qmatrix(1, 1) == skew_regular(3)
-    assert np.array_equal(d.evaluate(1, 0), np.eye(10))
-    assert np.array_equal(gram_at(d, 2, 3), 85 * np.eye(10))
+    assert np.array_equal(d.evaluate_qmatrix(1, 0).data, np.eye(10))
+    assert np.array_equal(_gram_complex(*_parts_at(d, 2, 3)), 85 * np.eye(10))
 
 
 def test_cod_base_row_sum_schedule():
     # evaluated at (a, b) the constant row sum is a - p*b*i
     d = cod_base(field(3))
     for a, b in EVAL_POINTS:
-        sums = set(d.evaluate(a, b).sum(axis=1))
+        sums = set((a * d.acoef + b * d.bcoef).sum(axis=1))
         assert sums == {complex(a, -3 * b)}
 
 
@@ -64,7 +64,7 @@ def test_cod_recurse_type_and_gram(p, k, order):
 
 def test_cod_recurse_gram_example():
     d = cod_recurse(field(3), 1)
-    assert np.array_equal(gram_at(d, 1, 2), 333 * np.eye(90))
+    assert np.array_equal(_gram_complex(*_parts_at(d, 1, 2)), 333 * np.eye(90))
 
 
 @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (5, 0), (5, 1)])

@@ -8,14 +8,13 @@ from qhadamard import (
     QMatrix,
     SignMatrix,
     build_triple,
-    certify_weighing,
-    excess,
     gram_is_scalar,
     maximize_excess_rows,
     realify,
     run_pipeline,
 )
-from qhadamard.excess import negate_rows
+from qhadamard.excess import excess, negate_rows
+from qhadamard.qmatrix import sign_gram_is_scalar
 from qhadamard.verify import check_real_hadamard
 from conftest import field, skew_regular
 
@@ -24,7 +23,7 @@ def test_build_triple_order_one():
     q1, q2, q3 = build_triple(QMatrix([[1]]))
     assert q3 == QMatrix([[1, 1j], [1j, 1]])
     assert q1 == q3
-    assert q2 == QMatrix.zeros(2)
+    assert q2 == QMatrix(np.zeros((2, 2)))
 
 
 def test_build_triple_p3():
@@ -81,10 +80,10 @@ def test_pipeline_certifications(p):
     q1, q2, q3 = build_triple(s)
     w1, w2, w3 = realify(q1), realify(q2), realify(q3)
     n = 4 + 4 * p * p
-    assert certify_weighing(w1, n, n)
-    assert certify_weighing(w2, n, 4 * p * p)
-    assert certify_weighing(w3, n, 4)
-    assert w1 == w2 + w3
+    # W(n, weight): the Gram diagonal is the row weight.
+    for w, weight in ((w1, n), (w2, 4 * p * p), (w3, 4)):
+        assert w.n == n and sign_gram_is_scalar(w, weight)
+    assert np.array_equal(w1.data, w2.data + w3.data)
     assert ((w2.data != 0) & (w3.data != 0)).sum() == 0
 
     w1_max, report = maximize_excess_rows(w1)

@@ -1,15 +1,19 @@
-"""GF(p^2) arithmetic and quadratic character tests.
+"""Quadratic character table tests.
 
 The character oracle here is independent of the library: naive modular
-pairs (a, b) with theta^2 = n, squares enumerated from scratch.
+pairs (a, b) with theta^2 = n, squares enumerated from scratch, and the
+pair arithmetic of ``reference``.  Element (a, b) sits at index b*p + a.
 """
 
+import numpy as np
 import pytest
 
-from qhadamard import BudgetError, FieldError, GFElement, cod_recurse, make_field
+from qhadamard import BudgetError, FieldError, cod_recurse, make_field
 from conftest import field
+from reference import gf_mul, gf_pow
 
 PRIMES = (3, 5, 7, 11, 13)
+ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def naive_square_set(p, n):
@@ -22,6 +26,20 @@ def naive_square_set(p, n):
             sq = ((a * a + n * b * b) % p, (2 * a * b) % p)
             squares.add(sq)
     return squares
+
+
+def chi(ctx, x):
+    """The table's character of the pair x = (a, b)."""
+    return int(ctx.char_table[x[1] * ctx.p + x[0]])
+
+
+def nonzero_pairs(p):
+    return [(a, b) for b in range(p) for a in range(p) if (a, b) != (0, 0)]
+
+
+def coset_char_sum(ctx, t):
+    """Sum of chi over the translate t + GF(p), from the table."""
+    return sum(chi(ctx, ((t[0] + a) % ctx.p, t[1])) for a in range(ctx.p))
 
 
 def test_make_field_small_nonresidues():
@@ -60,32 +78,36 @@ def test_malformed_budget_is_a_field_error(monkeypatch, raw):
 
 
 def test_chi_zero():
-    assert field(3).chi(GFElement(0, 0)) == 0
+    assert field(3).char_table[0] == 0
 
 
 def test_chi_p3_against_naive_enumeration():
     ctx = field(3)
     squares = naive_square_set(3, ctx.nonresidue)
     assert (0, 1) in squares  # theta itself is a square
-    assert ctx.chi(GFElement(0, 1)) == 1
+    assert chi(ctx, (0, 1)) == 1
     assert (1, 1) not in squares
-    assert ctx.chi(GFElement(1, 1)) == -1
-    for x in ctx.elements():
-        expected = 0 if (x.a, x.b) == (0, 0) else (1 if (x.a, x.b) in squares else -1)
-        assert ctx.chi(x) == expected
+    assert chi(ctx, (1, 1)) == -1
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
+def test_char_table_matches_naive_squares(p):
+    ctx = field(p)
+    n = ctx.nonresidue
+    assert all(x * x % p != n for x in range(p))
+    squares = naive_square_set(p, n)
+    expected = [0] + [1 if x in squares else -1 for x in nonzero_pairs(p)]
+    assert ctx.char_table.tolist() == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_chi_matches_euler_criterion(p):
     ctx = field(p)
-    half = (ctx.q - 1) // 2
-    one = ctx.element(1)
-    for x in ctx.elements():
-        if x == GFElement(0, 0):
-            continue
-        power = ctx.pow(x, half)
-        assert power in (one, ctx.element(-1))
-        assert ctx.chi(x) == (1 if power == one else -1)
+    n, half = ctx.nonresidue, (ctx.q - 1) // 2
+    for x in nonzero_pairs(p):
+        power = gf_pow(p, n, x, half)
+        assert power in ((1, 0), (p - 1, 0))
+        assert chi(ctx, x) == (1 if power == (1, 0) else -1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -99,10 +121,10 @@ def test_char_table_balance(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_chi_multiplicative(p):
     ctx = field(p)
-    elems = [x for x in ctx.elements() if x != GFElement(0, 0)]
+    elems = nonzero_pairs(p)
     for x in elems[:: max(1, len(elems) // 20)]:
         for y in elems:
-            assert ctx.chi(ctx.mul(x, y)) == ctx.chi(x) * ctx.chi(y)
+            assert chi(ctx, gf_mul(p, ctx.nonresidue, x, y)) == chi(ctx, x) * chi(ctx, y)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -113,38 +135,38 @@ def test_chi_sum_zero(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_coset_sums_translation_invariant(p):
-    ctx = field(p)
-    sums = [sum(ctx.chi(x) for x in ctx.coset(k)) for k in range(1, p)]
-    assert len(set(sums)) == 1
+    # Coset k is the index block [k*p, (k+1)*p).
+    sums = field(p).char_table.reshape(p, p)[1:].sum(axis=1)
+    assert len(set(sums.tolist())) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_chi_minus_one_is_square(p):
-    ctx = field(p)
-    assert ctx.chi(ctx.element(-1)) == 1
+    assert chi(field(p), (p - 1, 0)) == 1
 
 
 def test_coset_index():
-    assert field(3).coset_index(GFElement(2, 0)) == 0
-    assert field(3).coset_index(GFElement(1, 1)) == 1
-    assert field(5).coset_index(GFElement(4, 3)) == 3
+    for p in (3, 5):
+        ctx = field(p)
+        for k in range(p):
+            assert ctx.b[k * p:(k + 1) * p].tolist() == [k] * p
+            assert ctx.a[k * p:(k + 1) * p].tolist() == list(range(p))
 
 
 def test_coset_char_sum_examples():
-    assert field(3).coset_char_sum(GFElement(0, 0)) == 2
-    assert field(3).coset_char_sum(GFElement(0, 1)) == -1
-    assert field(7).coset_char_sum(GFElement(5, 2)) == -1
+    assert coset_char_sum(field(3), (0, 0)) == 2
+    assert coset_char_sum(field(3), (0, 1)) == -1
+    assert coset_char_sum(field(7), (5, 2)) == -1
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_coset_char_sum_closed_form(p):
     ctx = field(p)
-    for t in ctx.elements():
-        expected = p - 1 if t.b == 0 else -1
-        assert ctx.coset_char_sum(t) == expected
+    for t in [(0, 0)] + nonzero_pairs(p):
+        assert coset_char_sum(ctx, t) == (p - 1 if t[1] == 0 else -1)
 
 
 def test_element_index_roundtrip():
     ctx = field(5)
-    for i in range(ctx.q):
-        assert ctx.index(ctx.from_index(i)) == i
+    assert np.array_equal(ctx.b * ctx.p + ctx.a, np.arange(ctx.q))
+    assert ctx.a.min() == ctx.b.min() == 0 and ctx.a.max() == ctx.b.max() == 4

@@ -10,17 +10,16 @@ from qhadamard import (
     certify_gram,
     cod_base,
     double,
-    gram,
     gram_is_scalar,
     realify,
 )
-from qhadamard.cod import gram_at
+from qhadamard.cod import _parts_at
 from qhadamard.qmatrix import (
     QALPHABET,
     _exact_dtype,
+    _gram_complex,
     _gram_is_scalar,
     _gram_parts,
-    sign_gram,
     sign_gram_is_scalar,
 )
 from conftest import field, skew_regular
@@ -66,7 +65,7 @@ def cod_evaluations():
     @st.composite
     def draw_one(draw):
         a, b = draw(st.sampled_from(EVAL_POINTS))
-        x = np.array(d.evaluate(a, b))
+        x = a * d.acoef + b * d.bcoef
         if draw(st.booleans()):
             r, c = draw(st.integers(0, d.n - 1)), draw(st.integers(0, d.n - 1))
             x[r, c] = draw(st.sampled_from([v for v in COD_ENTRIES if v != x[r, c]]))
@@ -96,7 +95,8 @@ def test_kernel_matches_oracle_on_quaternary(x, conjugate):
 def test_kernel_matches_oracle_on_signs(x, conjugate):
     check_against_oracle(x, 1, conjugate)
     w = SignMatrix(x.real.astype(np.int64))
-    assert sign_gram(w).tolist() == gauss_gram(x.real, x.imag)[0]
+    g, _ = _gram_parts(w.data, None, 1)
+    assert g.tolist() == gauss_gram(x.real, x.imag)[0]
     for c in (w.n, 0):
         assert sign_gram_is_scalar(w, c) == gauss_is_scalar(x.real, x.imag, c)
 
@@ -135,18 +135,19 @@ def test_kernel_exact_up_to_the_float32_edge(data):
 def test_public_grams_match_oracle():
     for m in (KNOWN["S3"], KNOWN["D3"]):
         want_re, want_im = gauss_gram(m.data.real, m.data.imag)
-        g = gram(m)
+        g = _gram_complex(m.data.real, m.data.imag, 1)
         assert g.dtype == np.complex128
         assert g.real.tolist() == want_re and g.imag.tolist() == want_im
         assert gram_is_scalar(m, m.n) is True
     w = KNOWN["R3"]
-    assert sign_gram(w).dtype == np.int64
+    g, _ = _gram_parts(w.data, None, 1)
+    assert g.tolist() == gauss_gram(w.data, np.zeros_like(w.data))[0]
     assert sign_gram_is_scalar(w, w.n) is True
     d = cod_base(field(3))
     for a, b in EVAL_POINTS:
-        x = d.evaluate(a, b)
+        x = a * d.acoef + b * d.bcoef
         want_re, want_im = gauss_gram(x.real, x.imag)
-        g = gram_at(d, a, b)
+        g = _gram_complex(*_parts_at(d, a, b))
         assert g.real.tolist() == want_re and g.imag.tolist() == want_im
     assert certify_gram(d) is True and certify_gram(d, conjugate=False) is False
 

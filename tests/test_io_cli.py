@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from qhadamard import QMatrix, SignMatrix, double, realify, skew_regular_qhm
+from qhadamard import QMatrix, SignMatrix, double, realify
 from qhadamard.matio import (
     ParseError,
     parse,
@@ -12,7 +11,7 @@ from qhadamard.matio import (
     serialize_phase_vector,
 )
 from qhadamard.cli import main
-from conftest import field, skew_regular, FIXTURES
+from conftest import skew_regular, FIXTURES
 
 
 def test_parse_examples():
@@ -246,6 +245,23 @@ def test_cli_cod_summary_never_materialises(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out) == {"order": 810, "type": [81, 729],
                                "gram_conjugate": True, "gram_transpose": False}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--eval", "x"], 2, "error: --eval wants A,B\n"),
+    (["--eval", "1,1,1"], 2, "error: --eval wants A,B\n"),
+    (["--eval", "2,0"], 2, "error: only --eval values in {0,1} are serializable\n"),
+    (["--k", "-1", "--eval", "x"], 2, "error: k must be nonnegative\n"),
+    (["--k", "6", "--eval", "x"], 3, "error: order 5314410 exceeds the memory budget\n"),
+], ids=["syntax", "arity", "range", "k-first", "budget-first"])
+def test_cli_cod_eval_checked_before_build(capsys, monkeypatch, argv, code, err):
+    def refuse(ctx, k):
+        raise AssertionError("the design was built before --eval was checked")
+
+    monkeypatch.setattr("qhadamard.cod.cod_recurse", refuse)
+    monkeypatch.delenv("MEM_BUDGET_MB", raising=False)
+    argv = ["cod", "--p", "3", "--k", "3", *argv]
+    assert run_cli(capsys, monkeypatch, argv) == (code, "", err)
 
 
 def test_cli_appendix_twist_matches_printed(capsys, monkeypatch, tmp_path):

@@ -9,12 +9,10 @@ from qhadamard import (
     conj_transpose,
     diag_similarity,
     gram_is_scalar,
-    multiply,
     realify,
     row_sums,
-    split_real_imag,
 )
-from qhadamard.qmatrix import sign_gram_is_scalar
+from qhadamard.qmatrix import _gram_complex, sign_gram_is_scalar
 from conftest import skew_regular
 
 
@@ -39,17 +37,10 @@ def test_conj_transpose_involution():
     assert conj_transpose(conj_transpose(m)) == m
 
 
-def test_multiply_examples():
-    eye = QMatrix.identity(3)
-    assert np.array_equal(multiply(eye, eye), np.eye(3))
-    assert np.array_equal(multiply(QMatrix([[1j]]), QMatrix([[-1j]])), [[1]])
-    with pytest.raises(MatrixError):
-        multiply(eye, QMatrix.identity(2))
-
-
 def test_construction_gram_p3():
     s = skew_regular(3)
-    assert np.array_equal(multiply(s, conj_transpose(s)), 10 * np.eye(10))
+    assert np.array_equal(_gram_complex(s.data.real, s.data.imag, 1), 10 * np.eye(10))
+    assert np.array_equal(s.data @ conj_transpose(s).data, 10 * np.eye(10))
 
 
 def test_gram_is_scalar():
@@ -75,26 +66,10 @@ def test_diag_similarity_examples():
 
 def test_block2_examples():
     eye1 = QMatrix.identity(1)
-    zero1 = QMatrix.zeros(1)
+    zero1 = QMatrix([[0]])
     assert block2(eye1, zero1, zero1, eye1) == QMatrix.identity(2)
     with pytest.raises(MatrixError):
         block2(eye1, zero1, zero1, QMatrix.identity(2))
-
-
-def test_split_real_imag_examples():
-    a, b = split_real_imag(QMatrix([[1]]))
-    assert a == SignMatrix([[1]]) and b == SignMatrix([[0]])
-    a, b = split_real_imag(QMatrix([[-1j]]))
-    assert a == SignMatrix([[0]]) and b == SignMatrix([[-1]])
-    a, b = split_real_imag(QMatrix([[0, 1j], [-1, 0]]))
-    assert a == SignMatrix([[0, 0], [-1, 0]])
-    assert b == SignMatrix([[0, 1], [0, 0]])
-
-
-def test_split_recombine_identity():
-    m = QMatrix([[0, 1j, -1], [1, 1j, -1j], [-1, 0, 1]])
-    a, b = split_real_imag(m)
-    assert QMatrix(a.data + 1j * b.data) == m
 
 
 def test_realify_kernels():

@@ -27,7 +27,6 @@ from qhadamard import (
     realify,
     serialize,
     skew_core,
-    split_real_imag,
 )
 from qhadamard.excess import negate_rows
 from qhadamard.qmatrix import PHASES, QALPHABET
@@ -55,9 +54,8 @@ def test_matrix_operations(m, phase, data):
         conj_transpose(m),
         m.scale(phase),
         diag_similarity(m, v),
-        block2(m, conj_transpose(m), m.scale(phase), QMatrix.zeros(m.n)),
+        block2(m, conj_transpose(m), m.scale(phase), QMatrix(np.zeros((m.n, m.n)))),
         QMatrix.identity(m.n),
-        *split_real_imag(m),
         w,
         parse(serialize(m)),
         parse(serialize(w)),
@@ -100,18 +98,25 @@ def test_evaluate_qmatrix_at_units(p, k):
             m = d.evaluate_qmatrix(a, b)
             assert m.data.dtype == np.complex128
             assert not m.data.flags.writeable
-            assert m == QMatrix(d.evaluate(a, b))
+            assert m == QMatrix(a * d.acoef + b * d.bcoef)
 
 
 def test_evaluate_qmatrix_still_validates():
+    # Points off {-1, 0, 1}^2 leave the alphabet and are refused.
     d = cod_base(field(3))
-    with pytest.raises(MatrixError):
-        d.evaluate_qmatrix(2, 0)
+    for a, b in ((2, 0), (0, 2), (1, -2), (2, 3)):
+        with pytest.raises(MatrixError):
+            d.evaluate_qmatrix(a, b)
 
 
 def test_add_still_validates():
+    # A sum of two matrices is formed on their data and goes back
+    # through the validating constructor, which refuses it when the
+    # supports overlap.
     m = QMatrix.identity(2)
     with pytest.raises(MatrixError):
-        m + m
+        QMatrix(m.data + m.data)
     with pytest.raises(MatrixError):
-        SignMatrix([[1]]) + SignMatrix([[1]])
+        SignMatrix(SignMatrix([[1]]).data + SignMatrix([[1]]).data)
+    other = QMatrix([[0, 1j], [-1, 0]])
+    assert QMatrix(m.data + other.data) == QMatrix([[1, 1j], [-1, 1]])
