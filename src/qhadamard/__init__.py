@@ -6,7 +6,6 @@ from .field import BudgetError, FieldCtx, FieldError, make_field
 from .qmatrix import (
     MatrixError,
     QMatrix,
-    SignMatrix,
     block2,
     conj_transpose,
     diag_similarity,
@@ -25,9 +24,7 @@ from .builder import (
 from .cod import (
     CODMatrix,
     certify_gram,
-    cod_base,
     cod_recurse,
-    expected_row_sum,
     factored_summary,
 )
 from .excess import (
@@ -47,11 +44,11 @@ from .matio import ParseError, parse, serialize
 
 __all__ = [
     "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError",
-    "MatrixError", "ParseError", "PropertyReport", "QMatrix", "SignMatrix",
+    "MatrixError", "ParseError", "PropertyReport", "QMatrix",
     "block2", "build_triple", "certify_gram",
     "check_quaternary_hadamard", "check_semi_regular", "check_skew_type",
-    "cod_base", "cod_recurse", "conference_matrix", "conj_transpose",
-    "diag_similarity", "double", "expected_row_sum", "factored_summary",
+    "cod_recurse", "conference_matrix", "conj_transpose",
+    "diag_similarity", "double", "factored_summary",
     "full_report", "gram_is_scalar", "make_field", "maximize_excess_rows",
     "paley_qhm", "parse", "realify", "row_sums", "run_pipeline", "serialize",
     "skew_core", "skew_regular_qhm", "twist_vector",

@@ -26,22 +26,27 @@ from .qmatrix import (
 
 
 def conference_matrix(ctx: FieldCtx) -> QMatrix:
-    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere."""
-    p, q, a, b = ctx.p, ctx.q, ctx.a, ctx.b
-    da = (a[:, None] - a[None, :]) % p
-    db = (b[:, None] - b[None, :]) % p
-    chi = ctx.char_table[db * p + da]
-    c = np.zeros((q + 1, q + 1), dtype=np.complex128)
+    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere.
+
+    For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
+    [b, a], so chi(x - y) is gathered through the p x p difference table
+    d[i, k] = (i - k) mod p, one index per coordinate, with no q x q
+    index arrays.
+    """
+    p, q = ctx.p, ctx.q
+    chi = ctx.char_table.reshape(p, p)
+    d = (np.arange(p)[:, None] - np.arange(p)) % p
+    c = np.zeros((q + 1, q + 1), dtype=np.int8)
     c[0, 1:] = 1
     c[1:, 0] = 1
-    c[1:, 1:] = chi
-    return QMatrix._trusted(c)
+    c[1:, 1:] = chi[d[:, None, :, None], d[None, :, None, :]].reshape(q, q)
+    return QMatrix(c)
 
 
 def paley_qhm(ctx: FieldCtx) -> QMatrix:
     """H = I - iC: unit diagonal, +-i off-diagonal, HH* = (q+1) I."""
     c = conference_matrix(ctx)
-    return QMatrix._trusted(np.eye(ctx.q + 1) - 1j * c.data)
+    return QMatrix(np.eye(ctx.q + 1, dtype=np.int8), -c.re)
 
 
 def twist_vector(ctx: FieldCtx) -> np.ndarray:
@@ -70,15 +75,15 @@ def skew_core(h: QMatrix) -> QMatrix:
 
     if not check_skew_type(h):
         raise MatrixError("input is not skew-type")
-    d = h.data[0].copy()
+    d = h.re[0] + 1j * h.im[0]
     if (d == 0).any():
         raise MatrixError("input is not normalizable to the bordered form")
     d[0] = 1
     normalized = diag_similarity(h, d)
-    if not (np.array_equal(normalized.data[0], np.ones(h.n))
-            and np.array_equal(normalized.data[1:, 0], -np.ones(h.n - 1))):
+    # A cell whose real plane is +-1 has a zero imaginary plane.
+    if not ((normalized.re[0] == 1).all() and (normalized.re[1:, 0] == -1).all()):
         raise MatrixError("input is not normalizable to the bordered form")
-    return QMatrix._trusted(normalized.data[1:, 1:])
+    return QMatrix(normalized.re[1:, 1:], normalized.im[1:, 1:])
 
 
 def double(h: QMatrix) -> QMatrix:

@@ -58,7 +58,7 @@ def _load_matrix(path: str):
 
 def _load_qmatrix(path: str) -> QMatrix:
     m = _load_matrix(path)
-    if not isinstance(m, QMatrix):
+    if m.im is None:
         raise CliError("expected a QHM file", EXIT_PARSE)
     return m
 
@@ -85,6 +85,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     m = _load_matrix(args.file)
+    # A malformed value is refused before the report, after file errors.
+    regular = None
+    if args.expect_regular is not None:
+        try:
+            re, im = (int(v) for v in args.expect_regular.split(","))
+        except ValueError:
+            raise CliError("--expect-regular wants RE,IM", EXIT_PARSE) from None
+        regular = complex(re, im)
     report = verify.full_report(m)
     if args.json:
         print(json.dumps(report.to_json()))
@@ -94,15 +102,9 @@ def cmd_verify(args) -> int:
     if args.expect_skew and not report.skew:
         print("expectation failed: not skew-type", file=sys.stderr)
         return EXIT_VERIFY
-    if args.expect_regular is not None:
-        try:
-            re, im = (int(v) for v in args.expect_regular.split(","))
-        except ValueError:
-            raise CliError("--expect-regular wants RE,IM", EXIT_PARSE) from None
-        if report.regular != complex(re, im):
-            print(f"expectation failed: row sums are not {re}{im:+}i",
-                  file=sys.stderr)
-            return EXIT_VERIFY
+    if regular is not None and report.regular != regular:
+        print(f"expectation failed: row sums are not {re}{im:+}i", file=sys.stderr)
+        return EXIT_VERIFY
     return 0
 
 

@@ -1,9 +1,9 @@
 """Quaternary orthogonal designs in two variables and their recursion.
 
-A design is stored as a pair of coefficient matrices with disjoint
-supports: ``acoef`` carries the phase multiplying the first variable in
-each cell, ``bcoef`` the phase multiplying the second.  Evaluation at
-integers is then just ``a * acoef + b * bcoef``.
+A design is stored as a pair of quaternary coefficient matrices with
+disjoint supports: ``acoef`` carries the phase multiplying the first
+variable in each cell, ``bcoef`` the phase multiplying the second.
+Evaluation at integers is then just ``a * acoef + b * bcoef``.
 """
 
 from __future__ import annotations
@@ -13,86 +13,68 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import BudgetError, FieldCtx, order_within_budget
-from .qmatrix import (
-    PHASES,
-    MatrixError,
-    QMatrix,
-    _gram_complex,
-    _gram_is_scalar,
-    _is_alphabet,
-)
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _gram_parts, _mul
 from .builder import skew_core, skew_regular_qhm
 
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1))
 _UNITS = (-1, 0, 1)
 
 
+def _support(m: QMatrix) -> np.ndarray:
+    """The nonzero cells of a quaternary matrix, as an int8 mask."""
+    return m.re | m.im
+
+
 @dataclass(frozen=True)
 class CODMatrix:
     """Two-variable quaternary orthogonal design with constant row type."""
 
-    acoef: np.ndarray
-    bcoef: np.ndarray
+    acoef: QMatrix
+    bcoef: QMatrix
 
     def __post_init__(self):
         a, b = self.acoef, self.bcoef
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MatrixError("coefficient matrices must be square and equal-shape")
-        if not (_is_alphabet(a) and _is_alphabet(b)):
-            raise MatrixError("coefficients must be 0 or fourth roots of unity")
-        if ((a != 0) & (b != 0)).any():
+        if a.n != b.n or a.im is None or b.im is None:
+            raise MatrixError("coefficients must be quaternary matrices of one order")
+        if (_support(a) & _support(b)).any():
             raise MatrixError("each cell may carry at most one variable")
-
-    @classmethod
-    def _trusted(cls, acoef: np.ndarray, bcoef: np.ndarray) -> "CODMatrix":
-        """Wrap freshly built coefficient arrays already known to form a
-        design: read-only, unchecked, not copied."""
-        d = object.__new__(cls)
-        for name, arr in (("acoef", acoef), ("bcoef", bcoef)):
-            arr.setflags(write=False)
-            object.__setattr__(d, name, arr)
-        return d
 
     @property
     def n(self) -> int:
-        return self.acoef.shape[0]
+        return self.acoef.n
 
     @property
     def stype(self) -> tuple[int, int]:
         """(s1, s2) variable multiplicities; requires them constant per row."""
-        s1 = (self.acoef != 0).sum(axis=1)
-        s2 = (self.bcoef != 0).sum(axis=1)
+        s1 = np.count_nonzero(_support(self.acoef), axis=1)
+        s2 = np.count_nonzero(_support(self.bcoef), axis=1)
         if not (np.all(s1 == s1[0]) and np.all(s2 == s2[0])):
             raise MatrixError("row type is not constant")
         return int(s1[0]), int(s2[0])
 
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
-        """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix.
-
-        Every cell is one unit coefficient times a unit or zero (the
-        supports are disjoint), so the result is in the alphabet and is
-        wrapped unchecked.  It is summed in place, so its only array of
-        the full order is the result.
-        """
+        """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix."""
         if not (a in _UNITS and b in _UNITS):
             raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
-        x = a * self.acoef
+        return QMatrix(*_planes_at(self, a, b))
+
+
+def _planes_at(d: CODMatrix, a: int, b: int) -> list[np.ndarray]:
+    """The planes of the evaluation at a, b in {-1, 0, 1}.  Every cell is
+    one unit coefficient times a unit or zero, since the supports are
+    disjoint, so each plane stays in {-1, 0, 1}.  Each is summed in
+    place: its only array of the full order is the result."""
+    planes = []
+    for x, y in ((d.acoef.re, d.bcoef.re), (d.acoef.im, d.bcoef.im)):
+        out = x * a
         if b:
-            (np.add if b == 1 else np.subtract)(x, self.bcoef, out=x)
-        return QMatrix._trusted(x)
-
-
-def _parts_at(d: CODMatrix, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Real and imaginary parts of the evaluation at (a, b), and the bound
-    on |entry|^2: each cell carries at most one variable with a unit or
-    zero coefficient, so it is at most max(a^2, b^2)."""
-    re = a * d.acoef.real + b * d.bcoef.real
-    im = a * d.acoef.imag + b * d.bcoef.imag
-    return re, im, max(a * a, b * b)
+            (np.add if b == 1 else np.subtract)(out, y, out=out)
+        planes.append(out)
+    return planes
 
 
 def _is_real(d: CODMatrix) -> bool:
-    return not (d.acoef.imag.any() or d.bcoef.imag.any())
+    return not (d.acoef.im.any() or d.bcoef.im.any())
 
 
 def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
@@ -115,18 +97,20 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     if not (conjugate or _is_real(d)):
         return False
     for a, b in EVAL_POINTS:
-        if not _gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b):
+        # A unit point keeps every |entry|^2 at most 1.
+        if not _gram_is_scalar(*_planes_at(d, a, b), 1, s1 * a * a + s2 * b * b):
             return False
     return True
 
 
-def _factors(ctx: FieldCtx) -> tuple[CODMatrix, np.ndarray]:
+def _factors(ctx: FieldCtx) -> tuple[CODMatrix, QMatrix]:
     """The base design a I + b (S - I) and the core Q = skew_core(S) - I of
     the recursion, from one build of the skew-regular matrix S."""
     s = skew_regular_qhm(ctx)
-    eye = np.eye(s.n, dtype=np.complex128)
-    base = CODMatrix._trusted(eye, s.data - eye)
-    return base, skew_core(s).data - np.eye(ctx.q)
+    core = skew_core(s)
+    eye = np.eye(s.n, dtype=np.int8)
+    base = CODMatrix(QMatrix(eye, np.zeros_like(eye)), QMatrix(s.re - eye, s.im))
+    return base, QMatrix(core.re - eye[1:, 1:], core.im)
 
 
 def _checked_order(ctx: FieldCtx, k: int) -> int:
@@ -140,47 +124,46 @@ def _checked_order(ctx: FieldCtx, k: int) -> int:
     return order
 
 
-def cod_base(ctx: FieldCtx) -> CODMatrix:
-    """a I + b Q from the skew-regular matrix I + Q: type (1, p^2)."""
-    return _factors(ctx)[0]
-
-
 def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     """k substitution steps: order (1+p^2) p^(2k), type (p^(2k), p^(2k+2)).
 
     Each step sends an a-cell with phase e to the p^2 x p^2 block e*b*J
     and a b-cell with phase e to e*(a I + b Q), Q the skew-core minus
     its identity.  In coefficient form that is A' = B (x) I and
-    B' = A (x) J + B (x) Q, written straight into the two new arrays,
+    B' = A (x) J + B (x) Q, written straight into the new int8 planes,
     viewed as (n, q, n, q) blocks, with no Kronecker temporaries.
     """
     _checked_order(ctx, k)
     d, q_core = _factors(ctx)
     q, diag = ctx.q, np.arange(ctx.q)
+    qr, qi = q_core.re[None, :, None, :], q_core.im[None, :, None, :]
     for _ in range(k):
         n = d.n
-        acoef = np.zeros((n, q, n, q), dtype=np.complex128)
-        acoef[:, diag, :, diag] = d.bcoef
-        bcoef = np.multiply(d.bcoef[:, None, :, None], q_core[None, :, None, :])
-        bcoef += d.acoef[:, None, :, None]
-        d = CODMatrix._trusted(acoef.reshape(n * q, n * q), bcoef.reshape(n * q, n * q))
+        a = np.zeros((2, n, q, n, q), dtype=np.int8)
+        a[:, :, diag, :, diag] = (d.bcoef.re, d.bcoef.im)
+        b_re, b_im = _mul(d.bcoef.re[:, None, :, None], d.bcoef.im[:, None, :, None], qr, qi)
+        b_re += d.acoef.re[:, None, :, None]
+        b_im += d.acoef.im[:, None, :, None]
+        shape = (n * q, n * q)
+        d = CODMatrix(QMatrix(*a.reshape(2, *shape)),
+                      QMatrix(b_re.reshape(shape), b_im.reshape(shape)))
     return d
 
 
-def _broken_identity(base: CODMatrix, q_core: np.ndarray, q: int) -> str | None:
+def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
     """The first hypothesis of the factored certificate that the factors
     fail, by name; None when all hold.  Every check is exact: the cells
     are Gaussian integers, the sums have at most q unit terms, and QQ* is
     formed by the exact kernel."""
-    off = ~np.eye(q, dtype=bool)
-    if q_core.diagonal().any() or not _is_alphabet(q_core[off], PHASES):
+    if not np.array_equal(_support(q_core) != 0, ~np.eye(q, dtype=bool)):
         return "Q has zero diagonal and unit cells off it"
-    if not np.array_equal(q_core.conj().T, -q_core):
+    if not (np.array_equal(q_core.re.T, -q_core.re)
+            and np.array_equal(q_core.im.T, q_core.im)):
         return "Q* = -Q"
-    if q_core.sum(axis=1).any():
+    if q_core.re.sum(axis=1).any() or q_core.im.sum(axis=1).any():
         return "QJ = 0"
-    if not np.array_equal(_gram_complex(q_core.real, q_core.imag, 1),
-                          q * np.eye(q) - 1):
+    g_re, g_im = _gram_parts(q_core.re, q_core.im, 1)
+    if g_im.any() or not np.array_equal(g_re, q * np.eye(q) - 1):
         return "QQ* = qI - J"
     s1, s2 = base.stype
     if s2 != q * s1:
@@ -232,20 +215,6 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     s1, s2 = base.stype
     for _ in range(k):
         s1, s2 = s2, ctx.q * s2
-    real = _is_real(base) and (k == 0 or not q_core.imag.any())
+    real = _is_real(base) and (k == 0 or not q_core.im.any())
     return {"order": order, "type": [s1, s2],
             "gram_conjugate": True, "gram_transpose": real}
-
-
-def expected_row_sum(p: int, level: int) -> complex:
-    """Row-sum schedule for the evaluated designs, 1-based level.
-
-    Level 1 is the base design at a = b = 1 (row sum 1 - p*i); each
-    recursion step advances one level: even levels give
-    p^level - p^(level-1) i, odd levels p^(level-1) - p^level i.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level % 2 == 0:
-        return complex(p**level, -(p ** (level - 1)))
-    return complex(p ** (level - 1), -(p**level))

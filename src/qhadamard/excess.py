@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import FieldCtx
-from .qmatrix import (
-    MatrixError,
-    QMatrix,
-    SignMatrix,
-    block2,
-    realify,
-)
+from .qmatrix import MatrixError, QMatrix, block2, realify
 from .builder import skew_regular_qhm
 
 
@@ -31,17 +25,17 @@ def build_triple(s: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     if not (check_quaternary_hadamard(s) and check_skew_type(s)
             and is_regular(s) is not None):
         raise MatrixError("input is not a skew-regular quaternary Hadamard matrix")
-    eye = QMatrix.identity(s.n)
-    q = QMatrix._trusted(s.data - eye.data)
+    eye = np.eye(s.n, dtype=np.int8)
+    q = QMatrix(s.re - eye, s.im)
 
     def doubled(m: QMatrix) -> QMatrix:
         return block2(m, m.scale(1j), m.scale(1j), m)
 
-    return doubled(s), doubled(q), doubled(eye)
+    return doubled(s), doubled(q), doubled(QMatrix(eye, np.zeros_like(eye)))
 
 
-def excess(w: SignMatrix) -> int:
-    return int(w.data.sum())
+def excess(w: QMatrix) -> int:
+    return int(w.re.sum())
 
 
 def weight_bound(n: int, w: int) -> int | None:
@@ -58,12 +52,13 @@ class ExcessReport:
     rows_negated: list[int] = field(default_factory=list)
     bound_nk: int | None = None
 
-def maximize_excess_rows(w: SignMatrix) -> tuple[SignMatrix, ExcessReport]:
-    """Negate every row with a negative sum; zero-sum rows stay put."""
-    sums = w.data.sum(axis=1)
+def maximize_excess_rows(w: QMatrix) -> tuple[QMatrix, ExcessReport]:
+    """Negate every row of a real matrix with a negative sum; zero-sum
+    rows stay put."""
+    sums = w.re.sum(axis=1)
     negate = sums < 0
-    flipped = SignMatrix._trusted(np.where(negate[:, None], -w.data, w.data))
-    weight = int((w.data[0] != 0).sum())
+    flipped = QMatrix(np.where(negate[:, None], -w.re, w.re))
+    weight = np.count_nonzero(w.re[0])
     return flipped, ExcessReport(
         order=w.n,
         excess_before=int(sums.sum()),
@@ -73,10 +68,10 @@ def maximize_excess_rows(w: SignMatrix) -> tuple[SignMatrix, ExcessReport]:
     )
 
 
-def negate_rows(w: SignMatrix, rows: list[int]) -> SignMatrix:
-    out = w.data.copy()
+def negate_rows(w: QMatrix, rows: list[int]) -> QMatrix:
+    out = w.re.copy()
     out[rows] *= -1
-    return SignMatrix._trusted(out)
+    return QMatrix(out)
 
 
 @dataclass
@@ -92,7 +87,7 @@ class PipelineReport:
     w2_col_sums: list[int]
     w3_total: int
 
-def run_pipeline(ctx: FieldCtx) -> tuple[PipelineReport, SignMatrix]:
+def run_pipeline(ctx: FieldCtx) -> tuple[PipelineReport, QMatrix]:
     """Build W1, W2, W3, negate the W1 rows with negative sums everywhere,
     and report the resulting excesses; returns the maximized Hadamard matrix."""
     s = skew_regular_qhm(ctx)
@@ -101,16 +96,16 @@ def run_pipeline(ctx: FieldCtx) -> tuple[PipelineReport, SignMatrix]:
     w1_max, report = maximize_excess_rows(w1)
     w2_neg = negate_rows(w2, report.rows_negated)
     w3_neg = negate_rows(w3, report.rows_negated)
-    w2_sums = w2_neg.data.sum(axis=1)
+    w2_sums = w2_neg.re.sum(axis=1)
     constant = int(w2_sums[0]) if np.all(w2_sums == w2_sums[0]) else None
     pipeline = PipelineReport(
         p=ctx.p,
         order=w1.n,
         w1=report,
         w2_excess=excess(w2_neg),
-        w2_bound=weight_bound(w2.n, int((w2.data[0] != 0).sum())) or 0,
+        w2_bound=weight_bound(w2.n, np.count_nonzero(w2.re[0])) or 0,
         w2_row_sums_constant=constant,
-        w2_col_sums=[int(c) for c in w2_neg.data.sum(axis=0)],
+        w2_col_sums=[int(c) for c in w2_neg.re.sum(axis=0)],
         w3_total=excess(w3_neg),
     )
     return pipeline, w1_max

@@ -5,23 +5,25 @@ character each: '1' -> 1, '-' -> -1, 'i' -> i, 'j' -> -i, '0' -> 0.
 ('j' denoting -i follows the printed convention of the source tables.)
 Real bodies are restricted to {'1', '-', '0'}.
 
-Cells are translated through byte lookup tables over the whole body at
-once.  A cell value x = re + im*i has the code (re + 1) * 3 + (im + 1)
-in 0..8; ``_CODE_CHAR`` maps codes to bytes and the 256-entry tables
-map bytes back to codes, with ``_BAD`` for every byte outside the
-alphabet (so also for every non-ASCII byte).
+Cells are translated through lookup tables over the whole body at once.
+A cell value x = re + im*i has the code 3*re + im + 4 in 0..8;
+``_CODE_CHAR`` maps codes to bytes, ``_CODE_RE`` and ``_CODE_IM`` map
+them to the two planes, and the 256-entry tables map bytes back to
+codes, with ``_BAD`` for every byte outside the alphabet (so also for
+every non-ASCII byte).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qmatrix import MatrixError, QMatrix, SignMatrix, _is_alphabet
+from .qmatrix import QMatrix
 
 _BAD = 255
 _CHARS = b"?-?j0i?1?"
 _CODE_CHAR = np.frombuffer(_CHARS, dtype=np.uint8)
-_CODE_VALUE = np.array([complex(c // 3 - 1, c % 3 - 1) for c in range(9)])
+_CODE_RE = np.arange(9, dtype=np.int8) // 3 - 1
+_CODE_IM = np.arange(9, dtype=np.int8) % 3 - 1
 
 
 def _char_codes(chars: bytes) -> np.ndarray:
@@ -66,32 +68,26 @@ def _to_bytes(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("latin-1", errors="replace"), dtype=np.uint8)
 
 
-def _codes(values: np.ndarray) -> np.ndarray:
-    """Codes of an array of alphabet values, through int8 temporaries only."""
-    codes = values.real.astype(np.int8)
-    codes *= 3
-    if np.iscomplexobj(values):
-        codes += values.imag.astype(np.int8)
-    codes += 4
-    return codes.view(np.uint8)
-
-
-def serialize(m: QMatrix | SignMatrix) -> str:
+def serialize(m: QMatrix) -> str:
     n = m.n
-    kind = "RHM" if isinstance(m, SignMatrix) else "QHM"
+    codes = m.re * 3
+    if m.im is not None:
+        codes += m.im
+    codes += 4
     body = np.empty((n, n + 1), dtype=np.uint8)
-    body[:, :n] = np.take(_CODE_CHAR, _codes(m.data))
+    # Indexing, unlike np.take, casts the indices without an intp copy.
+    body[:, :n] = _CODE_CHAR[codes]
     body[:, n] = ord("\n")
+    kind = "RHM" if m.im is None else "QHM"
     return f"{kind} {n}\n" + body.tobytes().decode("ascii")
 
 
-def parse(text: str) -> QMatrix | SignMatrix:
+def parse(text: str) -> QMatrix:
     """Inverse of ``serialize``.
 
     Errors are reported in reading order: header, then the row count,
     then row by row, where a row of the wrong length is reported before
-    any bad cell in it.  Every cell is checked against its table, so the
-    result is wrapped without a second alphabet check.
+    any bad cell in it.
     """
     text = text.replace("\r\n", "\n")
     head, newline, body = text.partition("\n")
@@ -119,24 +115,14 @@ def parse(text: str) -> QMatrix | SignMatrix:
     grid = _to_bytes(body[: ragged * (n + 1)].ljust(ragged * (n + 1), "\n"))
     grid = grid.reshape(ragged, n + 1)[:, :n]
     real = header[0] == "RHM"
-    codes = np.take(_RHM_CODES if real else _QHM_CODES, grid)
+    codes = (_RHM_CODES if real else _QHM_CODES)[grid]
     bad = codes == _BAD
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), n)
         raise ParseError(f"bad cell {rows[r][c]!r}", r + 2, c + 1)
     if ragged < n:
         raise ParseError(f"expected {n} cells, got {lengths[ragged]}", ragged + 2)
-    if real:
-        return SignMatrix._trusted(codes.astype(np.int64) // 3 - 1)
-    return QMatrix._trusted(np.take(_CODE_VALUE, codes))
-
-
-def serialize_phase_vector(v) -> str:
-    values = np.asarray(v, dtype=np.complex128)
-    if not _is_alphabet(values):
-        raise MatrixError("vector entries must be 0 or fourth roots of unity")
-    chars = np.take(_CODE_CHAR, _codes(values))
-    return np.column_stack([chars, np.full_like(chars, ord("\n"))]).tobytes().decode("ascii")
+    return QMatrix(_CODE_RE[codes], None if real else _CODE_IM[codes])
 
 
 def parse_phase_vector(text: str) -> np.ndarray:
@@ -145,9 +131,9 @@ def parse_phase_vector(text: str) -> np.ndarray:
     lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     wrong = np.flatnonzero(lengths != 1)
     ragged = int(wrong[0]) if wrong.size else len(tokens)
-    codes = np.take(_PHASE_CODES, _to_bytes("".join(tokens[:ragged])))
+    codes = _PHASE_CODES[_to_bytes("".join(tokens[:ragged]))]
     bad = np.flatnonzero(codes == _BAD)
     if bad.size or ragged < len(tokens):
         r = int(bad[0]) if bad.size else ragged
         raise ParseError(f"bad phase {tokens[r]!r}", r + 1)
-    return np.take(_CODE_VALUE, codes)
+    return _CODE_RE[codes] + 1j * _CODE_IM[codes]

@@ -1,10 +1,11 @@
 """Dense exact matrices over {0, 1, i, -1, -i} and their real counterparts.
 
-Entries and all derived quantities are small Gaussian integers.  Gram
-matrices are formed from the real and imaginary parts with real float
-BLAS products in a float type chosen from an explicit bound on the
-order and the entry size (``_exact_dtype``), under which every partial
-sum is an exactly representable integer.
+A matrix X = re + i*im is held as two int8 planes with entries in
+{-1, 0, 1} and disjoint supports; a real (sign) matrix has no ``im``
+plane.  Gram matrices are formed from the planes with real float BLAS
+products in a float type chosen from an explicit bound on the order and
+the entry size (``_exact_dtype``), under which every partial sum is an
+exactly representable integer.
 """
 
 from __future__ import annotations
@@ -12,101 +13,94 @@ from __future__ import annotations
 import numpy as np
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-QALPHABET = (0j,) + PHASES
 
 
 class MatrixError(ValueError):
     """Shape or alphabet violation."""
 
 
-def _is_alphabet(arr: np.ndarray, alphabet=QALPHABET) -> bool:
-    ok = np.zeros(arr.shape, dtype=bool)
-    for v in alphabet:
-        ok |= arr == v
-    return bool(ok.all())
+def _plane(x) -> np.ndarray:
+    """``x`` as a read-only int8 array with entries in {-1, 0, 1}.  An
+    int8 array is frozen as it is, not copied."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise MatrixError(f"a plane must be real, got dtype {arr.dtype}")
+    # Reductions rather than np.abs, which leaves the int8 -128 negative.
+    if arr.size and (arr.min() < -1 or arr.max() > 1):
+        raise MatrixError("entries must be in {-1, 0, +1}")
+    if arr.dtype != np.int8:
+        cast = arr.astype(np.int8)
+        if not np.array_equal(cast, arr):
+            raise MatrixError("entries must be in {-1, 0, +1}")
+        arr = cast
+    arr.setflags(write=False)
+    return arr
 
 
-class _ExactMatrix:
-    """Immutable square matrix over a small alphabet of Gaussian integers.
+class QMatrix:
+    """Immutable square matrix X = re + i*im with entries in {0, 1, i, -1, -i}.
 
-    The constructor is the only validating path: it checks shape and
-    alphabet and keeps a read-only copy.  Results that the package builds
-    from already validated operands go through ``_trusted`` instead.
-    Equality requires the same leaf type.
+    ``re`` and ``im`` are read-only int8 planes in {-1, 0, 1} with
+    disjoint supports; ``im`` None marks a real matrix, written as RHM.
+    The constructor is the only one, and it always validates.
     """
 
-    __slots__ = ("data",)
-    _dtype: type
-    _alphabet: tuple
-    _alphabet_error: str
+    __slots__ = ("re", "im")
 
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=self._dtype)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise MatrixError(f"expected a square matrix, got shape {arr.shape}")
-        if not _is_alphabet(arr, self._alphabet):
-            raise MatrixError(self._alphabet_error)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray):
-        """Wrap a freshly built square array of the class's dtype whose
-        entries are known to lie in the alphabet: read-only, unchecked,
-        not copied."""
-        arr.setflags(write=False)
-        m = object.__new__(cls)
-        object.__setattr__(m, "data", arr)
-        return m
+    def __init__(self, re, im=None):
+        re = _plane(re)
+        if re.ndim != 2 or re.shape[0] != re.shape[1]:
+            raise MatrixError(f"expected a square matrix, got shape {re.shape}")
+        if im is not None:
+            im = _plane(im)
+            if im.shape != re.shape:
+                raise MatrixError(f"plane shapes differ: {re.shape} and {im.shape}")
+            # A nonzero int8 in {-1, 1} has its lowest bit set.
+            if (re & im).any():
+                raise MatrixError("entries must be 0 or fourth roots of unity")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("QMatrix is immutable")
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.re.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        # + 0 turns -0.0, which conj() writes, into the 0.0 it equals.
-        return hash((self.n, (self.data + 0).tobytes()))
+    @property
+    def data(self) -> np.ndarray:
+        """The entries as one read-only array, for callers outside the
+        package: the ``re`` plane of a real matrix, else a new complex128
+        array."""
+        if self.im is None:
+            return self.re
+        out = self.re + 1j * self.im
+        out.setflags(write=False)
+        return out
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n})"
-
-
-class QMatrix(_ExactMatrix):
-    """Immutable square matrix with entries in {0, 1, i, -1, -i}."""
-
-    __slots__ = ()
-    _dtype = np.complex128
-    _alphabet = QALPHABET
-    _alphabet_error = "entries must be 0 or fourth roots of unity"
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls._trusted(np.eye(n, dtype=np.complex128))
+        return f"QMatrix(n={self.n}{', real' if self.im is None else ''})"
 
     def scale(self, phase: complex) -> "QMatrix":
         if phase not in PHASES:
             raise MatrixError(f"{phase!r} is not a phase")
-        return QMatrix._trusted(self.data * phase)
+        return QMatrix(*_mul(self.re, self.im, int(phase.real), int(phase.imag)))
 
 
-class SignMatrix(_ExactMatrix):
-    """Immutable square matrix with entries in {-1, 0, +1}."""
-
-    __slots__ = ()
-    _dtype = np.int64
-    _alphabet = (-1, 0, 1)
-    _alphabet_error = "entries must be in {-1, 0, +1}"
+def _mul(re, im, ur, ui):
+    """The planes of (re + i*im)(ur + i*ui), broadcast, for factors that
+    are each a unit or zero: of the two terms of each product plane at
+    most one is nonzero, so the result is a unit or zero too."""
+    out_re = re * ur
+    out_re -= im * ui
+    out_im = re * ui
+    out_im += im * ur
+    return out_re, out_im
 
 
 def conj_transpose(m: QMatrix) -> QMatrix:
-    return QMatrix._trusted(m.data.conj().T)
+    return QMatrix(m.re.T, None if m.im is None else -m.im.T)
 
 
 def _exact_dtype(n: int, max_abs_sq: int) -> type:
@@ -183,59 +177,55 @@ def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
     return True
 
 
-def _gram_complex(re: np.ndarray, im: np.ndarray, max_abs_sq: int) -> np.ndarray:
-    """X X* as a complex128 array; see ``_gram_parts``."""
-    g_re, g_im = _gram_parts(re, im, max_abs_sq)
-    out = g_re.astype(np.complex128)
-    out.imag = g_im
-    return out
-
-
 def gram_is_scalar(m: QMatrix, c: complex) -> bool:
-    return _gram_is_scalar(m.data.real, m.data.imag, 1, c)
+    return _gram_is_scalar(m.re, m.im, 1, c)
 
 
-def row_sums(m: QMatrix | SignMatrix) -> list[complex]:
-    return [complex(s) for s in m.data.sum(axis=1)]
-
-
-def check_phase_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise MatrixError("phase vector must be one-dimensional")
-    if not _is_alphabet(arr, PHASES):
-        raise MatrixError("vector entries must be fourth roots of unity")
-    return arr
+def row_sums(m: QMatrix) -> list[complex]:
+    sums = m.re.sum(axis=1)
+    if m.im is not None:
+        sums = sums + 1j * m.im.sum(axis=1)
+    return [complex(s) for s in sums]
 
 
 def diag_similarity(m: QMatrix, v) -> QMatrix:
-    """D M D* for D = diag(v), v a vector of phases."""
-    arr = check_phase_vector(v)
-    if arr.shape[0] != m.n:
-        raise MatrixError(f"vector length {arr.shape[0]} != order {m.n}")
-    return QMatrix._trusted(arr[:, None] * m.data * arr.conj()[None, :])
+    """D M D* for D = diag(v), v a vector of phases; M quaternary."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 1:
+        raise MatrixError("phase vector must be one-dimensional")
+    if not np.isin(v, PHASES).all():
+        raise MatrixError("vector entries must be fourth roots of unity")
+    if v.shape[0] != m.n:
+        raise MatrixError(f"vector length {v.shape[0]} != order {m.n}")
+    vr, vi = v.real.astype(np.int8), v.imag.astype(np.int8)
+    re, im = _mul(m.re, m.im, vr[:, None], vi[:, None])
+    return QMatrix(*_mul(re, im, vr, -vi))
 
 
 def block2(m11: QMatrix, m12: QMatrix, m21: QMatrix, m22: QMatrix) -> QMatrix:
+    """[[M11, M12], [M21, M22]] of quaternary blocks of one order."""
     if not (m11.n == m12.n == m21.n == m22.n):
         raise MatrixError("block orders differ")
-    return QMatrix._trusted(np.block([[m11.data, m12.data], [m21.data, m22.data]]))
+    rows = ((m11, m12), (m21, m22))
+    return QMatrix(np.block([[m.re for m in row] for row in rows]),
+                   np.block([[m.im for m in row] for row in rows]))
 
 
-def realify(m: QMatrix) -> SignMatrix:
-    """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]].
+def realify(m: QMatrix) -> QMatrix:
+    """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]]
+    of a quaternary matrix, giving a real one.
 
     A cell a + bi becomes [[a-b, a+b], [a+b, b-a]], written as four
     strided quarters of the result.
     """
-    a, b = m.data.real, m.data.imag
-    out = np.empty((2 * m.n, 2 * m.n), dtype=np.int64)
-    np.subtract(a, b, out=out[0::2, 0::2], casting="unsafe")
-    np.add(a, b, out=out[0::2, 1::2], casting="unsafe")
+    a, b = m.re, m.im
+    out = np.empty((2 * m.n, 2 * m.n), dtype=np.int8)
+    np.subtract(a, b, out=out[0::2, 0::2])
+    np.add(a, b, out=out[0::2, 1::2])
     out[1::2, 0::2] = out[0::2, 1::2]
     np.negative(out[0::2, 0::2], out=out[1::2, 1::2])
-    return SignMatrix._trusted(out)
+    return QMatrix(out)
 
 
-def sign_gram_is_scalar(w: SignMatrix, c: int) -> bool:
-    return _gram_is_scalar(w.data, None, 1, c)
+def sign_gram_is_scalar(w: QMatrix, c: int) -> bool:
+    return _gram_is_scalar(w.re, None, 1, c)

@@ -8,36 +8,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import (
-    QMatrix,
-    SignMatrix,
-    gram_is_scalar,
-    row_sums,
-    sign_gram_is_scalar,
-)
+from .qmatrix import QMatrix, gram_is_scalar, row_sums, sign_gram_is_scalar
 
 
 def check_quaternary_hadamard(m: QMatrix) -> bool:
     """All entries nonzero phases and M M* = n I."""
-    return bool((m.data != 0).all()) and gram_is_scalar(m, m.n)
+    return bool((m.re | m.im).all()) and gram_is_scalar(m, m.n)
 
 
-def check_real_hadamard(w: SignMatrix) -> bool:
-    return bool((w.data != 0).all()) and sign_gram_is_scalar(w, w.n)
+def check_real_hadamard(w: QMatrix) -> bool:
+    return bool(w.re.all()) and sign_gram_is_scalar(w, w.n)
 
 
-def check_skew_type(m: QMatrix | SignMatrix) -> bool:
-    """M = I + Q with Q* = -Q, i.e. M + M* = 2I."""
-    return np.array_equal(m.data + m.data.conj().T, 2 * np.eye(m.n))
+def check_skew_type(m: QMatrix) -> bool:
+    """M = I + Q with Q* = -Q, i.e. M + M* = 2I: the real plane plus its
+    transpose is 2I and the imaginary plane is symmetric."""
+    s = m.re + m.re.T
+    s.flat[:: m.n + 1] -= 2
+    return not s.any() and (m.im is None or np.array_equal(m.im, m.im.T))
 
 
-def is_regular(m: QMatrix | SignMatrix) -> complex | None:
+def is_regular(m: QMatrix) -> complex | None:
     """The common row sum, or None when row sums differ."""
     sums = row_sums(m)
     return sums[0] if all(s == sums[0] for s in sums) else None
 
 
-def is_absolutely_regular(m: QMatrix | SignMatrix) -> tuple[bool, int | None]:
+def is_absolutely_regular(m: QMatrix) -> tuple[bool, int | None]:
     """Whether all |row sum|^2 agree, and the common value if so."""
     norms = [int(round(s.real)) ** 2 + int(round(s.imag)) ** 2 for s in row_sums(m)]
     if all(v == norms[0] for v in norms):
@@ -45,7 +42,7 @@ def is_absolutely_regular(m: QMatrix | SignMatrix) -> tuple[bool, int | None]:
     return False, None
 
 
-def check_semi_regular(m: QMatrix | SignMatrix, a: int, b: int) -> bool:
+def check_semi_regular(m: QMatrix, a: int, b: int) -> bool:
     """Row sums confined to {+-a +-bi, +-b +-ai}; requires a^2 + b^2 = n."""
     if a * a + b * b != m.n:
         raise ValueError(f"a^2 + b^2 = {a * a + b * b} != order {m.n}")
@@ -54,7 +51,7 @@ def check_semi_regular(m: QMatrix | SignMatrix, a: int, b: int) -> bool:
     return all(s in allowed for s in row_sums(m))
 
 
-def find_semi_regular_witness(m: QMatrix | SignMatrix) -> tuple[int, int] | None:
+def find_semi_regular_witness(m: QMatrix) -> tuple[int, int] | None:
     """Smallest (a, b) with a <= b, a^2 + b^2 = n, and row sums in the set."""
     for a in range(math.isqrt(m.n) + 1):
         b2 = m.n - a * a
@@ -94,10 +91,10 @@ class PropertyReport:
         }
 
 
-def full_report(m: QMatrix | SignMatrix) -> PropertyReport:
-    if isinstance(m, SignMatrix):
+def full_report(m: QMatrix) -> PropertyReport:
+    if m.im is None:
         hadamard = check_real_hadamard(m)
-        total = int(m.data.sum())
+        total = int(m.re.sum())
     else:
         hadamard = check_quaternary_hadamard(m)
         total = None

@@ -1,30 +1,43 @@
 """Slow reference implementations that the library is tested against.
 
 The text format as it was first written, one Python step per cell, a
-Gram product over Python integers, and GF(p^2) arithmetic on coordinate
-pairs.  All are deliberately naive: they are the oracles for the
-table-driven ``matio``, the float-BLAS Gram kernel in ``qmatrix`` and
-the vectorized character table in ``field``.
+Gram product over Python integers, GF(p^2) arithmetic on coordinate
+pairs and the closed-form row-sum schedule of the evaluated designs.
+All are deliberately naive: they are the oracles for the table-driven
+``matio``, the float-BLAS Gram kernel in ``qmatrix``, the vectorized
+character table in ``field`` and the recursion in ``cod``.  ``qmatrix``
+and ``equal`` build and compare matrices by their values.
 """
 
 import numpy as np
 
-from qhadamard import QMatrix, SignMatrix
+from qhadamard import QMatrix
 from qhadamard.matio import ParseError
 
+QALPHABET = (0j, 1 + 0j, 1j, -1 + 0j, -1j)
 CHAR_TO_VALUE = {"1": 1 + 0j, "-": -1 + 0j, "i": 1j, "j": -1j, "0": 0j}
 VALUE_TO_CHAR = {v: k for k, v in CHAR_TO_VALUE.items()}
 
 
+def qmatrix(values):
+    """The matrix of an array of values: quaternary for a complex array,
+    real (no ``im`` plane) otherwise."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return QMatrix(values.real, values.imag)
+    return QMatrix(values)
+
+
+def equal(a, b):
+    """Same kind (real or quaternary) and the same entries."""
+    return ((a.im is None) == (b.im is None) and np.array_equal(a.re, b.re)
+            and (a.im is None or np.array_equal(a.im, b.im)))
+
+
 def serialize(m):
-    if isinstance(m, SignMatrix):
-        kind = "RHM"
-        data = m.data.astype(np.complex128)
-    else:
-        kind = "QHM"
-        data = m.data
+    kind = "RHM" if m.im is None else "QHM"
     lines = [f"{kind} {m.n}"]
-    for row in data:
+    for row in np.asarray(m.data, dtype=np.complex128):
         lines.append("".join(VALUE_TO_CHAR[complex(x)] for x in row))
     return "\n".join(lines) + "\n"
 
@@ -56,8 +69,8 @@ def parse(text):
                 raise ParseError(f"bad cell {ch!r}", r, c + 1)
             data[r - 2, c] = CHAR_TO_VALUE[ch]
     if real:
-        return SignMatrix(data.real.astype(np.int64))
-    return QMatrix(data)
+        return QMatrix(data.real)
+    return qmatrix(data)
 
 
 def serialize_phase_vector(v):
@@ -118,3 +131,17 @@ def gf_pow(p, n, x, e):
         x = gf_mul(p, n, x, x)
         e >>= 1
     return result
+
+
+def expected_row_sum(p, level):
+    """Row-sum schedule for the evaluated designs, 1-based level.
+
+    Level 1 is the base design at a = b = 1 (row sum 1 - p*i); each
+    recursion step advances one level: even levels give
+    p^level - p^(level-1) i, odd levels p^(level-1) - p^level i.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if level % 2 == 0:
+        return complex(p**level, -(p ** (level - 1)))
+    return complex(p ** (level - 1), -(p**level))

@@ -8,34 +8,50 @@ from qhadamard import (
     certify_gram,
     check_quaternary_hadamard,
     check_skew_type,
-    cod_base,
     cod_recurse,
-    expected_row_sum,
     factored_summary,
     row_sums,
 )
 from qhadamard import cod
-from qhadamard.cod import _broken_identity, _parts_at
-from qhadamard.qmatrix import PHASES, QMatrix, _gram_complex, _gram_is_scalar
+from qhadamard.cod import _broken_identity
+from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _gram_parts
 from conftest import field, skew_regular
+from reference import equal, expected_row_sum, qmatrix
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
 
 
+def cod_base(ctx):
+    return cod._factors(ctx)[0]
+
+
+def parts_at(d, a, b):
+    """Real and imaginary parts of a*A + b*B at any integer point, and the
+    bound max(a^2, b^2) on |entry|^2 (one variable a cell)."""
+    x = a * d.acoef.data + b * d.bcoef.data
+    return x.real, x.imag, max(a * a, b * b)
+
+
+def design(acoef, bcoef):
+    return CODMatrix(qmatrix(np.asarray(acoef, dtype=complex)),
+                     qmatrix(np.asarray(bcoef, dtype=complex)))
+
+
 def test_cod_base_examples():
     d = cod_base(field(3))
     assert d.n == 10 and d.stype == (1, 9)
-    assert d.evaluate_qmatrix(1, 1) == skew_regular(3)
+    assert equal(d.evaluate_qmatrix(1, 1), skew_regular(3))
     assert np.array_equal(d.evaluate_qmatrix(1, 0).data, np.eye(10))
-    assert np.array_equal(_gram_complex(*_parts_at(d, 2, 3)), 85 * np.eye(10))
+    g_re, g_im = _gram_parts(*parts_at(d, 2, 3))
+    assert np.array_equal(g_re, 85 * np.eye(10)) and not g_im.any()
 
 
 def test_cod_base_row_sum_schedule():
     # evaluated at (a, b) the constant row sum is a - p*b*i
     d = cod_base(field(3))
     for a, b in EVAL_POINTS:
-        sums = set((a * d.acoef + b * d.bcoef).sum(axis=1))
+        sums = set((a * d.acoef.data + b * d.bcoef.data).sum(axis=1))
         assert sums == {complex(a, -3 * b)}
 
 
@@ -43,8 +59,8 @@ def test_cod_recurse_k0_is_base():
     ctx = field(3)
     d0 = cod_recurse(ctx, 0)
     base = cod_base(ctx)
-    assert np.array_equal(d0.acoef, base.acoef)
-    assert np.array_equal(d0.bcoef, base.bcoef)
+    assert equal(d0.acoef, base.acoef)
+    assert equal(d0.bcoef, base.bcoef)
 
 
 def test_cod_recurse_rejects_negative_k():
@@ -64,7 +80,8 @@ def test_cod_recurse_type_and_gram(p, k, order):
 
 def test_cod_recurse_gram_example():
     d = cod_recurse(field(3), 1)
-    assert np.array_equal(_gram_complex(*_parts_at(d, 1, 2)), 333 * np.eye(90))
+    g_re, g_im = _gram_parts(*parts_at(d, 1, 2))
+    assert np.array_equal(g_re, 333 * np.eye(90)) and not g_im.any()
 
 
 @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (5, 0), (5, 1)])
@@ -101,9 +118,9 @@ def test_certify_gram_needs_the_cross_term_point():
     # X = aI + b(iQ): both squares are scalar, but the cross term
     # I(iQ)* + (iQ)I* = 2iQ is not zero, which only (1, 1) sees.
     d = cod_base(field(3))
-    x = CODMatrix(d.acoef, 1j * d.bcoef)
+    x = CODMatrix(d.acoef, d.bcoef.scale(1j))
     s1, s2 = x.stype
-    verdicts = [_gram_is_scalar(*_parts_at(x, a, b), s1 * a * a + s2 * b * b)
+    verdicts = [_gram_is_scalar(*parts_at(x, a, b), s1 * a * a + s2 * b * b)
                 for a, b in ((1, 0), (0, 1), (1, 1))]
     assert verdicts == [True, True, False]
     assert not certify_gram(x)
@@ -112,7 +129,7 @@ def test_certify_gram_needs_the_cross_term_point():
 def kernel_verdict(d, conjugate):
     """certify_gram's three points, each through the kernel's own mode."""
     s1, s2 = d.stype
-    return all(_gram_is_scalar(*_parts_at(d, a, b), s1 * a * a + s2 * b * b, conjugate)
+    return all(_gram_is_scalar(*parts_at(d, a, b), s1 * a * a + s2 * b * b, conjugate)
                for a, b in ((1, 0), (0, 1), (1, 1)))
 
 
@@ -147,10 +164,11 @@ def corrupt_core(monkeypatch, cells):
     real_skew_core = cod.skew_core
 
     def corrupted(s):
-        data = real_skew_core(s).data.copy()
+        core = real_skew_core(s)
+        re, im = core.re.copy(), core.im.copy()
         for i, j in cells:
-            data[i, j] = -data[i, j]
-        return QMatrix(data)
+            re[i, j], im[i, j] = -re[i, j], -im[i, j]
+        return QMatrix(re, im)
 
     monkeypatch.setattr(cod, "skew_core", corrupted)
 
@@ -172,27 +190,28 @@ def test_broken_identity_names():
     ctx = field(3)
     base, q_core = cod._factors(ctx)
     assert _broken_identity(base, q_core, ctx.q) is None
-    diag = q_core.copy()
-    diag[0, 0] = 1
+    re = q_core.re.copy()
+    re[0, 0] = 1
+    diag = QMatrix(re, q_core.im)
     assert _broken_identity(base, diag, ctx.q) == "Q has zero diagonal and unit cells off it"
     # iQ keeps the zero diagonal and the unit cells but is Hermitian.
-    assert _broken_identity(base, 1j * q_core, ctx.q) == "Q* = -Q"
-    no_b = CODMatrix(base.acoef, np.zeros_like(base.bcoef))
+    assert _broken_identity(base, q_core.scale(1j), ctx.q) == "Q* = -Q"
+    no_b = design(base.acoef.data, np.zeros((base.n, base.n)))
     assert _broken_identity(no_b, q_core, ctx.q) == "s2 = q s1"
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])
 def test_cod_recurse_matches_kron_steps(p, k):
     ctx = field(p)
-    base = cod_base(ctx)
-    q_core = cod._factors(ctx)[1]
+    base, q_core = cod._factors(ctx)
     eye, ones = np.eye(ctx.q), np.ones((ctx.q, ctx.q))
-    a, b = base.acoef, base.bcoef
+    a, b = base.acoef.data, base.bcoef.data
     for _ in range(k):
-        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, q_core)
+        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, q_core.data)
     d = cod_recurse(ctx, k)
-    assert np.array_equal(d.acoef, a) and np.array_equal(d.bcoef, b)
-    assert d.acoef.dtype == d.bcoef.dtype == np.complex128
+    assert np.array_equal(d.acoef.data, a) and np.array_equal(d.bcoef.data, b)
+    for m in (d.acoef, d.bcoef):
+        assert m.re.dtype == m.im.dtype == np.int8
 
 
 def test_cod_recurse_builds_skew_regular_once(monkeypatch):
@@ -235,13 +254,13 @@ def random_designs():
                 acoef[i, j] = draw(st.sampled_from(alphabet))
             for j in cols[s1:s1 + s2]:
                 bcoef[i, j] = draw(st.sampled_from(alphabet))
-        return CODMatrix(acoef, bcoef)
+        return design(acoef, bcoef)
 
     @st.composite
     def similar_design(draw):
         acoef, bcoef = draw(st.sampled_from((
             (np.eye(4), SKEW4),
-            (cod_base(field(3)).acoef, cod_base(field(3)).bcoef),
+            (cod_base(field(3)).acoef.data, cod_base(field(3)).bcoef.data),
         )))
         n = acoef.shape[0]
         phases = draw(st.sampled_from(((1, -1), PHASES)))
@@ -251,8 +270,7 @@ def random_designs():
         def similar(x):
             return (v[:, None] * x * v.conj()[None, :])[np.ix_(perm, perm)]
 
-        return CODMatrix(similar(acoef).astype(np.complex128),
-                         similar(bcoef).astype(np.complex128))
+        return design(similar(acoef), similar(bcoef))
 
     return st.one_of(random_design(), similar_design())
 
@@ -262,12 +280,12 @@ def random_designs():
 def test_transpose_verdict_is_realness_and_conjugate(d):
     assert certify_gram(d, conjugate=False) == kernel_verdict(d, False)
     assert certify_gram(d) == kernel_verdict(d, True)
-    real = not (d.acoef.imag.any() or d.bcoef.imag.any())
+    real = not (d.acoef.im.any() or d.bcoef.im.any())
     assert certify_gram(d, conjugate=False) == (real and certify_gram(d))
 
 
 def test_real_skew_design_passes_both_modes():
-    d = CODMatrix(np.eye(4), SKEW4)
+    d = design(np.eye(4), SKEW4)
     assert d.stype == (1, 3)
     assert certify_gram(d) and certify_gram(d, conjugate=False)
     assert kernel_verdict(d, True) and kernel_verdict(d, False)

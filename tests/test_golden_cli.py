@@ -3,12 +3,15 @@
 Each run records its exit code and the first 16 hex digits of the
 sha256 of stdout, of stderr and of the ``--out`` file (None when the run
 writes none).  The digests were recorded from the program as it stood
-before its test-only library surface was removed; a change that alters
-any byte the CLI writes fails here.  To re-record after an intended
-change, print ``run_digests`` for every entry of ``GRID``.
+before its test-only library surface was removed, and before its two
+matrix classes became one on int8 planes (the runs on edited inputs,
+stdin and ``MEM_BUDGET_MB``); a change that alters any byte the CLI
+writes fails here.  To re-record after an intended change, print
+``run_digests`` for every entry of ``GRID``.
 """
 
 import hashlib
+import io
 
 import pytest
 
@@ -41,7 +44,59 @@ GRID = {
     "cod-3-6": ["cod", "--p", "3", "--k", "6"],
     "cod-3-1-eval-x": ["cod", "--p", "3", "--k", "1", "--eval", "x"],
     "cod-3-1-eval-2,0": ["cod", "--p", "3", "--k", "1", "--eval", "2,0"],
+    # Edited and edge inputs, written to ``{tmp}`` from ``INPUTS``.
+    **{f"{cmd}-{name}": [cmd, f"{{tmp}}/{name}.qhm", "--out", "{out}"]
+       for cmd in ("double", "core", "realify")
+       for name in ("flipped", "bad-cell", "zero-cell", "all-real")},
+    **{f"verify{'-json' * j}-{name}": ["verify", f"{{tmp}}/{name}.qhm"] + ["--json"] * j
+       for j in (0, 1)
+       for name in ("flipped", "bad-cell", "zero-cell", "all-real",
+                    "rhm", "rhm-flipped", "rhm-i-cell")},
+    "twist-all-real": ["twist", "{tmp}/all-real.qhm", "--v", "{tmp}/v2.phv",
+                       "--out", "{out}"],
+    "twist-short-vector": ["twist", "{fixtures}/appendixA_H.qhm",
+                           "--v", "{tmp}/v2.phv", "--out", "{out}"],
+    "twist-bad-phase": ["twist", "{fixtures}/appendixA_H.qhm",
+                        "--v", "{tmp}/bad-phase.phv", "--out", "{out}"],
+    "verify-stdin": ["verify", "-", "--expect-regular", "1,-5", "--expect-skew"],
+    "verify-expect-regular-x-bad-cell": ["verify", "{tmp}/bad-cell.qhm",
+                                         "--expect-regular", "x"],
+    "verify-expect-regular-x": ["verify", "{fixtures}/appendixA_S.qhm",
+                                "--expect-regular", "x"],
+    "verify-expect-skew-regular-x-rhm": ["verify", "{tmp}/rhm.qhm", "--expect-skew",
+                                         "--expect-regular", "x"],
+    "budget-1-construct-11": ["construct", "--p", "11", "--out", "{out}"],
+    "budget-1-construct-17": ["construct", "--p", "17", "--out", "{out}"],
+    "budget-1-cod-3-2": ["cod", "--p", "3", "--k", "2"],
+    "budget-x-construct-3": ["construct", "--p", "3", "--out", "{out}"],
 }
+
+
+def _edit(text, row, col, cell):
+    """``text`` with the cell at body row ``row``, column ``col`` (0-based)
+    replaced by ``cell(old)``."""
+    lines = text.split("\n")
+    line = lines[row + 1]
+    lines[row + 1] = line[:col] + cell(line[col]) + line[col + 1:]
+    return "\n".join(lines)
+
+
+_A_S = (FIXTURES / "appendixA_S.qhm").read_text()
+_SYLVESTER = "RHM 4\n1111\n1-1-\n11--\n1--1\n"
+INPUTS = {
+    "flipped.qhm": _edit(_A_S, 3, 7, lambda c: c.translate(str.maketrans("1-ij", "-1ji"))),
+    "bad-cell.qhm": _edit(_A_S, 5, 2, lambda c: "x"),
+    "zero-cell.qhm": _edit(_A_S, 2, 9, lambda c: "0"),
+    "all-real.qhm": "QHM 2\n11\n1-\n",
+    "rhm.qhm": _SYLVESTER,
+    "rhm-flipped.qhm": _edit(_SYLVESTER, 2, 1, lambda c: "-"),
+    "rhm-i-cell.qhm": _edit(_SYLVESTER, 1, 3, lambda c: "i"),
+    "v2.phv": "1\ni\n",
+    "bad-phase.phv": "1\n" * 5 + "0\n" + "1\n" * 20,
+}
+STDIN = {"verify-stdin": _A_S}
+ENV = {"budget-1-construct-11": "1", "budget-1-construct-17": "1",
+       "budget-1-cod-3-2": "1", "budget-x-construct-3": "x"}
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()[:16]
@@ -54,7 +109,9 @@ def _sha(data):
 def run_digests(argv, tmp_path, capsys):
     """(exit code, sha256 of stdout, of stderr, of the --out file)."""
     out = tmp_path / "out"
-    code = main([a.format(out=out, fixtures=FIXTURES) for a in argv])
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code = main([a.format(out=out, fixtures=FIXTURES, tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     written = out.read_bytes() if out.exists() else None
     return (code, _sha(captured.out.encode()), _sha(captured.err.encode()),
@@ -102,10 +159,56 @@ GOLDEN = {
     "verify-json-appendixA_S": (0, "b50cdde7e99867e1", EMPTY, None),
     "verify-json-appendixB_DHD": (0, "081478c495de3096", EMPTY, None),
     "verify-json-appendixB_H": (0, "79fc4fdaa3706f77", EMPTY, None),
+    "budget-1-cod-3-2": (3, EMPTY, "f99d0668188893ff", None),
+    "budget-1-construct-11": (0, EMPTY, EMPTY, "f5856833023dc85a"),
+    "budget-1-construct-17": (3, EMPTY, "d6918e159f37f93f", None),
+    "budget-x-construct-3": (2, EMPTY, "a210f54d1664d5e4", None),
+    "core-all-real": (1, EMPTY, "7f78e2d3035492b3", None),
+    "core-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    "core-flipped": (1, EMPTY, "7f78e2d3035492b3", None),
+    "core-zero-cell": (1, EMPTY, "7f78e2d3035492b3", None),
+    "double-all-real": (0, EMPTY, EMPTY, "9c3e9a0fdc07f638"),
+    "double-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    "double-flipped": (1, EMPTY, "e55c989cd21d0594", None),
+    "double-zero-cell": (1, EMPTY, "e55c989cd21d0594", None),
+    "realify-all-real": (0, EMPTY, EMPTY, "36d259ad36033e96"),
+    "realify-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    "realify-flipped": (0, EMPTY, EMPTY, "ac86f3056acec6b9"),
+    "realify-zero-cell": (0, EMPTY, EMPTY, "1f9c2a2fbf4fc2cd"),
+    "twist-all-real": (0, EMPTY, EMPTY, "cd42b7c404d009b8"),
+    "twist-bad-phase": (2, EMPTY, "1be5fe788e3182d9", None),
+    "twist-short-vector": (2, EMPTY, "d68dbc00e5ae323b", None),
+    "verify-all-real": (0, "7562433ea8467b8f", EMPTY, None),
+    "verify-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    # The one intended change: the value is refused before the report is
+    # printed, so stdout is empty (the program before printed the report).
+    "verify-expect-regular-x": (2, EMPTY, "5a34184c2221d6c1", None),
+    # Its consequence: with --expect-skew on a matrix that is not skew,
+    # the malformed value is now reported (exit 2) instead of the failed
+    # expectation (exit 1, the report on stdout).
+    "verify-expect-skew-regular-x-rhm": (2, EMPTY, "5a34184c2221d6c1", None),
+    "verify-expect-regular-x-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    "verify-flipped": (0, "e9ad86bc22b57d48", EMPTY, None),
+    "verify-json-all-real": (0, "b8b576b642330616", EMPTY, None),
+    "verify-json-bad-cell": (2, EMPTY, "54f268320a10bfd7", None),
+    "verify-json-flipped": (0, "11159893f6211363", EMPTY, None),
+    "verify-json-rhm": (0, "f361192fca12a0d6", EMPTY, None),
+    "verify-json-rhm-flipped": (0, "a1b15a95e8522bdd", EMPTY, None),
+    "verify-json-rhm-i-cell": (2, EMPTY, "e08ca0f53fb5cd3f", None),
+    "verify-json-zero-cell": (0, "740de64037b29b59", EMPTY, None),
+    "verify-rhm": (0, "ef6d6ee247ee3d5c", EMPTY, None),
+    "verify-rhm-flipped": (0, "21c914aaf4de543e", EMPTY, None),
+    "verify-rhm-i-cell": (2, EMPTY, "e08ca0f53fb5cd3f", None),
+    "verify-stdin": (0, "dd26f0cd5379d844", EMPTY, None),
+    "verify-zero-cell": (0, "55db44772d867000", EMPTY, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_cli_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MEM_BUDGET_MB", raising=False)
+    if name in ENV:
+        monkeypatch.setenv("MEM_BUDGET_MB", ENV[name])
+    if name in STDIN:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(STDIN[name].encode())))
     assert run_digests(GRID[name], tmp_path, capsys) == GOLDEN[name]

@@ -6,24 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     MatrixError,
-    SignMatrix,
+    QMatrix,
     certify_gram,
-    cod_base,
     double,
     gram_is_scalar,
     realify,
 )
-from qhadamard.cod import _parts_at
+from qhadamard import cod
 from qhadamard.qmatrix import (
-    QALPHABET,
     _exact_dtype,
-    _gram_complex,
     _gram_is_scalar,
     _gram_parts,
     sign_gram_is_scalar,
 )
 from conftest import field, skew_regular
-from reference import gauss_gram, gauss_is_scalar
+from reference import QALPHABET, gauss_gram, gauss_is_scalar
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
@@ -52,7 +49,7 @@ def hadamard_or_corrupted(draw):
     data = np.array(m.data, dtype=complex)
     if draw(st.booleans()):
         r, c = draw(st.integers(0, m.n - 1)), draw(st.integers(0, m.n - 1))
-        pool = (1, -1, 0) if isinstance(m, SignMatrix) else QALPHABET
+        pool = (1, -1, 0) if m.im is None else QALPHABET
         data[r, c] = draw(st.sampled_from([v for v in pool if v != data[r, c]]))
     return data
 
@@ -60,12 +57,12 @@ def hadamard_or_corrupted(draw):
 def cod_evaluations():
     """Evaluations of the base design at the standard points, possibly
     with one cell changed to another COD-style entry."""
-    d = cod_base(field(3))
+    d = cod._factors(field(3))[0]
 
     @st.composite
     def draw_one(draw):
         a, b = draw(st.sampled_from(EVAL_POINTS))
-        x = a * d.acoef + b * d.bcoef
+        x = a * d.acoef.data + b * d.bcoef.data
         if draw(st.booleans()):
             r, c = draw(st.integers(0, d.n - 1)), draw(st.integers(0, d.n - 1))
             x[r, c] = draw(st.sampled_from([v for v in COD_ENTRIES if v != x[r, c]]))
@@ -94,8 +91,8 @@ def test_kernel_matches_oracle_on_quaternary(x, conjugate):
 @given(random_matrices((1, -1, 0)), st.booleans())
 def test_kernel_matches_oracle_on_signs(x, conjugate):
     check_against_oracle(x, 1, conjugate)
-    w = SignMatrix(x.real.astype(np.int64))
-    g, _ = _gram_parts(w.data, None, 1)
+    w = QMatrix(x.real)
+    g, _ = _gram_parts(w.re, None, 1)
     assert g.tolist() == gauss_gram(x.real, x.imag)[0]
     for c in (w.n, 0):
         assert sign_gram_is_scalar(w, c) == gauss_is_scalar(x.real, x.imag, c)
@@ -134,21 +131,20 @@ def test_kernel_exact_up_to_the_float32_edge(data):
 
 def test_public_grams_match_oracle():
     for m in (KNOWN["S3"], KNOWN["D3"]):
-        want_re, want_im = gauss_gram(m.data.real, m.data.imag)
-        g = _gram_complex(m.data.real, m.data.imag, 1)
-        assert g.dtype == np.complex128
-        assert g.real.tolist() == want_re and g.imag.tolist() == want_im
+        want_re, want_im = gauss_gram(m.re, m.im)
+        g_re, g_im = _gram_parts(m.re, m.im, 1)
+        assert g_re.tolist() == want_re and g_im.tolist() == want_im
         assert gram_is_scalar(m, m.n) is True
     w = KNOWN["R3"]
-    g, _ = _gram_parts(w.data, None, 1)
-    assert g.tolist() == gauss_gram(w.data, np.zeros_like(w.data))[0]
+    g, _ = _gram_parts(w.re, None, 1)
+    assert g.tolist() == gauss_gram(w.re, np.zeros_like(w.re))[0]
     assert sign_gram_is_scalar(w, w.n) is True
-    d = cod_base(field(3))
+    d = cod._factors(field(3))[0]
     for a, b in EVAL_POINTS:
-        x = a * d.acoef + b * d.bcoef
+        x = a * d.acoef.data + b * d.bcoef.data
         want_re, want_im = gauss_gram(x.real, x.imag)
-        g = _gram_complex(*_parts_at(d, a, b))
-        assert g.real.tolist() == want_re and g.imag.tolist() == want_im
+        g_re, g_im = _gram_parts(x.real, x.imag, max(a * a, b * b))
+        assert g_re.tolist() == want_re and g_im.tolist() == want_im
     assert certify_gram(d) is True and certify_gram(d, conjugate=False) is False
 
 

@@ -1,22 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
-from qhadamard import QMatrix, SignMatrix, double, realify
-from qhadamard.matio import (
-    ParseError,
-    parse,
-    parse_phase_vector,
-    serialize,
-    serialize_phase_vector,
-)
+from qhadamard import double, realify
+from qhadamard.matio import ParseError, parse, parse_phase_vector, serialize
 from qhadamard.cli import main
 from conftest import skew_regular, FIXTURES
+from reference import equal, qmatrix, serialize_phase_vector
 
 
 def test_parse_examples():
-    assert parse("QHM 1\n1\n") == QMatrix([[1]])
-    assert parse("QHM 2\n1j\ni1\n") == QMatrix([[1, -1j], [1j, 1]])
+    assert equal(parse("QHM 1\n1\n"), qmatrix([[1 + 0j]]))
+    assert equal(parse("QHM 2\n1j\ni1\n"), qmatrix([[1, -1j], [1j, 1]]))
+    # A QHM file whose cells are all real stays quaternary.
+    assert equal(parse("QHM 2\n11\n1-\n"), qmatrix(np.array([[1, 1], [1, -1]], dtype=complex)))
+    assert equal(parse("RHM 2\n11\n1-\n"), qmatrix([[1, 1], [1, -1]]))
 
 
 def test_parse_error_position():
@@ -37,7 +36,7 @@ def test_parse_errors():
 
 
 def test_crlf_normalized():
-    assert parse("QHM 1\r\n1\r\n") == QMatrix([[1]])
+    assert equal(parse("QHM 1\r\n1\r\n"), qmatrix([[1 + 0j]]))
 
 
 @pytest.mark.parametrize(
@@ -51,7 +50,7 @@ def test_fixture_roundtrip(name):
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_constructed_roundtrip(p):
     for m in (skew_regular(p), double(skew_regular(p)), realify(skew_regular(p))):
-        assert parse(serialize(m)) == m
+        assert equal(parse(serialize(m)), m)
 
 
 def test_phase_vector_roundtrip():
@@ -125,6 +124,20 @@ def test_cli_verify_json(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["regular"] == [1, -5]
     assert payload["skew"] and payload["hadamard"]
+
+
+@pytest.mark.parametrize("value", ["x", "1", "1,2,3", "1,i"])
+def test_cli_verify_expect_regular_checked_before_report(capsys, monkeypatch, value):
+    def refuse(m):
+        raise AssertionError("the report was formed before --expect-regular was checked")
+
+    monkeypatch.setattr("qhadamard.verify.full_report", refuse)
+    argv = ["verify", str(FIXTURES / "appendixA_S.qhm"), "--expect-regular", value]
+    assert run_cli(capsys, monkeypatch, argv) == (2, "", "error: --expect-regular wants RE,IM\n")
+    # A file error still comes first.
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", "/nonexistent.qhm",
+                                                   "--expect-regular", value])
+    assert code == 2 and out == "" and "--expect-regular" not in err
 
 
 def test_cli_parse_error_exit_code(capsys, monkeypatch, tmp_path):
@@ -208,7 +221,7 @@ def test_cli_double_core_twist_realify(capsys, monkeypatch, tmp_path):
 
     real = tmp_path / "w.rhm"
     assert run_cli(capsys, monkeypatch, ["realify", str(s3), "--out", str(real)])[0] == 0
-    assert isinstance(parse(real.read_text()), SignMatrix)
+    assert parse(real.read_text()).im is None
 
     vfile = tmp_path / "v.phv"
     vfile.write_text("1\n" * 10)
@@ -216,7 +229,7 @@ def test_cli_double_core_twist_realify(capsys, monkeypatch, tmp_path):
     assert run_cli(
         capsys, monkeypatch, ["twist", str(s3), "--v", str(vfile), "--out", str(twisted)]
     )[0] == 0
-    assert parse(twisted.read_text()) == skew_regular(3)
+    assert equal(parse(twisted.read_text()), skew_regular(3))
 
 
 def test_cli_cod_summary_and_eval(capsys, monkeypatch, tmp_path):

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhadamard import QMatrix, SignMatrix
+from qhadamard import QMatrix
 from qhadamard.matio import (
     ParseError,
     decode,
     parse,
     parse_phase_vector,
     serialize,
-    serialize_phase_vector,
 )
-from qhadamard.qmatrix import PHASES, QALPHABET
+from qhadamard.qmatrix import PHASES
 import reference
+from reference import QALPHABET, equal, qmatrix
 
 
 def outcome(fn, text):
@@ -28,6 +28,8 @@ def outcome(fn, text):
 def same(a, b):
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, QMatrix):
+        return isinstance(b, QMatrix) and equal(a, b)
     return type(a) is type(b) and a == b
 
 
@@ -37,7 +39,7 @@ def square(values, wrap):
         min_size=n, max_size=n)).map(wrap)
 
 
-matrices = st.one_of(square(QALPHABET, QMatrix), square((-1, 0, 1), SignMatrix))
+matrices = st.one_of(square(QALPHABET, qmatrix), square((-1, 0, 1), QMatrix))
 
 # Single-character edits of valid files: the characters that matter to
 # the format, a few it rejects, and two non-ASCII ones (one past U+00FF).
@@ -65,7 +67,7 @@ def edited_text(draw):
 def test_serialize_matches_reference(m):
     text = serialize(m)
     assert text == reference.serialize(m)
-    assert parse(text) == m
+    assert equal(parse(text), m)
 
 
 @settings(max_examples=400, deadline=None)
@@ -118,7 +120,7 @@ def test_parse_cases_are_errors_except_line_endings():
     for name in set(PARSE_CASES) - valid:
         with pytest.raises(ParseError):
             parse(PARSE_CASES[name])
-    assert parse(PARSE_CASES["crlf"]) == parse(PARSE_CASES["missing final newline"])
+    assert equal(parse(PARSE_CASES["crlf"]), parse(PARSE_CASES["missing final newline"]))
 
 
 phase_vectors = st.lists(st.sampled_from(PHASES), max_size=12).map(
@@ -128,8 +130,7 @@ phase_vectors = st.lists(st.sampled_from(PHASES), max_size=12).map(
 @settings(max_examples=100, deadline=None)
 @given(phase_vectors)
 def test_phase_vector_matches_reference(v):
-    text = serialize_phase_vector(v)
-    assert text == reference.serialize_phase_vector(v)
+    text = reference.serialize_phase_vector(v)
     assert same(parse_phase_vector(text), v)
 
 

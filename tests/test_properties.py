@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     QMatrix,
-    SignMatrix,
     check_quaternary_hadamard,
     check_skew_type,
     conj_transpose,
@@ -13,8 +12,9 @@ from qhadamard import (
     gram_is_scalar,
     realify,
 )
-from qhadamard.qmatrix import QALPHABET, PHASES, sign_gram_is_scalar
+from qhadamard.qmatrix import PHASES, sign_gram_is_scalar
 from conftest import skew_regular
+from reference import QALPHABET, equal, qmatrix
 
 entries = st.sampled_from(QALPHABET)
 phases = st.sampled_from(PHASES)
@@ -23,7 +23,7 @@ phases = st.sampled_from(PHASES)
 def qmatrix_of(n):
     return st.lists(
         st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(QMatrix)
+    ).map(qmatrix)
 
 
 def qmatrices(max_n=6):
@@ -52,18 +52,18 @@ def test_product_conj_transpose_antihomomorphism(pair):
 @settings(max_examples=120)
 @given(qmatrices())
 def test_conj_transpose_involution(m):
-    assert conj_transpose(conj_transpose(m)) == m
+    assert equal(conj_transpose(conj_transpose(m)), m)
 
 
 @settings(max_examples=120)
 @given(qmatrices())
 def test_split_recombine_identity(m):
     # M = A + iB with sign matrices A, B of disjoint support, the cells
-    # that realify expands.
-    a = SignMatrix(m.data.real.astype(np.int64))
-    b = SignMatrix(m.data.imag.astype(np.int64))
-    assert ((a.data != 0) & (b.data != 0)).sum() == 0
-    assert QMatrix(a.data + 1j * b.data) == m
+    # that realify expands: the planes.
+    a, b = QMatrix(m.re), QMatrix(m.im)
+    assert ((a.re != 0) & (b.re != 0)).sum() == 0
+    assert np.array_equal(a.data + 1j * b.data, m.data)
+    assert equal(qmatrix(a.data + 1j * b.data), m)
 
 
 @settings(max_examples=120)
@@ -74,7 +74,7 @@ def test_diag_similarity_preserves_verdicts(v):
     assert check_quaternary_hadamard(t)
     assert check_skew_type(t)
     # and a negative stays negative
-    bad = QMatrix(np.ones((10, 10)))
+    bad = qmatrix(np.ones((10, 10), dtype=complex))
     twisted_bad = diag_similarity(bad, v)
     assert not check_quaternary_hadamard(twisted_bad)
 
@@ -99,9 +99,9 @@ def test_realify_gram_doubling(v):
 @given(qmatrices())
 def test_realify_additive_on_disjoint_supports(m):
     diag = np.diag(np.diag(m.data))
-    part_a = QMatrix(diag)
-    part_b = QMatrix(m.data - diag)
-    lhs = realify(part_a).data + realify(part_b).data
+    part_a = qmatrix(diag)
+    part_b = qmatrix(m.data - diag)
+    lhs = realify(part_a).re + realify(part_b).re
     assert np.array_equal(lhs, realify(m).data)
 
 
@@ -112,8 +112,8 @@ _IMAG_CELL = np.array([[-1, 1], [1, 1]], dtype=np.int64)
 @settings(max_examples=120)
 @given(qmatrices(8))
 def test_realify_matches_kron_reference(m):
-    a, b = m.data.real.astype(np.int64), m.data.imag.astype(np.int64)
+    a, b = m.re.astype(np.int64), m.im.astype(np.int64)
     ref = np.kron(a, _REAL_CELL) + np.kron(b, _IMAG_CELL)
     w = realify(m)
-    assert w.data.dtype == np.int64
-    assert np.array_equal(w.data, ref)
+    assert w.im is None and w.re.dtype == np.int8
+    assert np.array_equal(w.re, ref)

@@ -4,7 +4,6 @@ import pytest
 from qhadamard import (
     MatrixError,
     QMatrix,
-    SignMatrix,
     block2,
     conj_transpose,
     diag_similarity,
@@ -12,8 +11,13 @@ from qhadamard import (
     realify,
     row_sums,
 )
-from qhadamard.qmatrix import _gram_complex, sign_gram_is_scalar
+from qhadamard.qmatrix import _gram_parts, sign_gram_is_scalar
 from conftest import skew_regular
+from reference import equal, qmatrix
+
+
+def eye(n):
+    return qmatrix(np.eye(n, dtype=complex))
 
 
 def test_alphabet_enforced():
@@ -22,59 +26,75 @@ def test_alphabet_enforced():
     with pytest.raises(MatrixError):
         QMatrix([[1, 0]])
     with pytest.raises(MatrixError):
-        SignMatrix([[2]])
+        QMatrix([[1]], [[1]])
 
 
 def test_conj_transpose_examples():
-    assert conj_transpose(QMatrix([[1]])) == QMatrix([[1]])
-    assert conj_transpose(QMatrix([[1j]])) == QMatrix([[-1j]])
-    hermitian = QMatrix([[1, 1j], [-1j, 1]])
-    assert conj_transpose(hermitian) == hermitian
+    assert equal(conj_transpose(qmatrix([[1 + 0j]])), qmatrix([[1 + 0j]]))
+    assert equal(conj_transpose(qmatrix([[1j]])), qmatrix([[-1j]]))
+    hermitian = qmatrix([[1, 1j], [-1j, 1]])
+    assert equal(conj_transpose(hermitian), hermitian)
+    real = QMatrix([[1, -1], [0, 1]])
+    assert equal(conj_transpose(real), QMatrix([[1, 0], [-1, 1]]))
 
 
 def test_conj_transpose_involution():
-    m = QMatrix([[0, 1j, -1], [1, 0, -1j], [1j, 1, 0]])
-    assert conj_transpose(conj_transpose(m)) == m
+    m = qmatrix([[0, 1j, -1], [1, 0, -1j], [1j, 1, 0]])
+    assert equal(conj_transpose(conj_transpose(m)), m)
 
 
 def test_construction_gram_p3():
     s = skew_regular(3)
-    assert np.array_equal(_gram_complex(s.data.real, s.data.imag, 1), 10 * np.eye(10))
+    g_re, g_im = _gram_parts(s.re, s.im, 1)
+    assert np.array_equal(g_re, 10 * np.eye(10)) and not g_im.any()
     assert np.array_equal(s.data @ conj_transpose(s).data, 10 * np.eye(10))
 
 
 def test_gram_is_scalar():
-    assert gram_is_scalar(QMatrix.identity(4), 1)
-    assert not gram_is_scalar(QMatrix(np.ones((2, 2))), 2)
+    assert gram_is_scalar(eye(4), 1)
+    assert not gram_is_scalar(qmatrix(np.ones((2, 2), dtype=complex)), 2)
 
 
 def test_row_sums():
-    assert row_sums(QMatrix.identity(5)) == [1] * 5
+    assert row_sums(eye(5)) == [1] * 5
+    assert row_sums(QMatrix([[1, -1], [1, 1]])) == [0, 2]
     assert set(row_sums(skew_regular(3))) == {1 - 3j}
     assert set(row_sums(skew_regular(7))) == {1 - 7j}
 
 
 def test_diag_similarity_examples():
     s = skew_regular(3)
-    assert diag_similarity(s, np.ones(10)) == s
-    assert diag_similarity(QMatrix([[1j]]), [1j]) == QMatrix([[1j]])
+    assert equal(diag_similarity(s, np.ones(10)), s)
+    assert equal(diag_similarity(qmatrix([[1j]]), [1j]), qmatrix([[1j]]))
+    assert equal(diag_similarity(qmatrix([[0, 1], [1j, 0]]), [1j, -1]),
+                 qmatrix([[0, -1j], [-1, 0]]))
     with pytest.raises(MatrixError):
         diag_similarity(s, np.ones(9))
     with pytest.raises(MatrixError):
         diag_similarity(s, np.zeros(10))
+    with pytest.raises(MatrixError):
+        diag_similarity(s, np.ones((10, 1)))
+
+
+def test_scale_examples():
+    m = qmatrix([[1, 1j], [0, -1]])
+    assert equal(m.scale(1j), qmatrix([[1j, -1], [0, -1j]]))
+    assert equal(m.scale(-1), qmatrix([[-1, -1j], [0, 1]]))
+    with pytest.raises(MatrixError):
+        m.scale(2)
 
 
 def test_block2_examples():
-    eye1 = QMatrix.identity(1)
-    zero1 = QMatrix([[0]])
-    assert block2(eye1, zero1, zero1, eye1) == QMatrix.identity(2)
+    eye1 = eye(1)
+    zero1 = qmatrix([[0j]])
+    assert equal(block2(eye1, zero1, zero1, eye1), eye(2))
     with pytest.raises(MatrixError):
-        block2(eye1, zero1, zero1, QMatrix.identity(2))
+        block2(eye1, zero1, zero1, eye(2))
 
 
 def test_realify_kernels():
-    assert realify(QMatrix([[1]])) == SignMatrix([[1, 1], [1, -1]])
-    assert realify(QMatrix([[1j]])) == SignMatrix([[-1, 1], [1, 1]])
+    assert equal(realify(qmatrix([[1 + 0j]])), QMatrix([[1, 1], [1, -1]]))
+    assert equal(realify(qmatrix([[1j]])), QMatrix([[-1, 1], [1, 1]]))
 
 
 def test_realify_gram_doubling_p3():
@@ -83,23 +103,36 @@ def test_realify_gram_doubling_p3():
     assert sign_gram_is_scalar(w, 20)
 
 
-def test_hash_agrees_with_eq():
-    # conj() writes -0.0 where the literal has 0.0.
-    c = conj_transpose(QMatrix([[1, 1j], [1j, 1]]))
-    d = QMatrix([[1, -1j], [-1j, 1]])
-    assert c == d and hash(c) == hash(d)
-    assert len({c, d}) == 1
+def test_data_view():
+    # ``data`` is one read-only array for callers outside the package:
+    # the re plane of a real matrix, a complex128 copy otherwise.
+    m = qmatrix([[1, 1j], [-1j, 0]])
+    assert m.data.dtype == np.complex128 and not m.data.flags.writeable
+    assert np.array_equal(m.data, [[1, 1j], [-1j, 0]])
+    w = QMatrix([[1, -1], [0, 1]])
+    assert w.data is w.re and w.data.dtype == np.int8
 
 
 def test_leaf_types_compare_unequal():
-    assert QMatrix([[1, 0], [0, -1]]) != SignMatrix([[1, 0], [0, -1]])
-    assert SignMatrix([[1]]) != QMatrix([[1]])
+    # One type, two kinds: a real matrix has no im plane and is never
+    # equal to the quaternary matrix of the same values.
+    real = QMatrix([[1, 0], [0, -1]])
+    quaternary = qmatrix(np.array([[1, 0], [0, -1]], dtype=complex))
+    assert real.im is None and quaternary.im is not None
+    assert not equal(real, quaternary) and not equal(quaternary, real)
+    assert np.array_equal(real.re, quaternary.re)
 
 
 def test_constructor_copies_and_freezes():
+    # Input of another dtype is cast to a new int8 plane; an int8 array
+    # is frozen as it is, without a copy.
     arr = np.eye(2)
     m = QMatrix(arr)
     arr[0, 0] = 0
-    assert m == QMatrix.identity(2) and not m.data.flags.writeable
+    assert equal(m, QMatrix(np.eye(2, dtype=np.int8))) and not m.re.flags.writeable
+    plane = np.eye(2, dtype=np.int8)
+    assert QMatrix(plane).re is plane and not plane.flags.writeable
     with pytest.raises(AttributeError):
-        m.data = arr
+        m.re = plane
+    with pytest.raises(AttributeError):
+        m.data = plane

@@ -1,8 +1,9 @@
-"""Internal results skip validation; check that each one would pass it.
+"""Plane invariants of every matrix the package returns.
 
-Every matrix the package builds from validated operands is wrapped
-without a check or a copy.  Each such result must hold the leaf's dtype,
-be read-only, and equal its own revalidated copy.
+There is one matrix type and one, always validating, constructor.  Each
+result must hold read-only int8 planes with entries in {-1, 0, 1} and
+disjoint supports, and have ``im`` None exactly when it is real (RHM).
+The constructor refuses anything else.
 """
 
 import numpy as np
@@ -13,14 +14,13 @@ from qhadamard import (
     CODMatrix,
     MatrixError,
     QMatrix,
-    SignMatrix,
     block2,
     build_triple,
-    cod_base,
     cod_recurse,
     conference_matrix,
     conj_transpose,
     diag_similarity,
+    double,
     maximize_excess_rows,
     paley_qhm,
     parse,
@@ -28,21 +28,27 @@ from qhadamard import (
     serialize,
     skew_core,
 )
+from qhadamard import cod
 from qhadamard.excess import negate_rows
-from qhadamard.qmatrix import PHASES, QALPHABET
+from qhadamard.qmatrix import PHASES
 from conftest import field, skew_regular
+from reference import QALPHABET, equal, qmatrix
 
 
-def assert_revalidates(m):
-    assert m.data.dtype == type(m)._dtype
-    assert not m.data.flags.writeable
-    assert type(m)(m.data) == m
+def assert_planes(m, real):
+    for plane in (m.re,) if real else (m.re, m.im):
+        assert plane.dtype == np.int8 and not plane.flags.writeable
+        assert plane.shape == (m.n, m.n)
+        assert plane.size == 0 or -1 <= plane.min() <= plane.max() <= 1
+    assert (m.im is None) == real
+    if not real:
+        assert not (m.re & m.im).any()
 
 
 def qmatrices(max_n=6):
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
         st.lists(st.sampled_from(QALPHABET), min_size=n, max_size=n),
-        min_size=n, max_size=n).map(QMatrix))
+        min_size=n, max_size=n).map(qmatrix))
 
 
 @settings(max_examples=120)
@@ -50,17 +56,18 @@ def qmatrices(max_n=6):
 def test_matrix_operations(m, phase, data):
     v = np.array(data.draw(st.lists(st.sampled_from(PHASES), min_size=m.n, max_size=m.n)))
     w = realify(m)
+    zero = qmatrix(np.zeros((m.n, m.n), dtype=complex))
     for result in (
         conj_transpose(m),
         m.scale(phase),
         diag_similarity(m, v),
-        block2(m, conj_transpose(m), m.scale(phase), QMatrix(np.zeros((m.n, m.n)))),
-        QMatrix.identity(m.n),
-        w,
+        block2(m, conj_transpose(m), m.scale(phase), zero),
         parse(serialize(m)),
-        parse(serialize(w)),
     ):
-        assert_revalidates(result)
+        assert_planes(result, real=False)
+    for result in (w, conj_transpose(w), parse(serialize(w))):
+        assert_planes(result, real=True)
+    assert equal(parse(serialize(m)), m) and equal(parse(serialize(w)), w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,21 +79,20 @@ def test_constructions(p, data):
     triple = build_triple(s)
     w, _ = maximize_excess_rows(realify(triple[0]))
     rows = data.draw(st.lists(st.integers(0, w.n - 1), max_size=8, unique=True))
-    for result in (
-        conference_matrix(ctx),
-        paley_qhm(ctx),
-        skew_core(diag_similarity(s, v)),
-        *triple,
-        w,
-        negate_rows(w, rows),
-    ):
-        assert_revalidates(result)
+    for result in (paley_qhm(ctx), s, double(s), skew_core(diag_similarity(s, v)),
+                   *triple):
+        assert_planes(result, real=False)
+    # The conference matrix is real, like every RHM result.
+    for result in (conference_matrix(ctx), w, negate_rows(w, rows)):
+        assert_planes(result, real=True)
 
 
 @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (5, 0)])
 def test_cod_designs(p, k):
-    for d in (cod_base(field(p)), cod_recurse(field(p), k)):
-        assert not (d.acoef.flags.writeable or d.bcoef.flags.writeable)
+    for d in (cod._factors(field(p))[0], cod_recurse(field(p), k)):
+        assert_planes(d.acoef, real=False)
+        assert_planes(d.bcoef, real=False)
+        # The design revalidates: disjoint supports.
         CODMatrix(d.acoef, d.bcoef)
 
 
@@ -96,27 +102,42 @@ def test_evaluate_qmatrix_at_units(p, k):
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             m = d.evaluate_qmatrix(a, b)
-            assert m.data.dtype == np.complex128
-            assert not m.data.flags.writeable
-            assert m == QMatrix(a * d.acoef + b * d.bcoef)
+            assert_planes(m, real=False)
+            assert np.array_equal(m.data, a * d.acoef.data + b * d.bcoef.data)
 
 
 def test_evaluate_qmatrix_still_validates():
     # Points off {-1, 0, 1}^2 leave the alphabet and are refused.
-    d = cod_base(field(3))
+    d = cod._factors(field(3))[0]
     for a, b in ((2, 0), (0, 2), (1, -2), (2, 3)):
         with pytest.raises(MatrixError):
             d.evaluate_qmatrix(a, b)
 
 
 def test_add_still_validates():
-    # A sum of two matrices is formed on their data and goes back
-    # through the validating constructor, which refuses it when the
-    # supports overlap.
-    m = QMatrix.identity(2)
+    # Every construction goes through the validating constructor, which
+    # refuses entries outside {-1, 0, 1}, overlapping supports, planes
+    # that are not square or differ in shape, and complex planes.
+    one = np.ones((2, 2), dtype=np.int8)
+    eye = np.eye(2, dtype=np.int8)
+    for re, im in (
+        (one + eye, None),              # 2 on the diagonal
+        (-one - eye, None),             # -2
+        (np.full((2, 2), -128, dtype=np.int8), None),
+        (np.full((2, 2), 0.5), None),
+        (eye, eye),                     # 1 + i: overlapping supports
+        (eye, one - eye + 2 * eye),     # an im entry of 2
+        (np.ones((2, 3)), None),
+        (np.ones(4), None),
+        (eye, np.zeros((3, 3))),
+        (np.eye(2, dtype=complex), None),
+        (eye, np.eye(2, dtype=complex)),
+    ):
+        with pytest.raises(MatrixError):
+            QMatrix(re, im)
+    other = qmatrix([[0, 1j], [-1, 0]])
+    assert equal(QMatrix(eye + other.re, other.im), qmatrix([[1, 1j], [-1, 1]]))
     with pytest.raises(MatrixError):
-        QMatrix(m.data + m.data)
+        CODMatrix(other, other)
     with pytest.raises(MatrixError):
-        SignMatrix(SignMatrix([[1]]).data + SignMatrix([[1]]).data)
-    other = QMatrix([[0, 1j], [-1, 0]])
-    assert QMatrix(m.data + other.data) == QMatrix([[1, 1j], [-1, 1]])
+        CODMatrix(QMatrix(eye), other)

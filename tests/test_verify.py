@@ -6,7 +6,6 @@ import pytest
 
 from qhadamard import (
     QMatrix,
-    SignMatrix,
     check_quaternary_hadamard,
     check_semi_regular,
     check_skew_type,
@@ -18,27 +17,37 @@ from qhadamard import (
 from qhadamard import matio
 from qhadamard.excess import build_triple, maximize_excess_rows, negate_rows
 from conftest import field, skew_regular, FIXTURES
+from reference import qmatrix
+
+
+def eye(n):
+    return qmatrix(np.eye(n, dtype=complex))
 
 
 def test_check_quaternary_hadamard_examples():
-    assert check_quaternary_hadamard(QMatrix([[1, 1], [1, -1]]))
-    assert not check_quaternary_hadamard(QMatrix(np.ones((2, 2))))
+    assert check_quaternary_hadamard(qmatrix([[1 + 0j, 1], [1, -1]]))
+    assert not check_quaternary_hadamard(qmatrix(np.ones((2, 2), dtype=complex)))
     bh = matio.parse((FIXTURES / "appendixB_H.qhm").read_text())
     assert check_quaternary_hadamard(bh)
 
 
 def test_check_skew_type_examples():
-    assert check_skew_type(QMatrix.identity(3))
-    assert not check_skew_type(QMatrix(np.ones((2, 2))))
+    assert check_skew_type(eye(3)) and check_skew_type(QMatrix(np.eye(3)))
+    assert not check_skew_type(qmatrix(np.ones((2, 2), dtype=complex)))
     assert check_skew_type(skew_regular(5))
+    assert check_skew_type(qmatrix([[1, 1j], [1j, 1]]))
+    assert not check_skew_type(qmatrix([[1, 1j], [-1j, 1]]))
+    assert check_skew_type(QMatrix([[1, 1], [-1, 1]]))
+    assert not check_skew_type(QMatrix([[1, 1], [1, 1]]))
+    assert not check_skew_type(QMatrix([[1, 0], [0, -1]]))
 
 
 def test_check_semi_regular_examples():
     assert check_semi_regular(double(skew_regular(3)), 4, 2)
     assert check_semi_regular(skew_regular(3), 1, 3)
-    assert not check_semi_regular(QMatrix.identity(2), 1, 1)
+    assert not check_semi_regular(eye(2), 1, 1)
     with pytest.raises(ValueError):
-        check_semi_regular(QMatrix.identity(3), 1, 1)
+        check_semi_regular(eye(3), 1, 1)
 
 
 def test_full_report_p7():
@@ -79,9 +88,13 @@ def test_report_json_schema():
 
 
 def _corrupted(m):
-    data = np.array(m.data)
-    data[1, 2] = -data[1, 2]
-    return type(m)(data)
+    re = m.re.copy()
+    re[1, 2] = -re[1, 2]
+    if m.im is None:
+        return QMatrix(re)
+    im = m.im.copy()
+    im[1, 2] = -im[1, 2]
+    return QMatrix(re, im)
 
 
 @pytest.mark.parametrize("make, hadamard", [
@@ -99,7 +112,7 @@ def test_report_json_serializes_with_bool_verdicts(make, hadamard):
 
 
 def test_sign_matrix_report():
-    w = SignMatrix([[1, 1], [1, -1]])
+    w = QMatrix([[1, 1], [1, -1]])
     report = full_report(w)
     assert report.hadamard
     assert report.excess == 2
