@@ -11,7 +11,6 @@ from .qmatrix import (
     diag_similarity,
     gram_is_scalar,
     realify,
-    row_sums,
 )
 from .builder import (
     conference_matrix,
@@ -36,7 +35,6 @@ from .excess import (
 from .verify import (
     PropertyReport,
     check_quaternary_hadamard,
-    check_semi_regular,
     check_skew_type,
     full_report,
 )
@@ -46,11 +44,11 @@ __all__ = [
     "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError",
     "MatrixError", "ParseError", "PropertyReport", "QMatrix",
     "block2", "build_triple", "certify_gram",
-    "check_quaternary_hadamard", "check_semi_regular", "check_skew_type",
+    "check_quaternary_hadamard", "check_skew_type",
     "cod_recurse", "conference_matrix", "conj_transpose",
     "diag_similarity", "double", "factored_summary",
     "full_report", "gram_is_scalar", "make_field", "maximize_excess_rows",
-    "paley_qhm", "parse", "realify", "row_sums", "run_pipeline", "serialize",
+    "paley_qhm", "parse", "realify", "run_pipeline", "serialize",
     "skew_core", "skew_regular_qhm", "twist_vector",
 ]
 

@@ -8,12 +8,15 @@ skew-core extraction and the order-doubling block construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, certify_character, is_prime
 from .qmatrix import (
     MatrixError,
     QMatrix,
+    _mul,
     block2,
     conj_transpose,
     diag_similarity,
@@ -62,6 +65,43 @@ def twist_vector(ctx: FieldCtx) -> np.ndarray:
 def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
     """The order 1+p^2 matrix with Gram (1+p^2) I, row sums 1 - p*i, S + S* = 2I."""
     return diag_similarity(paley_qhm(ctx), twist_vector(ctx))
+
+
+def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
+    """X X* = cI for X = re + i*im of the base form
+    X = diag(u)(I - iC)diag(w), u and w unit vectors and C the
+    conference matrix of GF(p^2), p an odd prime with 1 + p^2 the order;
+    None when X is not of that form.  S (``skew_regular_qhm``), its
+    twists and their rows negated are of it.
+
+    The form fixes u and w up to a common unit, so set w[0] = 1; then
+    X[0, 0] = u[0], X[i, 0] = -i u[i] and X[0, j] = -i u[0] w[j] for
+    i, j > 0.  X is of the form exactly when diag(u*) X diag(w*), with u
+    and w read off in this way, is I - iC cell for cell.  Then
+    X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is cI exactly
+    when C = C^T and CC^T = (c - 1)I.  (CC^T)[0, 0] = q, so that asks
+    for c = 1 + q and the symmetric conference matrix C, which
+    ``field.certify_character`` decides from the character table.
+    """
+    n = re.shape[0]
+    p = math.isqrt(n - 1)
+    if im is None or p * p + 1 != n or p == 2 or not is_prime(p):
+        return None
+    ur, ui = _mul(re[:, 0], im[:, 0], 0, 1)
+    ur[0], ui[0] = re[0, 0], im[0, 0]
+    wr, wi = _mul(*_mul(re[0], im[0], 0, 1), ur[0], -ui[0])
+    wr[0], wi[0] = 1, 0
+    # The planes are disjoint, so a cell is a unit exactly when one is nonzero.
+    if not ((ur | ui).all() and (wr | wi).all()):
+        return None
+    yr, yi = _mul(*_mul(re, im, ur[:, None], -ui[:, None]), wr, -wi)
+    if not (yr.diagonal() == 1).all() or np.count_nonzero(yr) != n:
+        return None
+    ctx = FieldCtx(p)
+    yi += conference_matrix(ctx).re
+    if yi.any():
+        return None
+    return c == 1 + ctx.q and certify_character(ctx.char_table, p)
 
 
 def skew_core(h: QMatrix) -> QMatrix:

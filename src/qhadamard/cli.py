@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -217,7 +218,10 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once a process: ``parse_args`` leaves it as it
+    is, and help and usage are formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="qhadamard",
         description="Construct and certify quaternary Hadamard matrices "

@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .qmatrix import _exact_dtype
+
 DEFAULT_BUDGET_MB = 1700
 _BUDGET_ENV = "MEM_BUDGET_MB"
 
@@ -69,22 +71,24 @@ def order_within_budget(order: int, budget_mb: int | None = None) -> bool:
     return 16 * order * order <= budget_mb * 2**20
 
 
+def _check_odd_prime(p: int) -> None:
+    if not is_prime(p):
+        raise FieldError(f"p must be prime, got {p}")
+    if p == 2:
+        raise FieldError("p must be odd")
+
+
 class FieldCtx:
     """GF(p^2): element coordinates and the quadratic character table.
 
     Element i is a[i] + b[i]*theta and chi(element i) is char_table[i].
-    Immutable after construction.
+    Immutable after construction.  The table takes O(p^2) memory and
+    no budget is read here: ``make_field`` guards the matrices a command
+    is about to build.
     """
 
-    def __init__(self, p: int, budget_mb: int | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p must be prime, got {p}")
-        if p == 2:
-            raise FieldError("p must be odd")
-        if not order_within_budget(1 + p * p, budget_mb):
-            raise BudgetError(
-                f"p={p} exceeds the memory budget; raise {_BUDGET_ENV} to allow it"
-            )
+    def __init__(self, p: int):
+        _check_odd_prime(p)
         self.p = p
         self.q = p * p
         self.nonresidue = smallest_nonresidue(p)
@@ -105,5 +109,51 @@ class FieldCtx:
 
 
 def make_field(p: int, budget_mb: int | None = None) -> FieldCtx:
-    """Build the GF(p^2) context for an odd prime p."""
-    return FieldCtx(p, budget_mb=budget_mb)
+    """Build the GF(p^2) context for an odd prime p whose matrices of
+    order 1 + p^2 fit the memory budget."""
+    _check_odd_prime(p)
+    if not order_within_budget(1 + p * p, budget_mb):
+        raise BudgetError(
+            f"p={p} exceeds the memory budget; raise {_BUDGET_ENV} to allow it"
+        )
+    return FieldCtx(p)
+
+
+def certify_character(table: np.ndarray, p: int) -> bool:
+    """Whether the conference matrix C that ``builder.conference_matrix``
+    builds from ``table``, a character table of GF(p^2) with entries in
+    {-1, 0, 1} in the index layout b*p + a, is a symmetric conference
+    matrix: zero diagonal, +-1 off it, C = C^T and C C^T = qI, q = p^2.
+
+    C has order q + 1, C[0, 0] = 0, a border of ones, and
+    C[1+x, 1+y] = chi(x - y).  So:
+      - the diagonal is zero and the cells off it are +-1 exactly when
+        chi(0) = 0 and chi(x) = +-1 for x != 0;
+      - C = C^T exactly when chi(-d) = chi(d) for every d;
+      - (C C^T)[0, 0] = q, (C C^T)[0, 1+y] = sum_x chi(y - x) = sum chi,
+        and (C C^T)[1+x, 1+y] = 1 + sum_z chi(x - z) chi(y - z)
+        = 1 + R(y - x) with R(d) = sum_t chi(t) chi(t + d).
+    So C C^T = qI exactly when sum chi = 0, R(0) = q - 1 and R(d) = -1
+    for d != 0; given the first item R(0) = q - 1 always holds.  The
+    four checks are: chi(0) = 0 and +-1 elsewhere, chi symmetric,
+    sum chi = 0 and R(d) = -1 for d != 0.
+
+    With T = table viewed as [b, a], R(db, da) is
+    sum_a M_db[a, a + da] for M_db = T^T T[b + db, :], one p x p product
+    per shift db, O(q^2) in all.  Every partial sum is an integer of
+    absolute value at most q, exact in ``_exact_dtype(q, 1)``.
+    """
+    q = p * p
+    if table[0] != 0 or not np.isin(table[1:], (-1, 1)).all():
+        return False
+    ar = np.arange(p)
+    t = table.reshape(p, p)
+    neg = -ar % p
+    if not np.array_equal(t[neg][:, neg], t) or table.sum() != 0:
+        return False
+    shift = (ar[:, None] + ar) % p
+    t = t.astype(_exact_dtype(q, 1))
+    m = t.T @ t[shift]
+    r = m[:, ar[:, None], shift].sum(axis=1)
+    r[0, 0] = -1  # R(0) = q - 1 is not a condition
+    return bool((r == -1).all())

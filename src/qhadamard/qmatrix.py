@@ -6,6 +6,14 @@ plane.  Gram matrices are formed from the planes with real float BLAS
 products in a float type chosen from an explicit bound on the order and
 the entry size (``_exact_dtype``), under which every partial sum is an
 exactly representable integer.
+
+``gram_is_scalar`` and ``sign_gram_is_scalar`` form no Gram matrix for
+the families the constructions produce: the base form
+diag(u)(I - iC)diag(w) (``builder.base_form_gram``), the doubled blocks
+[[A, iA], [iB, B]] (``_doubled_gram``) and realified matrices up to row
+signs (``_realified_gram``) are each decided in O(n^2) by a lemma that
+holds exactly when the Gram identity does.  Any other matrix goes to
+the dense certificate, ``_gram_is_scalar``.
 """
 
 from __future__ import annotations
@@ -156,36 +164,96 @@ def _gram_parts(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
     yield m - m.T if conjugate else m + m.T
 
 
+# The dense certificate forms the upper triangle of the Gram matrix in
+# row panels, so that it holds one panel beside the operands and stops
+# at the first panel that fails.  A Hadamard matrix with one cell
+# changed fails in every pair of rows that cell touches, the first panel
+# among them.  Orders up to one full panel are one product.
+_PANEL_FIRST = 8
+_PANEL_CAP = 128
+
+
+def _panels(n: int):
+    """Row ranges [r0, r1) covering 0..n: one range when n fits in a
+    full panel, else ranges growing from ``_PANEL_FIRST`` rows to
+    ``_PANEL_CAP``."""
+    if n <= _PANEL_CAP:
+        yield 0, n
+        return
+    r0, size = 0, _PANEL_FIRST
+    while r0 < n:
+        yield r0, min(n, r0 + size)
+        r0 += size
+        size = min(2 * size, _PANEL_CAP)
+
+
+def _panel_is_scalar(part: np.ndarray, target: float) -> bool:
+    """Whether a Gram panel, whose rows meet the diagonal at columns
+    0, 1, ..., is ``target`` there and zero elsewhere.  Zeroes the
+    diagonal of ``part``."""
+    # float64 holds the exact diagonal; comparing in the part's own
+    # float32 would round the target.
+    if not (part.diagonal().astype(np.float64) == target).all():
+        return False
+    np.fill_diagonal(part, 0)
+    return not part.any()
+
+
 def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
                     c: complex, conjugate: bool = True) -> bool:
-    """Exact certificate X X* = cI (X X^T = cI unless ``conjugate``); see
-    ``_gram_parts``.  Stops before the imaginary part when the real part
-    already fails."""
+    """Exact certificate X X* = cI (X X^T = cI unless ``conjugate``) by
+    the dense products of ``_gram_parts``, row panel by row panel.
+
+    The Gram matrix is Hermitian (X X^T symmetric), so its upper
+    triangle decides.  A panel of rows R against the columns C from R's
+    first row on is A_R A_C^T +- B_R B_C^T in the real part and
+    B_R A_C^T -+ A_R B_C^T in the imaginary part, the rows R, columns C
+    of AA^T +- BB^T and of M -+ M^T for M = BA^T.  The real part of a
+    panel is checked before its imaginary part is formed.
+    """
     c = complex(c)
-    for part, target in zip(_gram_parts(re, im, max_abs_sq, conjugate), (c.real, c.imag)):
-        if part is None:
-            if target != 0:
-                return False
-            continue
-        # float64 holds the exact diagonal; comparing in the part's own
-        # float32 would round the target.
-        if not (part.diagonal().astype(np.float64) == target).all():
+    if im is None and c.imag:
+        return False
+    dtype = _exact_dtype(re.shape[0], max_abs_sq)
+    a = np.asarray(re, dtype=dtype)
+    b = None if im is None else np.asarray(im, dtype=dtype)
+    real_sign, imag_sign = (np.add, np.subtract) if conjugate else (np.subtract, np.add)
+    for r0, r1 in _panels(a.shape[0]):
+        rows, cols = slice(r0, r1), slice(r0, None)
+        part = a[rows] @ a[cols].T
+        if b is not None:
+            real_sign(part, b[rows] @ b[cols].T, out=part)
+        if not _panel_is_scalar(part, c.real):
             return False
-        np.fill_diagonal(part, 0)
-        if part.any():
+        if b is None:
+            continue
+        del part
+        part = b[rows] @ a[cols].T
+        imag_sign(part, a[rows] @ b[cols].T, out=part)
+        if not _panel_is_scalar(part, c.imag):
             return False
     return True
 
 
+def _certify(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
+    """X X* = cI for X = re + i*im with unit or zero cells.
+
+    The first lemma whose form X has decides, each exactly when the
+    dense certificate would: the base form (``builder.base_form_gram``),
+    then the doubled blocks (``_doubled_gram``).  Any other X goes to
+    the dense certificate ``_gram_is_scalar``.
+    """
+    from .builder import base_form_gram
+
+    for lemma in (base_form_gram, _doubled_gram):
+        verdict = lemma(re, im, c)
+        if verdict is not None:
+            return verdict
+    return _gram_is_scalar(re, im, 1, c)
+
+
 def gram_is_scalar(m: QMatrix, c: complex) -> bool:
-    return _gram_is_scalar(m.re, m.im, 1, c)
-
-
-def row_sums(m: QMatrix) -> list[complex]:
-    sums = m.re.sum(axis=1)
-    if m.im is not None:
-        sums = sums + 1j * m.im.sum(axis=1)
-    return [complex(s) for s in sums]
+    return _certify(m.re, m.im, c)
 
 
 def diag_similarity(m: QMatrix, v) -> QMatrix:
@@ -211,6 +279,34 @@ def block2(m11: QMatrix, m12: QMatrix, m21: QMatrix, m22: QMatrix) -> QMatrix:
                    np.block([[m.im for m in row] for row in rows]))
 
 
+def _doubled_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
+    """X X* = cI for X = [[A, iA], [iB, B]]; None when X is not of that
+    form.
+
+    X X* = [[AA* + AA*, -iAB* + iAB*], [iBA* - iBA*, BB* + BB*]]
+    = diag(2AA*, 2BB*), so X X* = cI exactly when AA* = BB* = (c/2)I.
+    B is not certified when it is A or A*: AA* = kI makes A*A = kI too
+    (A is invertible for k != 0, and zero for k = 0).
+    """
+    n = re.shape[0]
+    if im is None or n % 2:
+        return None
+    h = n // 2
+    a_re, a_im, b_re, b_im = re[:h, :h], im[:h, :h], re[h:, h:], im[h:, h:]
+    # i(x + iy) = -y + ix.
+    if not (np.array_equal(im[:h, h:], a_re) and np.array_equal(re[:h, h:], -a_im)
+            and np.array_equal(im[h:, :h], b_re) and np.array_equal(re[h:, :h], -b_im)):
+        return None
+    c = complex(c) / 2
+    if not _certify(a_re, a_im, c):
+        return False
+    if np.array_equal(b_re, a_re) and np.array_equal(b_im, a_im):
+        return True
+    if np.array_equal(b_re, a_re.T) and np.array_equal(b_im, -a_im.T):
+        return True
+    return _certify(b_re, b_im, c)
+
+
 def realify(m: QMatrix) -> QMatrix:
     """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]]
     of a quaternary matrix, giving a real one.
@@ -227,5 +323,36 @@ def realify(m: QMatrix) -> QMatrix:
     return QMatrix(out)
 
 
+def _realified_gram(w: np.ndarray, c: complex) -> bool | None:
+    """W W^T = cI for a real W that is ``realify(X)`` up to the sign of
+    each row, by X X* = (c/2)I; None when W is not of that form.
+
+    ``realify`` writes a cell x = a + bi as [[e, f], [f, -e]] with
+    e = a - b and f = a + b, so a row pair (u, v) of W has
+    v[0::2] = tau*u[1::2] and v[1::2] = -tau*u[0::2], tau = +1, and
+    x = ((e + f) + (f - e)i)/2; negating a row makes tau = -1 or negates
+    x.  Then W = E realify(X) for a diagonal E of signs, and
+    W W^T = E realify(X) realify(X)^T E.  Writing realify(X) as
+    A (x) K1 + B (x) K2 with K1 = [[1, 1], [1, -1]], K2 = [[-1, 1], [1, 1]],
+    K1K1^T = K2K2^T = 2I and K1K2^T = -K2K1^T = [[0, 2], [-2, 0]] gives
+    realify(X) realify(X)^T = 2(AA^T + BB^T) (x) I
+    + (AB^T - BA^T) (x) [[0, 2], [-2, 0]],
+    which is cI exactly when X X* = AA^T + BB^T + i(BA^T - AB^T) is
+    (c/2)I.  Every cell of u is +-1 and tau != 0, so x is a unit; a W
+    with zero cells is not of the form.
+    """
+    n = w.shape[0]
+    if n % 2:
+        return None
+    u, v = w[0::2], w[1::2]
+    e, f = u[:, 0::2], u[:, 1::2]
+    tau = v[:, :1] * f[:, :1]
+    if not (u.all() and tau.all() and np.array_equal(v[:, 0::2], tau * f)
+            and np.array_equal(v[:, 1::2], -tau * e)):
+        return None
+    return _certify((e + f) // 2, (f - e) // 2, complex(c) / 2)
+
+
 def sign_gram_is_scalar(w: QMatrix, c: int) -> bool:
-    return _gram_is_scalar(w.re, None, 1, c)
+    verdict = _realified_gram(w.re, c)
+    return _gram_is_scalar(w.re, None, 1, c) if verdict is None else verdict

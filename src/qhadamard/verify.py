@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import QMatrix, gram_is_scalar, row_sums, sign_gram_is_scalar
+from .qmatrix import QMatrix, gram_is_scalar, sign_gram_is_scalar
 
 
 def check_quaternary_hadamard(m: QMatrix) -> bool:
@@ -28,35 +28,32 @@ def check_skew_type(m: QMatrix) -> bool:
     return not s.any() and (m.im is None or np.array_equal(m.im, m.im.T))
 
 
+def _row_sums(m: QMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The real and the imaginary parts of the row sums, as int64 vectors."""
+    re = m.re.sum(axis=1, dtype=np.int64)
+    im = np.zeros_like(re) if m.im is None else m.im.sum(axis=1, dtype=np.int64)
+    return re, im
+
+
+def _common_sum(re: np.ndarray, im: np.ndarray) -> complex | None:
+    if (re == re[0]).all() and (im == im[0]).all():
+        return complex(int(re[0]), int(im[0]))
+    return None
+
+
 def is_regular(m: QMatrix) -> complex | None:
     """The common row sum, or None when row sums differ."""
-    sums = row_sums(m)
-    return sums[0] if all(s == sums[0] for s in sums) else None
+    return _common_sum(*_row_sums(m))
 
 
-def is_absolutely_regular(m: QMatrix) -> tuple[bool, int | None]:
-    """Whether all |row sum|^2 agree, and the common value if so."""
-    norms = [int(round(s.real)) ** 2 + int(round(s.imag)) ** 2 for s in row_sums(m)]
-    if all(v == norms[0] for v in norms):
-        return True, norms[0]
-    return False, None
-
-
-def check_semi_regular(m: QMatrix, a: int, b: int) -> bool:
-    """Row sums confined to {+-a +-bi, +-b +-ai}; requires a^2 + b^2 = n."""
-    if a * a + b * b != m.n:
-        raise ValueError(f"a^2 + b^2 = {a * a + b * b} != order {m.n}")
-    allowed = {complex(ea * x, eb * y) for x, y in ((a, b), (b, a))
-               for ea in (1, -1) for eb in (1, -1)}
-    return all(s in allowed for s in row_sums(m))
-
-
-def find_semi_regular_witness(m: QMatrix) -> tuple[int, int] | None:
-    """Smallest (a, b) with a <= b, a^2 + b^2 = n, and row sums in the set."""
-    for a in range(math.isqrt(m.n) + 1):
-        b2 = m.n - a * a
+def _semi_regular_witness(re: np.ndarray, im: np.ndarray, n: int) -> tuple[int, int] | None:
+    """Smallest (a, b) with a <= b, a^2 + b^2 = n and every row sum in
+    {+-a +-bi, +-b +-ai}."""
+    re, im = np.abs(re), np.abs(im)
+    for a in range(math.isqrt(n) + 1):
+        b2 = n - a * a
         b = math.isqrt(b2)
-        if b * b == b2 and b >= a and check_semi_regular(m, a, b):
+        if b * b == b2 and b >= a and (((re == a) & (im == b)) | ((re == b) & (im == a))).all():
             return a, b
     return None
 
@@ -98,8 +95,11 @@ def full_report(m: QMatrix) -> PropertyReport:
     else:
         hadamard = check_quaternary_hadamard(m)
         total = None
-    regular = is_regular(m)
-    abs_reg, abs_sq = is_absolutely_regular(m)
+    re, im = _row_sums(m)
+    regular = _common_sum(re, im)
+    norms = re * re + im * im
+    abs_reg = bool((norms == norms[0]).all())
+    abs_sq = int(norms[0]) if abs_reg else None
     if regular is not None:
         # A regular quaternary Hadamard matrix must have |row sum|^2 = order.
         if hadamard and abs_sq != m.n:
@@ -110,10 +110,10 @@ def full_report(m: QMatrix) -> PropertyReport:
         order=m.n,
         hadamard=hadamard,
         skew=check_skew_type(m),
-        row_sum_multiset=dict(Counter(row_sums(m))),
+        row_sum_multiset=dict(Counter(map(complex, re.tolist(), im.tolist()))),
         regular=regular,
         abs_regular=abs_reg,
         abs_value_sq=abs_sq,
-        semi_regular_witness=find_semi_regular_witness(m) if hadamard else None,
+        semi_regular_witness=_semi_regular_witness(re, im, m.n) if hadamard else None,
         excess=total,
     )

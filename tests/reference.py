@@ -2,12 +2,16 @@
 
 The text format as it was first written, one Python step per cell, a
 Gram product over Python integers, GF(p^2) arithmetic on coordinate
-pairs and the closed-form row-sum schedule of the evaluated designs.
+pairs, row sums as Python complex numbers with the row-sum predicates
+on them, and the closed-form row-sum schedule of the evaluated designs.
 All are deliberately naive: they are the oracles for the table-driven
-``matio``, the float-BLAS Gram kernel in ``qmatrix``, the vectorized
-character table in ``field`` and the recursion in ``cod``.  ``qmatrix``
+``matio``, the float-BLAS Gram kernel and the structural certificates
+in ``qmatrix``, the vectorized character table in ``field``, the
+report in ``verify`` and the recursion in ``cod``.  ``qmatrix``
 and ``equal`` build and compare matrices by their values.
 """
+
+import math
 
 import numpy as np
 
@@ -114,6 +118,37 @@ def gauss_is_scalar(re, im, c, conjugate=True):
         (g_re[i][j], g_im[i][j]) == ((c.real, c.imag) if i == j else (0, 0))
         for i in range(n) for j in range(n)
     )
+
+
+def row_sums(m):
+    """The row sums of a matrix as a list of Python complex numbers."""
+    return [complex(s) for s in np.asarray(m.data, dtype=np.complex128).sum(axis=1)]
+
+
+def is_absolutely_regular(m):
+    """Whether all |row sum|^2 agree, and the common value if so."""
+    norms = [int(round(s.real)) ** 2 + int(round(s.imag)) ** 2 for s in row_sums(m)]
+    if all(v == norms[0] for v in norms):
+        return True, norms[0]
+    return False, None
+
+
+def check_semi_regular(m, a, b):
+    """Row sums confined to {+-a +-bi, +-b +-ai}; requires a^2 + b^2 = n."""
+    if a * a + b * b != m.n:
+        raise ValueError(f"a^2 + b^2 = {a * a + b * b} != order {m.n}")
+    allowed = {complex(ea * x, eb * y) for x, y in ((a, b), (b, a))
+               for ea in (1, -1) for eb in (1, -1)}
+    return all(s in allowed for s in row_sums(m))
+
+
+def semi_regular_witness(m):
+    """Smallest (a, b) with a <= b, a^2 + b^2 = n, and row sums in the set."""
+    for a in range(math.isqrt(m.n) + 1):
+        b = math.isqrt(m.n - a * a)
+        if a * a + b * b == m.n and b >= a and check_semi_regular(m, a, b):
+            return a, b
+    return None
 
 
 def gf_mul(p, n, x, y):

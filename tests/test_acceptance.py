@@ -15,14 +15,12 @@ import numpy as np
 from qhadamard import (
     certify_gram,
     check_quaternary_hadamard,
-    check_semi_regular,
     check_skew_type,
     cod_recurse,
     diag_similarity,
     double,
     gram_is_scalar,
     realify,
-    row_sums,
     serialize,
 )
 from qhadamard import matio
@@ -33,9 +31,9 @@ from qhadamard.excess import (
     negate_rows,
 )
 from qhadamard.qmatrix import sign_gram_is_scalar
-from qhadamard.verify import check_real_hadamard, is_absolutely_regular
+from qhadamard.verify import check_real_hadamard
 from conftest import field, skew_regular, FIXTURES
-from reference import equal, expected_row_sum, qmatrix
+from reference import check_semi_regular, equal, expected_row_sum, is_absolutely_regular, qmatrix, row_sums
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -11,12 +11,11 @@ from qhadamard import (
     double,
     gram_is_scalar,
     paley_qhm,
-    row_sums,
     skew_core,
     twist_vector,
 )
 from conftest import field, skew_regular
-from reference import equal, qmatrix
+from reference import equal, qmatrix, row_sums
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -10,13 +10,12 @@ from qhadamard import (
     check_skew_type,
     cod_recurse,
     factored_summary,
-    row_sums,
 )
 from qhadamard import cod
 from qhadamard.cod import _broken_identity
 from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _gram_parts
 from conftest import field, skew_regular
-from reference import equal, expected_row_sum, qmatrix
+from reference import equal, expected_row_sum, qmatrix, row_sums
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))

@@ -13,8 +13,10 @@ writes fails here.  To re-record after an intended change, print
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
+from qhadamard import diag_similarity, double, make_field, realify, serialize, skew_regular_qhm
 from qhadamard.cli import main
 from conftest import FIXTURES
 
@@ -69,6 +71,16 @@ GRID = {
     "budget-1-construct-17": ["construct", "--p", "17", "--out", "{out}"],
     "budget-1-cod-3-2": ["cod", "--p", "3", "--k", "2"],
     "budget-x-construct-3": ["construct", "--p", "3", "--out", "{out}"],
+    # The p = 13 families, clean and with one negated cell, and file
+    # commands under a budget, which they do not read.
+    **{f"verify-json-{name}{bad}": ["verify", f"{{tmp}}/{name}{bad}.qhm", "--json"]
+       for name in ("s13", "d13", "t13", "r13") for bad in ("", "-bad")},
+    **{f"double-{name}": ["double", f"{{tmp}}/{name}.qhm", "--out", "{out}"]
+       for name in ("s13", "d13", "t13", "s13-bad")},
+    "excess-7-json": ["excess", "--p", "7", "--json"],
+    **{f"budget-{b}-{cmd}-s13": [cmd, "{tmp}/s13.qhm"] + (["--json"] if cmd == "verify"
+                                                        else ["--out", "{out}"])
+       for b in ("1", "x") for cmd in ("verify", "double", "realify")},
 }
 
 
@@ -94,9 +106,28 @@ INPUTS = {
     "v2.phv": "1\ni\n",
     "bad-phase.phv": "1\n" * 5 + "0\n" + "1\n" * 20,
 }
+
+
+def _p13_inputs():
+    """S at p = 13, its double, a seeded twist and its realification,
+    each also with the cell at (5, 7) negated."""
+    s = skew_regular_qhm(make_field(13))
+    v = np.array([1, 1j, -1, -1j])[np.random.default_rng(13).integers(0, 4, s.n)]
+    negate = str.maketrans("1-ij", "-1ji")
+    texts = {}
+    for name, m in (("s13", s), ("d13", double(s)), ("t13", diag_similarity(s, v)),
+                    ("r13", realify(s))):
+        texts[f"{name}.qhm"] = serialize(m)
+        texts[f"{name}-bad.qhm"] = _edit(serialize(m), 5, 7, lambda c: c.translate(negate))
+    return texts
+
+
+INPUTS.update(_p13_inputs())
 STDIN = {"verify-stdin": _A_S}
 ENV = {"budget-1-construct-11": "1", "budget-1-construct-17": "1",
-       "budget-1-cod-3-2": "1", "budget-x-construct-3": "x"}
+       "budget-1-cod-3-2": "1", "budget-x-construct-3": "x",
+       **{f"budget-{b}-{cmd}-s13": b for b in ("1", "x")
+          for cmd in ("verify", "double", "realify")}}
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()[:16]
@@ -110,7 +141,8 @@ def run_digests(argv, tmp_path, capsys):
     """(exit code, sha256 of stdout, of stderr, of the --out file)."""
     out = tmp_path / "out"
     for name, text in INPUTS.items():
-        (tmp_path / name).write_text(text)
+        if any(name in a for a in argv):
+            (tmp_path / name).write_text(text)
     code = main([a.format(out=out, fixtures=FIXTURES, tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     written = out.read_bytes() if out.exists() else None
@@ -201,6 +233,26 @@ GOLDEN = {
     "verify-rhm-i-cell": (2, EMPTY, "e08ca0f53fb5cd3f", None),
     "verify-stdin": (0, "dd26f0cd5379d844", EMPTY, None),
     "verify-zero-cell": (0, "55db44772d867000", EMPTY, None),
+    # Recorded with the p = 13 and file-command budget cases added.
+    "budget-1-double-s13": (0, EMPTY, EMPTY, "73409a6d1ad61617"),
+    "budget-1-realify-s13": (0, EMPTY, EMPTY, "cdf4c5bab89f1aae"),
+    "budget-1-verify-s13": (0, "a6580a429c5405d1", EMPTY, None),
+    "budget-x-double-s13": (0, EMPTY, EMPTY, "73409a6d1ad61617"),
+    "budget-x-realify-s13": (0, EMPTY, EMPTY, "cdf4c5bab89f1aae"),
+    "budget-x-verify-s13": (0, "a6580a429c5405d1", EMPTY, None),
+    "double-d13": (0, EMPTY, EMPTY, "678d689e0a007179"),
+    "double-s13": (0, EMPTY, EMPTY, "73409a6d1ad61617"),
+    "double-s13-bad": (1, EMPTY, "e55c989cd21d0594", None),
+    "double-t13": (0, EMPTY, EMPTY, "73740d7029862bbf"),
+    "excess-7-json": (0, "f4e8867a119d1af5", EMPTY, None),
+    "verify-json-d13": (0, "f786a1f0196a32cc", EMPTY, None),
+    "verify-json-d13-bad": (0, "429dbd853bda85e8", EMPTY, None),
+    "verify-json-r13": (0, "b5f46f59bd42120b", EMPTY, None),
+    "verify-json-r13-bad": (0, "6c00a4f582c30764", EMPTY, None),
+    "verify-json-s13": (0, "a6580a429c5405d1", EMPTY, None),
+    "verify-json-s13-bad": (0, "36fa5a4b6ec64430", EMPTY, None),
+    "verify-json-t13": (0, "d571e4fbc85b0645", EMPTY, None),
+    "verify-json-t13-bad": (0, "dc20e72fdf80df62", EMPTY, None),
 }
 
 

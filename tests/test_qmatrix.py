@@ -7,13 +7,14 @@ from qhadamard import (
     block2,
     conj_transpose,
     diag_similarity,
+    double,
     gram_is_scalar,
     realify,
-    row_sums,
 )
 from qhadamard.qmatrix import _gram_parts, sign_gram_is_scalar
+from qhadamard.verify import _row_sums
 from conftest import skew_regular
-from reference import equal, qmatrix
+from reference import equal, qmatrix, row_sums
 
 
 def eye(n):
@@ -56,10 +57,18 @@ def test_gram_is_scalar():
 
 
 def test_row_sums():
-    assert row_sums(eye(5)) == [1] * 5
-    assert row_sums(QMatrix([[1, -1], [1, 1]])) == [0, 2]
-    assert set(row_sums(skew_regular(3))) == {1 - 3j}
-    assert set(row_sums(skew_regular(7))) == {1 - 7j}
+    def sums(m):
+        re, im = _row_sums(m)
+        assert re.dtype == im.dtype == np.int64
+        got = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
+        assert got == row_sums(m)
+        return got
+
+    assert sums(eye(5)) == [1] * 5
+    assert sums(QMatrix([[1, -1], [1, 1]])) == [0, 2]
+    assert set(sums(skew_regular(3))) == {1 - 3j}
+    assert set(sums(skew_regular(7))) == {1 - 7j}
+    assert set(sums(double(skew_regular(3)))) == {4 - 2j, -2 + 4j}
 
 
 def test_diag_similarity_examples():

@@ -7,7 +7,6 @@ import pytest
 from qhadamard import (
     QMatrix,
     check_quaternary_hadamard,
-    check_semi_regular,
     check_skew_type,
     diag_similarity,
     double,
@@ -17,7 +16,13 @@ from qhadamard import (
 from qhadamard import matio
 from qhadamard.excess import build_triple, maximize_excess_rows, negate_rows
 from conftest import field, skew_regular, FIXTURES
-from reference import qmatrix
+from reference import (
+    check_semi_regular,
+    is_absolutely_regular,
+    qmatrix,
+    row_sums,
+    semi_regular_witness,
+)
 
 
 def eye(n):
@@ -48,6 +53,27 @@ def test_check_semi_regular_examples():
     assert not check_semi_regular(eye(2), 1, 1)
     with pytest.raises(ValueError):
         check_semi_regular(eye(3), 1, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: skew_regular(3),
+    lambda: skew_regular(5),
+    lambda: double(skew_regular(3)),
+    lambda: matio.parse((FIXTURES / "appendixB_DHD.qhm").read_text()),
+    lambda: realify(skew_regular(3)),
+    lambda: _corrupted(skew_regular(3)),
+    lambda: negate_rows(realify(build_triple(skew_regular(3))[2]), [0, 3]),
+    lambda: eye(2),
+], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2"])
+def test_report_row_sum_fields_match_reference(make):
+    # The report derives these from one pair of int64 row-sum vectors.
+    m = make()
+    report = full_report(m)
+    sums = row_sums(m)
+    assert report.row_sum_multiset == dict(Counter(sums))
+    assert report.regular == (sums[0] if len(set(sums)) == 1 else None)
+    assert (report.abs_regular, report.abs_value_sq) == is_absolutely_regular(m)
+    assert report.semi_regular_witness == (semi_regular_witness(m) if report.hadamard else None)
 
 
 def test_full_report_p7():
