@@ -32,9 +32,12 @@ def conference_matrix(ctx: FieldCtx) -> QMatrix:
     """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere.
 
     For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
-    [b, a], so chi(x - y) is gathered through the p x p difference table
-    d[i, k] = (i - k) mod p, one index per coordinate, with no q x q
-    index arrays.
+    [b, a], and d[i, k] = (i - k) mod p is the p x p difference table.
+    The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) is
+    block-circulant with circulant blocks: the block at (b1, b2) is
+    chi[delta, d] for delta = b1 - b2.  Each of the p blocks is written
+    to its p positions b2 = b1 - delta through a (p, p, p, p) view of
+    the core, so no temporary is larger than p x p.
     """
     p, q = ctx.p, ctx.q
     chi = ctx.char_table.reshape(p, p)
@@ -42,7 +45,10 @@ def conference_matrix(ctx: FieldCtx) -> QMatrix:
     c = np.zeros((q + 1, q + 1), dtype=np.int8)
     c[0, 1:] = 1
     c[1:, 0] = 1
-    c[1:, 1:] = chi[d[:, None, :, None], d[None, :, None, :]].reshape(q, q)
+    core = c[1:, 1:].reshape(p, p, p, p)
+    b1 = np.arange(p)
+    for delta in range(p):
+        core[b1, :, d[:, delta], :] = chi[delta, d]
     return QMatrix(c)
 
 

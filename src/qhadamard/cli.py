@@ -156,10 +156,17 @@ def cmd_cod(args) -> int:
     return 0
 
 
+def _fields(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
 def cmd_excess(args) -> int:
     ctx = _field(args.p)
     report, w1 = run_pipeline(ctx)
-    payload = dataclasses.asdict(report)
+    # Shallow, in field order: ``dataclasses.asdict`` would deep-copy
+    # every int of the two row and column lists.
+    payload = _fields(report)
+    payload["w1"] = _fields(report.w1)
     if not args.json:
         payload.pop("w2_col_sums")
     print(json.dumps(payload))

@@ -63,7 +63,7 @@ def maximize_excess_rows(w: QMatrix) -> tuple[QMatrix, ExcessReport]:
         order=w.n,
         excess_before=int(sums.sum()),
         excess_after=int(np.abs(sums).sum()),
-        rows_negated=[int(i) for i in np.flatnonzero(negate)],
+        rows_negated=np.flatnonzero(negate).tolist(),
         bound_nk=weight_bound(w.n, weight),
     )
 
@@ -105,7 +105,7 @@ def run_pipeline(ctx: FieldCtx) -> tuple[PipelineReport, QMatrix]:
         w2_excess=excess(w2_neg),
         w2_bound=weight_bound(w2.n, np.count_nonzero(w2.re[0])) or 0,
         w2_row_sums_constant=constant,
-        w2_col_sums=[int(c) for c in w2_neg.re.sum(axis=0)],
+        w2_col_sums=w2_neg.re.sum(axis=0).tolist(),
         w3_total=excess(w3_neg),
     )
     return pipeline, w1_max

@@ -5,37 +5,40 @@ character each: '1' -> 1, '-' -> -1, 'i' -> i, 'j' -> -i, '0' -> 0.
 ('j' denoting -i follows the printed convention of the source tables.)
 Real bodies are restricted to {'1', '-', '0'}.
 
-Cells are translated through lookup tables over the whole body at once.
-A cell value x = re + im*i has the code 3*re + im + 4 in 0..8;
-``_CODE_CHAR`` maps codes to bytes, ``_CODE_RE`` and ``_CODE_IM`` map
-them to the two planes, and the 256-entry tables map bytes back to
-codes, with ``_BAD`` for every byte outside the alphabet (so also for
-every non-ASCII byte).
+Cells go through ``bytes.translate`` tables over the whole body at once.
+A cell value x = re + im*i has the code 3*re + im + 4 in 0..8, and code
+9 is the newline; ``_CODE_CHAR`` maps codes to characters.  Each
+alphabet has a pair of 256-byte tables that map a character to the int8
+byte of its ``re`` or its ``im`` plane, and every other byte (so also
+every non-ASCII one) to ``_BAD``.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 import numpy as np
 
 from .qmatrix import QMatrix
 
-_BAD = 255
+_BAD = b"\x02"  # no plane value: the planes hold 0, 1 and -1 (0xff)
 _CHARS = b"?-?j0i?1?"
-_CODE_CHAR = np.frombuffer(_CHARS, dtype=np.uint8)
-_CODE_RE = np.arange(9, dtype=np.int8) // 3 - 1
-_CODE_IM = np.arange(9, dtype=np.int8) % 3 - 1
+_CODE_CHAR = bytes.maketrans(bytes(range(10)), _CHARS + b"\n")
 
 
-def _char_codes(chars: bytes) -> np.ndarray:
-    table = np.full(256, _BAD, dtype=np.uint8)
+def _tables(chars: bytes) -> tuple[bytes, bytes]:
+    """The ``re`` and ``im`` plane tables of an alphabet."""
+    re, im = bytearray(_BAD * 256), bytearray(_BAD * 256)
     for ch in chars:
-        table[ch] = _CHARS.index(ch)
-    return table
+        code = _CHARS.index(ch)
+        re[ch] = (code // 3 - 1) & 0xFF
+        im[ch] = (code % 3 - 1) & 0xFF
+    return bytes(re), bytes(im)
 
 
-_QHM_CODES = _char_codes(b"1-ij0")
-_RHM_CODES = _char_codes(b"1-0")
-_PHASE_CODES = _char_codes(b"1-ij")
+_QHM = _tables(b"1-ij0")
+_RHM = _tables(b"1-0")
+_PHASE = _tables(b"1-ij")
 
 
 class ParseError(ValueError):
@@ -62,40 +65,34 @@ def decode(data: bytes) -> str:
                          data.count(b"\n", 0, at) + 1, at - line_start + 1) from None
 
 
-def _to_bytes(text: str) -> np.ndarray:
+def _to_bytes(text: str) -> bytes:
     # One byte per character: characters past U+00FF become '?', which
     # like every non-ASCII byte is outside the alphabet.
-    return np.frombuffer(text.encode("latin-1", errors="replace"), dtype=np.uint8)
+    return text.encode("latin-1", errors="replace")
+
+
+def _cells(data: bytes, table: bytes, count: int) -> bytes | None:
+    """``data`` through ``table`` with newlines dropped; None unless that
+    leaves exactly ``count`` cells, all in the alphabet."""
+    out = data.translate(table, b"\n")
+    return out if len(out) == count and _BAD not in out else None
 
 
 def serialize(m: QMatrix) -> str:
     n = m.n
-    codes = m.re * 3
+    body = np.empty((n, n + 1), dtype=np.int8)
+    cells = body[:, :n]
+    np.multiply(m.re, 3, out=cells)
     if m.im is not None:
-        codes += m.im
-    codes += 4
-    body = np.empty((n, n + 1), dtype=np.uint8)
-    # Indexing, unlike np.take, casts the indices without an intp copy.
-    body[:, :n] = _CODE_CHAR[codes]
-    body[:, n] = ord("\n")
+        cells += m.im
+    cells += 4
+    body[:, n] = 9
     kind = "RHM" if m.im is None else "QHM"
-    return f"{kind} {n}\n" + body.tobytes().decode("ascii")
+    return f"{kind} {n}\n" + body.tobytes().translate(_CODE_CHAR).decode("ascii")
 
 
-def parse(text: str) -> QMatrix:
-    """Inverse of ``serialize``.
-
-    Errors are reported in reading order: header, then the row count,
-    then row by row, where a row of the wrong length is reported before
-    any bad cell in it.
-    """
-    text = text.replace("\r\n", "\n")
-    head, newline, body = text.partition("\n")
-    rows = body.split("\n") if newline else []
-    if rows and rows[-1] == "":
-        rows.pop()
-    if not newline and not head:
-        raise ParseError("empty input", 1)
+def _header(head: str) -> tuple[bool, int]:
+    """Whether the header line names a real matrix, and its order."""
     header = head.split()
     if len(header) != 2 or header[0] not in ("QHM", "RHM"):
         raise ParseError("header must be 'QHM n' or 'RHM n'", 1)
@@ -105,35 +102,65 @@ def parse(text: str) -> QMatrix:
         raise ParseError(f"bad order {header[1]!r}", 1) from None
     if n < 1:
         raise ParseError(f"bad order {n}", 1)
+    return header[0] == "RHM", n
+
+
+def parse(text: str) -> QMatrix:
+    """Inverse of ``serialize``.
+
+    A well-formed body is exactly n rows of n cells and a newline (the
+    last newline may be missing), so its layout is checked by its length
+    and its newline column, and its cells by one translation per plane.
+    Any other input goes to ``_locate_error``.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    head_end = text.find("\n")
+    if head_end >= 0:
+        real, n = _header(text[:head_end])
+        body = _to_bytes(text[head_end + 1:])
+        if not body.endswith(b"\n"):
+            body += b"\n"
+        if len(body) == n * (n + 1) and body[n::n + 1] == b"\n" * n:
+            re = _cells(body, (_RHM if real else _QHM)[0], n * n)
+            if re is not None:
+                planes = (re,) if real else (re, body.translate(_QHM[1], b"\n"))
+                return QMatrix(*(np.frombuffer(plane, dtype=np.int8).reshape(n, n)
+                                 for plane in planes))
+    _locate_error(text)
+
+
+def _locate_error(text: str) -> NoReturn:
+    """Raise the first error of a file ``parse`` refused, in reading
+    order: header, then the row count, then row by row, where a row of
+    the wrong length is reported before any bad cell in it."""
+    head, newline, body = text.partition("\n")
+    rows = body.split("\n") if newline else []
+    if rows and rows[-1] == "":
+        rows.pop()
+    if not newline and not head:
+        raise ParseError("empty input", 1)
+    real, n = _header(head)
     if len(rows) != n:
         raise ParseError(f"expected {n} body rows, got {len(rows)}", len(rows) + 1)
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-    wrong = np.flatnonzero(lengths != n)
-    ragged = int(wrong[0]) if wrong.size else n
-    # The rows before the first one of the wrong length are n cells and
-    # a newline each, so they fill a (ragged, n + 1) grid.
-    grid = _to_bytes(body[: ragged * (n + 1)].ljust(ragged * (n + 1), "\n"))
-    grid = grid.reshape(ragged, n + 1)[:, :n]
-    real = header[0] == "RHM"
-    codes = (_RHM_CODES if real else _QHM_CODES)[grid]
-    bad = codes == _BAD
-    if bad.any():
-        r, c = divmod(int(np.argmax(bad)), n)
-        raise ParseError(f"bad cell {rows[r][c]!r}", r + 2, c + 1)
-    if ragged < n:
-        raise ParseError(f"expected {n} cells, got {lengths[ragged]}", ragged + 2)
-    return QMatrix(_CODE_RE[codes], None if real else _CODE_IM[codes])
+    table = (_RHM if real else _QHM)[0]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != n:
+            raise ParseError(f"expected {n} cells, got {len(row)}", line)
+        col = _to_bytes(row).translate(table).find(_BAD)
+        if col >= 0:
+            raise ParseError(f"bad cell {row[col]!r}", line, col + 1)
+    raise AssertionError("parse refused a well-formed file")
 
 
 def parse_phase_vector(text: str) -> np.ndarray:
     """One phase per whitespace-separated token; errors name the token's index."""
     tokens = text.replace("\r\n", "\n").split()
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    wrong = np.flatnonzero(lengths != 1)
-    ragged = int(wrong[0]) if wrong.size else len(tokens)
-    codes = _PHASE_CODES[_to_bytes("".join(tokens[:ragged]))]
-    bad = np.flatnonzero(codes == _BAD)
-    if bad.size or ragged < len(tokens):
-        r = int(bad[0]) if bad.size else ragged
-        raise ParseError(f"bad phase {tokens[r]!r}", r + 1)
-    return _CODE_RE[codes] + 1j * _CODE_IM[codes]
+    cells = _to_bytes("".join(tokens))
+    re = _cells(cells, _PHASE[0], len(tokens))
+    if re is None:
+        for index, token in enumerate(tokens, start=1):
+            if len(token) != 1 or _to_bytes(token).translate(_PHASE[0]) == _BAD:
+                raise ParseError(f"bad phase {token!r}", index)
+    im = cells.translate(_PHASE[1])
+    return np.frombuffer(re, dtype=np.int8) + 1j * np.frombuffer(im, dtype=np.int8)

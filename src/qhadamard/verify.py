@@ -20,12 +20,27 @@ def check_real_hadamard(w: QMatrix) -> bool:
     return bool(w.re.all()) and sign_gram_is_scalar(w, w.n)
 
 
+_SKEW_PANEL = 128
+
+
 def check_skew_type(m: QMatrix) -> bool:
     """M = I + Q with Q* = -Q, i.e. M + M* = 2I: the real plane plus its
-    transpose is 2I and the imaginary plane is symmetric."""
-    s = m.re + m.re.T
-    s.flat[:: m.n + 1] -= 2
-    return not s.any() and (m.im is None or np.array_equal(m.im, m.im.T))
+    transpose is 2I and the imaginary plane is symmetric.
+
+    Both conditions are symmetric, so the rows r0:r1 are checked against
+    the columns r0: only, one panel of rows at a time, and the check
+    stops at the first panel that fails.
+    """
+    re, im = m.re, m.im
+    for r0 in range(0, m.n, _SKEW_PANEL):
+        r1 = r0 + _SKEW_PANEL
+        s = re[r0:r1, r0:] + re[r0:, r0:r1].T
+        # The panel's row i meets the diagonal at its column i.
+        s.flat[:: s.shape[1] + 1] -= 2
+        if s.any() or (im is not None
+                       and not np.array_equal(im[r0:r1, r0:], im[r0:, r0:r1].T)):
+            return False
+    return True
 
 
 def _row_sums(m: QMatrix) -> tuple[np.ndarray, np.ndarray]:

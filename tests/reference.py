@@ -3,7 +3,8 @@
 The text format as it was first written, one Python step per cell, a
 Gram product over Python integers, GF(p^2) arithmetic on coordinate
 pairs, row sums as Python complex numbers with the row-sum predicates
-on them, and the closed-form row-sum schedule of the evaluated designs.
+on them, the skew-type test as one n x n sum, and the closed-form
+row-sum schedule of the evaluated designs.
 All are deliberately naive: they are the oracles for the table-driven
 ``matio``, the float-BLAS Gram kernel and the structural certificates
 in ``qmatrix``, the vectorized character table in ``field``, the
@@ -118,6 +119,13 @@ def gauss_is_scalar(re, im, c, conjugate=True):
         (g_re[i][j], g_im[i][j]) == ((c.real, c.imag) if i == j else (0, 0))
         for i in range(n) for j in range(n)
     )
+
+
+def skew_type(m):
+    """M + M* = 2I, formed as one n x n sum."""
+    s = m.re + m.re.T
+    s.flat[:: m.n + 1] -= 2
+    return not s.any() and (m.im is None or np.array_equal(m.im, m.im.T))
 
 
 def row_sums(m):

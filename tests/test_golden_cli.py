@@ -78,6 +78,10 @@ GRID = {
     **{f"double-{name}": ["double", f"{{tmp}}/{name}.qhm", "--out", "{out}"]
        for name in ("s13", "d13", "t13", "s13-bad")},
     "excess-7-json": ["excess", "--p", "7", "--json"],
+    # The p = 13 S file with CRLF line ends, with no final newline, and
+    # with one newline moved a cell to the left.
+    **{f"verify-json-s13-{edge}": ["verify", f"{{tmp}}/s13-{edge}.qhm", "--json"]
+       for edge in ("crlf", "no-final-newline", "displaced-newline")},
     **{f"budget-{b}-{cmd}-s13": [cmd, "{tmp}/s13.qhm"] + (["--json"] if cmd == "verify"
                                                         else ["--out", "{out}"])
        for b in ("1", "x") for cmd in ("verify", "double", "realify")},
@@ -123,6 +127,22 @@ def _p13_inputs():
 
 
 INPUTS.update(_p13_inputs())
+
+
+def _displace_newline(text, row):
+    """``text`` with the newline ending body row ``row`` (0-based) moved
+    one cell to the left."""
+    end = -1
+    for _ in range(row + 2):
+        end = text.index("\n", end + 1)
+    return text[:end - 1] + "\n" + text[end - 1] + text[end + 1:]
+
+
+INPUTS.update({
+    "s13-crlf.qhm": INPUTS["s13.qhm"].replace("\n", "\r\n"),
+    "s13-no-final-newline.qhm": INPUTS["s13.qhm"][:-1],
+    "s13-displaced-newline.qhm": _displace_newline(INPUTS["s13.qhm"], 5),
+})
 STDIN = {"verify-stdin": _A_S}
 ENV = {"budget-1-construct-11": "1", "budget-1-construct-17": "1",
        "budget-1-cod-3-2": "1", "budget-x-construct-3": "x",
@@ -253,6 +273,10 @@ GOLDEN = {
     "verify-json-s13-bad": (0, "36fa5a4b6ec64430", EMPTY, None),
     "verify-json-t13": (0, "d571e4fbc85b0645", EMPTY, None),
     "verify-json-t13-bad": (0, "dc20e72fdf80df62", EMPTY, None),
+    # Recorded before parsing moved to translate tables.
+    "verify-json-s13-crlf": (0, "a6580a429c5405d1", EMPTY, None),
+    "verify-json-s13-displaced-newline": (2, EMPTY, "7dcff51f6bc16c8c", None),
+    "verify-json-s13-no-final-newline": (0, "a6580a429c5405d1", EMPTY, None),
 }
 
 

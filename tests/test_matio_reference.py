@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhadamard import QMatrix
+from qhadamard import matio
 from qhadamard.matio import (
     ParseError,
     decode,
@@ -14,6 +15,8 @@ from qhadamard.matio import (
 )
 from qhadamard.qmatrix import PHASES
 import reference
+import test_golden_cli as golden
+from conftest import FIXTURES
 from reference import QALPHABET, equal, qmatrix
 
 
@@ -106,6 +109,28 @@ PARSE_CASES = {
     "zero order": "QHM 0\n",
     "header only": "QHM 1",
     "non-ASCII cell": "QHM 2\n1é\nii\n",
+    # Header forms that int() reads as the order 2, or refuses.
+    "plus order": _lines("QHM +2", "1j", "i1"),
+    "underscore order": _lines("QHM 0_2", "1j", "i1"),
+    "leading zero order": _lines("QHM 02", "1j", "i1"),
+    "non-ASCII digit order": _lines("QHM \u0662", "1j", "i1"),
+    "fullwidth letter order": _lines("QHM \uff12x", "1j", "i1"),
+    # Layouts of the right total length that the newline column refuses.
+    "short row then long row": _lines("QHM 3", "1i-", "1j", "1-1-"),
+    "long row then short row": _lines("QHM 3", "1i-1", "j1", "1-1"),
+    "crlf without final newline": "QHM 2\r\n1j\r\ni1",
+    "crlf with lone cr in a row": "QHM 2\r\n1\rj\r\ni1\r\n",
+    "byte 0x80": "QHM 2\n1j\ni\x80\n",
+    "byte 0xff": "QHM 2\n\xff1\ni1\n",
+    "byte 0x85 (a str line break)": "QHM 2\n1\x85\ni1\n",
+    "past U+00FF": "QHM 2\n1j\n\u0131\u0131\n",
+    "nul byte": "QHM 2\n1\x00\ni1\n",
+    "order 1": "QHM 1\n1\n",
+    "order 1 real": "RHM 1\n-\n",
+    "order 1 zero": "QHM 1\n0",
+    "order 1 with a long row": "QHM 1\n1i\n",
+    "real 0 body": _lines("RHM 2", "10", "0-"),
+    "j in RHM second row": _lines("RHM 2", "11", "1j"),
 }
 
 
@@ -115,9 +140,15 @@ def test_parse_matches_reference_on_cases(name):
     assert same(outcome(parse, text), outcome(reference.parse, text))
 
 
+VALID_CASES = {
+    "crlf", "missing final newline", "plus order", "underscore order",
+    "leading zero order", "non-ASCII digit order", "crlf without final newline",
+    "order 1", "order 1 real", "order 1 zero", "real 0 body",
+}
+
+
 def test_parse_cases_are_errors_except_line_endings():
-    valid = {"crlf", "missing final newline"}
-    for name in set(PARSE_CASES) - valid:
+    for name in set(PARSE_CASES) - VALID_CASES:
         with pytest.raises(ParseError):
             parse(PARSE_CASES[name])
     assert equal(parse(PARSE_CASES["crlf"]), parse(PARSE_CASES["missing final newline"]))
@@ -149,3 +180,25 @@ def test_decode_reports_first_non_ascii_byte():
     with pytest.raises(ParseError) as err:
         decode(b"\xff")
     assert (err.value.line, err.value.col) == (1, 1)
+
+
+def test_valid_files_never_reach_the_error_locator(monkeypatch):
+    texts = {name: PARSE_CASES[name] for name in VALID_CASES}
+    texts.update({name: text for name, text in golden.INPUTS.items()
+                  if name.endswith(".qhm")})
+    texts.update({path.name: path.read_text() for path in FIXTURES.glob("*.qhm")})
+    expected = {}
+    for name, text in texts.items():
+        try:
+            expected[name] = reference.parse(text)
+        except ParseError:
+            pass
+    assert len(expected) >= len(VALID_CASES) + 15
+
+    def locate(text):
+        raise AssertionError("a valid file reached the error locator")
+
+    monkeypatch.setattr(matio, "_locate_error", locate)
+    for name, m in expected.items():
+        assert equal(parse(texts[name]), m), name
+        assert equal(parse(serialize(m)), m), name

@@ -22,6 +22,7 @@ from reference import (
     qmatrix,
     row_sums,
     semi_regular_witness,
+    skew_type,
 )
 
 
@@ -159,3 +160,40 @@ def test_regular_hadamard_norm_consistency():
     # a regular verdict on a Hadamard matrix must satisfy |sum|^2 = order
     report = full_report(skew_regular(5))
     assert report.abs_value_sq == 26 == report.order
+
+
+def _random_skew(n, rng, real):
+    """A random M = I + Q with Q* = -Q: a unit diagonal and, above it,
+    cells in the alphabet mirrored as -conj below."""
+    values = np.array([0, 1, -1] if real else [0, 1, -1, 1j, -1j])
+    upper = np.triu(values[rng.integers(0, len(values), (n, n))], 1)
+    m = np.eye(n) + upper - upper.conj().T
+    return QMatrix(m) if real else qmatrix(m)
+
+
+def _with_cell(m, r, c, value):
+    re, im = m.re.copy(), None if m.im is None else m.im.copy()
+    re[r, c] = value.real
+    if im is not None:
+        im[r, c] = value.imag
+    return QMatrix(re, im)
+
+
+@pytest.mark.parametrize("n", (127, 128, 129, 257))
+@pytest.mark.parametrize("real", (False, True))
+def test_skew_type_panels_match_one_shot_formula(n, real):
+    rng = np.random.default_rng(n)
+    m = _random_skew(n, rng, real)
+    assert check_skew_type(m) and skew_type(m)
+    # Cells above, below and on the diagonal, at and beside the edges of
+    # the 128-row panels, and at random.
+    edges = sorted({0, 1, 126, 127, 128, 129, n - 2, n - 1} & set(range(n)))
+    cells = [(r, c) for r in edges for c in edges]
+    cells += [tuple(rng.integers(0, n, 2)) for _ in range(20)]
+    values = (1, -1, 0) if real else (1, -1, 1j, -1j, 0)
+    for r, c in cells:
+        old = complex(m.re[r, c], 0 if m.im is None else m.im[r, c])
+        for value in values:
+            if value != old:
+                bad = _with_cell(m, r, c, complex(value))
+                assert (check_skew_type(bad), skew_type(bad)) == (False, False), (r, c, value)
