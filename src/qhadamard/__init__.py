@@ -26,12 +26,7 @@ from .cod import (
     cod_recurse,
     factored_summary,
 )
-from .excess import (
-    ExcessReport,
-    build_triple,
-    maximize_excess_rows,
-    run_pipeline,
-)
+from .excess import ExcessReport, run_pipeline
 from .verify import (
     PropertyReport,
     check_quaternary_hadamard,
@@ -43,11 +38,11 @@ from .matio import ParseError, parse, serialize
 __all__ = [
     "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError",
     "MatrixError", "ParseError", "PropertyReport", "QMatrix",
-    "block2", "build_triple", "certify_gram",
+    "block2", "certify_gram",
     "check_quaternary_hadamard", "check_skew_type",
     "cod_recurse", "conference_matrix", "conj_transpose",
     "diag_similarity", "double", "factored_summary",
-    "full_report", "gram_is_scalar", "make_field", "maximize_excess_rows",
+    "full_report", "gram_is_scalar", "make_field",
     "paley_qhm", "parse", "realify", "run_pipeline", "serialize",
     "skew_core", "skew_regular_qhm", "twist_vector",
 ]

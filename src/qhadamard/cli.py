@@ -162,7 +162,10 @@ def _fields(report) -> dict:
 
 def cmd_excess(args) -> int:
     ctx = _field(args.p)
-    report, w1 = run_pipeline(ctx)
+    try:
+        report = run_pipeline(ctx)
+    except MatrixError as exc:
+        raise CliError("excess pipeline self-check failed", EXIT_VERIFY) from exc
     # Shallow, in field order: ``dataclasses.asdict`` would deep-copy
     # every int of the two row and column lists.
     payload = _fields(report)
@@ -171,7 +174,7 @@ def cmd_excess(args) -> int:
         payload.pop("w2_col_sums")
     print(json.dumps(payload))
     expected = 8 * ctx.p * (1 + ctx.q)
-    if report.w1.excess_after != expected or not verify.check_real_hadamard(w1):
+    if report.w1.excess_after != expected:
         raise CliError("excess pipeline self-check failed", EXIT_VERIFY)
     return 0
 

@@ -3,21 +3,25 @@
 The text format as it was first written, one Python step per cell, a
 Gram product over Python integers, GF(p^2) arithmetic on coordinate
 pairs, row sums as Python complex numbers with the row-sum predicates
-on them, the skew-type test as one n x n sum, and the closed-form
-row-sum schedule of the evaluated designs.
+on them, the skew-type test as one n x n sum, the closed-form
+row-sum schedule of the evaluated designs, and the excess pipeline on
+the dense matrices of order 4 + 4p^2.
 All are deliberately naive: they are the oracles for the table-driven
 ``matio``, the float-BLAS Gram kernel and the structural certificates
 in ``qmatrix``, the vectorized character table in ``field``, the
-report in ``verify`` and the recursion in ``cod``.  ``qmatrix``
-and ``equal`` build and compare matrices by their values.
+report in ``verify``, the recursion in ``cod`` and the factored report
+in ``excess``.  ``qmatrix`` and ``equal`` build and compare matrices by
+their values.
 """
 
 import math
 
 import numpy as np
 
-from qhadamard import QMatrix
+from qhadamard import MatrixError, QMatrix, block2, realify
+from qhadamard.excess import ExcessReport, PipelineReport, weight_bound
 from qhadamard.matio import ParseError
+from qhadamard.verify import check_quaternary_hadamard, check_skew_type, is_regular
 
 QALPHABET = (0j, 1 + 0j, 1j, -1 + 0j, -1j)
 CHAR_TO_VALUE = {"1": 1 + 0j, "-": -1 + 0j, "i": 1j, "j": -1j, "0": 0j}
@@ -188,3 +192,67 @@ def expected_row_sum(p, level):
     if level % 2 == 0:
         return complex(p**level, -(p ** (level - 1)))
     return complex(p ** (level - 1), -(p**level))
+
+
+def build_triple(s):
+    """([[S,iS],[iS,S]], [[Q,iQ],[iQ,Q]], [[I,iI],[iI,I]]) for S = I + Q."""
+    if not (check_quaternary_hadamard(s) and check_skew_type(s)
+            and is_regular(s) is not None):
+        raise MatrixError("input is not a skew-regular quaternary Hadamard matrix")
+    eye = np.eye(s.n, dtype=np.int8)
+    q = QMatrix(s.re - eye, s.im)
+
+    def doubled(m):
+        return block2(m, m.scale(1j), m.scale(1j), m)
+
+    return doubled(s), doubled(q), doubled(QMatrix(eye, np.zeros_like(eye)))
+
+
+def excess(w):
+    return int(w.re.sum())
+
+
+def maximize_excess_rows(w):
+    """Negate every row of a real matrix with a negative sum; zero-sum
+    rows stay put."""
+    sums = w.re.sum(axis=1)
+    negate = sums < 0
+    flipped = QMatrix(np.where(negate[:, None], -w.re, w.re))
+    weight = np.count_nonzero(w.re[0])
+    return flipped, ExcessReport(
+        order=w.n,
+        excess_before=int(sums.sum()),
+        excess_after=int(np.abs(sums).sum()),
+        rows_negated=np.flatnonzero(negate).tolist(),
+        bound_nk=weight_bound(w.n, weight),
+    )
+
+
+def negate_rows(w, rows):
+    out = w.re.copy()
+    out[rows] *= -1
+    return QMatrix(out)
+
+
+def dense_pipeline(s):
+    """The excess pipeline on the dense matrices: build W1, W2, W3, negate
+    the W1 rows with negative sums everywhere, and report the resulting
+    excesses; returns the report and the maximized Hadamard matrix."""
+    q1, q2, q3 = build_triple(s)
+    w1, w2, w3 = realify(q1), realify(q2), realify(q3)
+    w1_max, report = maximize_excess_rows(w1)
+    w2_neg = negate_rows(w2, report.rows_negated)
+    w3_neg = negate_rows(w3, report.rows_negated)
+    w2_sums = w2_neg.re.sum(axis=1)
+    constant = int(w2_sums[0]) if np.all(w2_sums == w2_sums[0]) else None
+    pipeline = PipelineReport(
+        p=math.isqrt(s.n - 1),
+        order=w1.n,
+        w1=report,
+        w2_excess=excess(w2_neg),
+        w2_bound=weight_bound(w2.n, np.count_nonzero(w2.re[0])) or 0,
+        w2_row_sums_constant=constant,
+        w2_col_sums=w2_neg.re.sum(axis=0).tolist(),
+        w3_total=excess(w3_neg),
+    )
+    return pipeline, w1_max

@@ -24,16 +24,21 @@ from qhadamard import (
     serialize,
 )
 from qhadamard import matio
-from qhadamard.excess import (
-    build_triple,
-    excess,
-    maximize_excess_rows,
-    negate_rows,
-)
 from qhadamard.qmatrix import sign_gram_is_scalar
 from qhadamard.verify import check_real_hadamard
 from conftest import field, skew_regular, FIXTURES
-from reference import check_semi_regular, equal, expected_row_sum, is_absolutely_regular, qmatrix, row_sums
+from reference import (
+    build_triple,
+    check_semi_regular,
+    equal,
+    excess,
+    expected_row_sum,
+    is_absolutely_regular,
+    maximize_excess_rows,
+    negate_rows,
+    qmatrix,
+    row_sums,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -1,22 +1,42 @@
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qhadamard import (
-    MatrixError,
-    QMatrix,
-    build_triple,
-    gram_is_scalar,
-    maximize_excess_rows,
-    realify,
-    run_pipeline,
-)
-from qhadamard.excess import excess, negate_rows
+import qhadamard.excess as excess_module
+import qhadamard.qmatrix as qmatrix_module
+from qhadamard import MatrixError, QMatrix, gram_is_scalar, realify, run_pipeline
+from qhadamard.cli import main
 from qhadamard.qmatrix import sign_gram_is_scalar
-from qhadamard.verify import check_real_hadamard
-from conftest import field, skew_regular
-from reference import equal, qmatrix
+from qhadamard.verify import check_quaternary_hadamard, check_real_hadamard, check_skew_type, is_regular
+from conftest import FIXTURES, field, skew_regular
+from reference import (
+    build_triple,
+    dense_pipeline,
+    equal,
+    excess,
+    maximize_excess_rows,
+    negate_rows,
+    qmatrix,
+)
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# sha256 prefixes of ``excess --p P --json`` as the dense pipeline printed it.
+JSON_DIGESTS = {3: "0e87ab0a7da50872", 5: "815a4d649be10924", 7: "f4e8867a119d1af5",
+                11: "449a6287afeb82de", 13: "f93ebb1afa60f0d2"}
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_build_triple_order_one():
@@ -98,16 +118,102 @@ def test_pipeline_certifications(p):
 
 
 def test_pipeline_report_p3():
-    report, w1 = run_pipeline(field(3))
+    report = run_pipeline(field(3))
     assert report.order == 40
     assert report.w1.excess_after == 240
     assert report.w2_excess == 240 == report.w2_bound
     assert report.w2_row_sums_constant == 6
     assert set(report.w2_col_sums) == {6}
     assert report.w3_total == 0
-    assert check_real_hadamard(w1)
+    assert check_real_hadamard(dense_pipeline(skew_regular(3))[1])
 
 
 def test_pipeline_excess_values():
-    assert run_pipeline(field(5))[0].w1.excess_after == 1040
-    assert run_pipeline(field(7))[0].w1.excess_after == 2800
+    assert run_pipeline(field(5)).w1.excess_after == 1040
+    assert run_pipeline(field(7)).w1.excess_after == 2800
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_factored_matches_dense_oracle(p, capsys):
+    report = run_pipeline(field(p))
+    oracle, w1_max = dense_pipeline(skew_regular(p))
+    for f in dataclasses.fields(report):
+        assert getattr(report, f.name) == getattr(oracle, f.name), f.name
+    assert check_real_hadamard(w1_max)
+    code, out, err = run_cli(capsys, ["excess", "--p", str(p), "--json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(dataclasses.asdict(oracle)) + "\n"
+
+
+def _swapped_cell(s):
+    """The planes of one cell exchanged: a + bi becomes b + ai."""
+    re, im = s.re.copy(), s.im.copy()
+    re[1, 2], im[1, 2] = s.im[1, 2], s.re[1, 2]
+    return QMatrix(re, im)
+
+
+def _conjugated_cell(s):
+    """One off-diagonal cell with an imaginary part conjugated."""
+    r, c = np.argwhere(s.im != 0)[0]
+    im = s.im.copy()
+    im[r, c] = -im[r, c]
+    return QMatrix(s.re, im)
+
+
+def _negated_row_and_column(s):
+    """D S D for D = diag(1, -1, 1, ..., 1): still Hadamard and skew, with
+    row sums that are no longer all equal."""
+    d = np.ones(s.n, dtype=np.int8)
+    d[1] = -1
+    sign = d[:, None] * d
+    return QMatrix(s.re * sign, s.im * sign)
+
+
+# (Hadamard, skew, regular) of each corrupted S.  A changed cell breaks
+# the Hadamard property as well, so only the last is refused for its
+# row sums alone.
+@pytest.mark.parametrize("corrupt, verdicts", [
+    (_swapped_cell, (False, False, False)),
+    (_conjugated_cell, (False, False, False)),
+    (_negated_row_and_column, (True, True, False)),
+], ids=["swapped-planes", "conjugated", "row-sum"])
+def test_failed_certificate_exits_one(corrupt, verdicts, capsys, monkeypatch):
+    bad = corrupt(skew_regular(5))
+    assert (check_quaternary_hadamard(bad), check_skew_type(bad),
+            is_regular(bad) is not None) == verdicts
+    monkeypatch.setattr(excess_module, "skew_regular_qhm", lambda ctx: bad)
+    with pytest.raises(MatrixError):
+        run_pipeline(field(5))
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, ["excess", "--p", "5", *flag])
+        assert code == 1
+        assert out == ""
+        assert err == "error: excess pipeline self-check failed\n"
+
+
+def test_excess_forms_no_gram_product(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram kernel called")
+
+    monkeypatch.setattr(qmatrix_module, "_gram_is_scalar", refuse)
+    for p, digest in JSON_DIGESTS.items():
+        code, out, err = run_cli(capsys, ["excess", "--p", str(p), "--json"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_excess_p61_memory():
+    """The child's peak RSS, read from its own rusage: the dense pipeline
+    held matrices of order 14888 and peaked at about 1.8 GB."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "qhadamard.cli", "excess", "--p", "61",
+                                 "--json"], stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        payload = json.loads(out.read())
+    assert proc.returncode == 0
+    assert payload["w1"]["excess_after"] == 8 * 61 * (1 + 61 * 61)
+    # ru_maxrss is in KiB on Linux.
+    assert usage.ru_maxrss * 1024 < 300e6

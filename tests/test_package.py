@@ -18,6 +18,6 @@ def test_submodules_are_not_shadowed():
     import qhadamard.excess as m
 
     assert m is importlib.import_module("qhadamard.excess")
-    assert callable(m.run_pipeline) and callable(m.excess)
+    assert callable(m.run_pipeline) and callable(m.weight_bound)
     for name in ("builder", "cli", "cod", "excess", "field", "matio", "qmatrix", "verify"):
         assert getattr(qhadamard, name) is importlib.import_module(f"qhadamard.{name}")

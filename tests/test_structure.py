@@ -19,12 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     QMatrix,
-    build_triple,
     conference_matrix,
     diag_similarity,
     double,
     gram_is_scalar,
-    maximize_excess_rows,
     realify,
     serialize,
 )
@@ -32,7 +30,7 @@ from qhadamard import builder, cli, qmatrix
 from qhadamard.field import FieldCtx, certify_character
 from qhadamard.qmatrix import _gram_is_scalar, _panels, sign_gram_is_scalar
 from conftest import skew_regular
-from reference import QALPHABET, gauss_is_scalar, qmatrix as make
+from reference import QALPHABET, build_triple, gauss_is_scalar, maximize_excess_rows, qmatrix as make
 
 PRIMES = (3, 5, 7, 11, 13)
 UNITS = np.array([1, 1j, -1, -1j])

@@ -15,13 +15,11 @@ from qhadamard import (
     MatrixError,
     QMatrix,
     block2,
-    build_triple,
     cod_recurse,
     conference_matrix,
     conj_transpose,
     diag_similarity,
     double,
-    maximize_excess_rows,
     paley_qhm,
     parse,
     realify,
@@ -29,10 +27,9 @@ from qhadamard import (
     skew_core,
 )
 from qhadamard import cod
-from qhadamard.excess import negate_rows
 from qhadamard.qmatrix import PHASES
 from conftest import field, skew_regular
-from reference import QALPHABET, equal, qmatrix
+from reference import QALPHABET, build_triple, equal, maximize_excess_rows, negate_rows, qmatrix
 
 
 def assert_planes(m, real):

@@ -14,11 +14,13 @@ from qhadamard import (
     realify,
 )
 from qhadamard import matio
-from qhadamard.excess import build_triple, maximize_excess_rows, negate_rows
 from conftest import field, skew_regular, FIXTURES
 from reference import (
+    build_triple,
     check_semi_regular,
     is_absolutely_regular,
+    maximize_excess_rows,
+    negate_rows,
     qmatrix,
     row_sums,
     semi_regular_witness,
