@@ -28,27 +28,31 @@ from .qmatrix import (
 # contiguous block of p positions.
 
 
-def conference_matrix(ctx: FieldCtx) -> QMatrix:
-    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere.
+def _core(ctx: FieldCtx) -> np.ndarray:
+    """The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) of the
+    conference matrix, as a read-only (p, p, p, p) view of O(q) memory.
 
     For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
-    [b, a], and d[i, k] = (i - k) mod p is the p x p difference table.
-    The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) is
-    block-circulant with circulant blocks: the block at (b1, b2) is
-    chi[delta, d] for delta = b1 - b2.  Each of the p blocks is written
-    to its p positions b2 = b1 - delta through a (p, p, p, p) view of
-    the core, so no temporary is larger than p x p.
+    [b, a].  For the 2p x 2p table T[i, j] = chi(-1 - i, -1 - j) (mod p),
+    K[b1, a1] is the p x p window of T at (p-1-b1, p-1-a1).
     """
+    p = ctx.p
+    i = (-1 - np.arange(2 * p)) % p
+    t = ctx.char_table.reshape(p, p)[i[:, None], i]
+    # From T[p-1, p-1], b1 and a1 step back a row and a column, b2 and a2
+    # forward, so every index stays in T.
+    s0, s1 = t.strides
+    return np.lib.stride_tricks.as_strided(t[p - 1:, p - 1:], (p, p, p, p),
+                                           (-s0, -s1, s0, s1), writeable=False)
+
+
+def conference_matrix(ctx: FieldCtx) -> QMatrix:
+    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere."""
     p, q = ctx.p, ctx.q
-    chi = ctx.char_table.reshape(p, p)
-    d = (np.arange(p)[:, None] - np.arange(p)) % p
     c = np.zeros((q + 1, q + 1), dtype=np.int8)
     c[0, 1:] = 1
     c[1:, 0] = 1
-    core = c[1:, 1:].reshape(p, p, p, p)
-    b1 = np.arange(p)
-    for delta in range(p):
-        core[b1, :, d[:, delta], :] = chi[delta, d]
+    c[1:, 1:].reshape(p, p, p, p)[...] = _core(ctx)
     return QMatrix(c)
 
 
@@ -103,8 +107,13 @@ def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | 
     yr, yi = _mul(*_mul(re, im, ur[:, None], -ui[:, None]), wr, -wi)
     if not (yr.diagonal() == 1).all() or np.count_nonzero(yr) != n:
         return None
+    # yi + C = 0, with C added in place through the view of its core, so
+    # that C is not built a second time.
     ctx = FieldCtx(p)
-    yi += conference_matrix(ctx).re
+    yi[0, 1:] += 1
+    yi[1:, 0] += 1
+    core = yi[1:, 1:].reshape(p, p, p, p)
+    core += _core(ctx)
     if yi.any():
         return None
     return c == 1 + ctx.q and certify_character(ctx.char_table, p)

@@ -1,80 +1,118 @@
 """Quaternary orthogonal designs in two variables and their recursion.
 
-A design is stored as a pair of quaternary coefficient matrices with
-disjoint supports: ``acoef`` carries the phase multiplying the first
-variable in each cell, ``bcoef`` the phase multiplying the second.
-Evaluation at integers is then just ``a * acoef + b * bcoef``.
+A cell of X = aA + bB has one of nine codes: 0, 1 + e for a*i^e or
+5 + e for b*i^e.  X is a plane ``code`` over a level table ``table`` of
+shape (9, m, m): ``code`` with every cell c replaced by the block
+table[c].  Explicit A and B make level 0, over the identity table.  An
+evaluation maps the codes to their values in the small table and
+gathers X from it; A and B are those at (1, 0) and (0, 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .field import BudgetError, FieldCtx, order_within_budget
-from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _gram_parts, _mul
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _gram_parts
 from .builder import skew_core, skew_regular_qhm
 
-EVAL_POINTS = ((1, 0), (0, 1), (1, 1))
 _UNITS = (-1, 0, 1)
+# The code of a cell re + i*im of A (row 0) or B (row 1), at 3*re + im + 4.
+_CODES = np.array([[0, 3, 0, 4, 0, 2, 0, 1, 0], [0, 7, 0, 8, 0, 6, 0, 5, 0]], dtype=np.uint8)
+# The real and the imaginary plane of each code's value at a unit point.
+_VALUES = {(a, b): np.array([[0, a, 0, -a, 0, b, 0, -b, 0], [0, 0, a, 0, -a, 0, b, 0, -b]],
+                            dtype=np.int8) for a in _UNITS for b in _UNITS}
+# _KIND[v, c]: whether code c carries a (v = 0) or b (v = 1).
+_KIND = np.array([_VALUES[1, 0].any(axis=0), _VALUES[0, 1].any(axis=0)])
+# _TIMES[e, c]: the code of i^e times a cell of code c.
+_TIMES = np.array([[0] + [v + (x + e) % 4 for v in (1, 5) for x in range(4)]
+                   for e in range(4)], dtype=np.uint8)
+_IDENTITY = np.arange(9, dtype=np.uint8).reshape(9, 1, 1)
 
 
-def _support(m: QMatrix) -> np.ndarray:
-    """The nonzero cells of a quaternary matrix, as an int8 mask."""
-    return m.re | m.im
+def _lookup(values: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """values[code] for one-byte ``values``, as a writable array made by a
+    ``bytearray.translate`` pass, which needs no intp copy of ``code``."""
+    table = values.view(np.uint8).tobytes().ljust(256, b"\0")
+    return np.frombuffer(bytearray(code).translate(table), values.dtype).reshape(code.shape)
 
 
-@dataclass(frozen=True)
+def _code_plane(m: QMatrix, variable: int) -> np.ndarray:
+    """The codes of m's cells as coefficients of variable 0 (a) or 1 (b)."""
+    return _lookup(_CODES[variable], 3 * m.re + m.im + 4)
+
+
+def _substitute(code: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``code`` (..., n, n) with every cell c replaced by the m x m block
+    table[c]: row r of the blocks in row i is the rows table[code[i, j], r],
+    one gather from ``table`` viewed as rows of m bytes (m = 1: a lookup)."""
+    n, m = code.shape[-1], table.shape[-1]
+    if m == 1:
+        return _lookup(table[:, 0, 0], code)
+    rows = table.view(np.dtype((np.void, m)))[..., 0]
+    out = rows[code[..., None, :], np.arange(m)[:, None]]
+    return out.view(table.dtype).reshape(*code.shape[:-2], n * m, n * m)
+
+
 class CODMatrix:
-    """Two-variable quaternary orthogonal design with constant row type."""
+    """Two-variable quaternary orthogonal design with constant row type:
+    the read-only ``code`` plane over the level ``table`` (see the module)."""
 
-    acoef: QMatrix
-    bcoef: QMatrix
-
-    def __post_init__(self):
-        a, b = self.acoef, self.bcoef
-        if a.n != b.n or a.im is None or b.im is None:
+    def __init__(self, acoef: QMatrix, bcoef: QMatrix):
+        if acoef.n != bcoef.n or acoef.im is None or bcoef.im is None:
             raise MatrixError("coefficients must be quaternary matrices of one order")
-        if (_support(a) & _support(b)).any():
+        a, b = _code_plane(acoef, 0), _code_plane(bcoef, 1)
+        if np.logical_and(a, b).any():
             raise MatrixError("each cell may carry at most one variable")
+        self._hold(a + b, _IDENTITY)
 
-    @property
-    def n(self) -> int:
-        return self.acoef.n
+    @classmethod
+    def _level(cls, code: np.ndarray, table: np.ndarray) -> CODMatrix:
+        d = cls.__new__(cls)
+        d._hold(code, table)
+        return d
 
-    @property
+    def _hold(self, code: np.ndarray, table: np.ndarray) -> None:
+        code.setflags(write=False)
+        table.setflags(write=False)
+        self.__dict__.update(code=code, table=table, n=code.shape[0] * table.shape[1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CODMatrix is immutable")
+
+    @cached_property
     def stype(self) -> tuple[int, int]:
         """(s1, s2) variable multiplicities; requires them constant per row."""
-        s1 = np.count_nonzero(_support(self.acoef), axis=1)
-        s2 = np.count_nonzero(_support(self.bcoef), axis=1)
-        if not (np.all(s1 == s1[0]) and np.all(s2 == s2[0])):
+        rows = [np.count_nonzero(_substitute(self.code, kind[self.table]), axis=1)
+                for kind in _KIND]
+        if not all((r == r[0]).all() for r in rows):
             raise MatrixError("row type is not constant")
-        return int(s1[0]), int(s2[0])
+        return int(rows[0][0]), int(rows[1][0])
+
+    @cached_property
+    def acoef(self) -> QMatrix:
+        return QMatrix(*self._planes(1, 0))
+
+    @cached_property
+    def bcoef(self) -> QMatrix:
+        return QMatrix(*self._planes(0, 1))
 
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
         """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix."""
         if not (a in _UNITS and b in _UNITS):
             raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
-        return QMatrix(*_planes_at(self, a, b))
+        return QMatrix(*self._planes(a, b))
 
-
-def _planes_at(d: CODMatrix, a: int, b: int) -> list[np.ndarray]:
-    """The planes of the evaluation at a, b in {-1, 0, 1}.  Every cell is
-    one unit coefficient times a unit or zero, since the supports are
-    disjoint, so each plane stays in {-1, 0, 1}.  Each is summed in
-    place: its only array of the full order is the result."""
-    planes = []
-    for x, y in ((d.acoef.re, d.bcoef.re), (d.acoef.im, d.bcoef.im)):
-        out = x * a
-        if b:
-            (np.add if b == 1 else np.subtract)(out, y, out=out)
-        planes.append(out)
-    return planes
+    def _planes(self, a: int, b: int) -> list[np.ndarray]:
+        # Each plane is in {-1, 0, 1} and the only array of the design's order.
+        return [_substitute(self.code, v.take(self.table)) for v in _VALUES[a, b]]
 
 
 def _is_real(d: CODMatrix) -> bool:
-    return not (d.acoef.im.any() or d.bcoef.im.any())
+    """No block of a code in ``d.code`` holds an imaginary cell."""
+    return not _lookup(_VALUES[1, 1][1].take(d.table).any(axis=(1, 2)), d.code).any()
 
 
 def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
@@ -96,21 +134,22 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     s1, s2 = d.stype
     if not (conjugate or _is_real(d)):
         return False
-    for a, b in EVAL_POINTS:
+    for a, b in ((1, 0), (0, 1), (1, 1)):
         # A unit point keeps every |entry|^2 at most 1.
-        if not _gram_is_scalar(*_planes_at(d, a, b), 1, s1 * a * a + s2 * b * b):
+        if not _gram_is_scalar(*d._planes(a, b), 1, s1 * a * a + s2 * b * b):
             return False
     return True
 
 
 def _factors(ctx: FieldCtx) -> tuple[CODMatrix, QMatrix]:
-    """The base design a I + b (S - I) and the core Q = skew_core(S) - I of
-    the recursion, from one build of the skew-regular matrix S."""
+    """The base design a I + b (S - I) and the core Q = skew_core(S) - I,
+    from one build of S; ``skew_core`` certifies S + S* = 2I, so S_ii = 1."""
     s = skew_regular_qhm(ctx)
     core = skew_core(s)
-    eye = np.eye(s.n, dtype=np.int8)
-    base = CODMatrix(QMatrix(eye, np.zeros_like(eye)), QMatrix(s.re - eye, s.im))
-    return base, QMatrix(core.re - eye[1:, 1:], core.im)
+    code = _code_plane(s, 1)
+    np.fill_diagonal(code, 1)
+    eye = np.eye(ctx.q, dtype=np.int8)
+    return CODMatrix._level(code, _IDENTITY), QMatrix(core.re - eye, core.im)
 
 
 def _checked_order(ctx: FieldCtx, k: int) -> int:
@@ -127,27 +166,24 @@ def _checked_order(ctx: FieldCtx, k: int) -> int:
 def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     """k substitution steps: order (1+p^2) p^(2k), type (p^(2k), p^(2k+2)).
 
-    Each step sends an a-cell with phase e to the p^2 x p^2 block e*b*J
-    and a b-cell with phase e to e*(a I + b Q), Q the skew-core minus
-    its identity.  In coefficient form that is A' = B (x) I and
-    B' = A (x) J + B (x) Q, written straight into the new int8 planes,
-    viewed as (n, q, n, q) blocks, with no Kronecker temporaries.
+    A step, A' = B (x) I and B' = A (x) J + B (x) Q for Q the skew core
+    minus I, sends a cell of code c to a q x q block step[c]: a*i^e to
+    i^e b J, b*i^e to i^e (a I + b Q).  So a cell's k-fold expansion
+    depends on its code alone; it is the block T_k[c], where T_0 is the
+    identity and T_{j+1}[c] is step[c] with each cell c' replaced by its
+    j-fold expansion T_j[c'].  Level k is the base code plane over T_k.
     """
     _checked_order(ctx, k)
-    d, q_core = _factors(ctx)
-    q, diag = ctx.q, np.arange(ctx.q)
-    qr, qi = q_core.re[None, :, None, :], q_core.im[None, :, None, :]
-    for _ in range(k):
-        n = d.n
-        a = np.zeros((2, n, q, n, q), dtype=np.int8)
-        a[:, :, diag, :, diag] = (d.bcoef.re, d.bcoef.im)
-        b_re, b_im = _mul(d.bcoef.re[:, None, :, None], d.bcoef.im[:, None, :, None], qr, qi)
-        b_re += d.acoef.re[:, None, :, None]
-        b_im += d.acoef.im[:, None, :, None]
-        shape = (n * q, n * q)
-        d = CODMatrix(QMatrix(*a.reshape(2, *shape)),
-                      QMatrix(b_re.reshape(shape), b_im.reshape(shape)))
-    return d
+    base, q_core = _factors(ctx)
+    table = _IDENTITY
+    if k:
+        eye = np.eye(ctx.q, dtype=np.int8)
+        step = np.zeros((9, ctx.q, ctx.q), dtype=np.uint8)
+        step[1:5] = _TIMES[:, 5, None, None]
+        step[5:] = _TIMES[:, CODMatrix(QMatrix(eye, 0 * eye), q_core).code]
+        for _ in range(k):
+            table = _substitute(step, table)
+    return CODMatrix._level(base.code, table)
 
 
 def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
@@ -155,7 +191,7 @@ def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
     fail, by name; None when all hold.  Every check is exact: the cells
     are Gaussian integers, the sums have at most q unit terms, and QQ* is
     formed by the exact kernel."""
-    if not np.array_equal(_support(q_core) != 0, ~np.eye(q, dtype=bool)):
+    if not np.array_equal((q_core.re | q_core.im) != 0, ~np.eye(q, dtype=bool)):
         return "Q has zero diagonal and unit cells off it"
     if not (np.array_equal(q_core.re.T, -q_core.re)
             and np.array_equal(q_core.im.T, q_core.im)):
@@ -207,8 +243,7 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
               else "base Gram")
     if broken is not None:
         d = cod_recurse(ctx, k)
-        s1, s2 = d.stype
-        return {"order": d.n, "type": [s1, s2],
+        return {"order": d.n, "type": list(d.stype),
                 "gram_conjugate": certify_gram(d),
                 "gram_transpose": certify_gram(d, conjugate=False),
                 "broken": broken}

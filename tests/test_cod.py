@@ -9,6 +9,7 @@ from qhadamard import (
     check_quaternary_hadamard,
     check_skew_type,
     cod_recurse,
+    conj_transpose,
     factored_summary,
 )
 from qhadamard import cod
@@ -73,6 +74,7 @@ def test_cod_recurse_rejects_negative_k():
 def test_cod_recurse_type_and_gram(p, k, order):
     d = cod_recurse(field(p), k)
     assert d.n == order
+    assert d.table.shape == (9, p ** (2 * k), p ** (2 * k))
     assert d.stype == (p ** (2 * k), p ** (2 * k + 2))
     assert certify_gram(d)
 
@@ -272,6 +274,34 @@ def random_designs():
         return design(similar(acoef), similar(bcoef))
 
     return st.one_of(random_design(), similar_design())
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """A, B of order 1..6 with disjoint supports: each cell is zero, a
+    phase of A or a phase of B."""
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([(0, 0)] + [(v, ph) for v in (0, 1) for ph in PHASES]),
+                          min_size=n * n, max_size=n * n))
+    pairs = np.zeros((2, n * n), dtype=complex)
+    for i, (v, ph) in enumerate(cells):
+        pairs[v, i] = ph
+    return pairs.reshape(2, n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_pairs())
+def test_explicit_design_round_trip(pair):
+    a_coef, b_coef = pair
+    d = design(a_coef, b_coef)
+    assert d.n == a_coef.shape[0] and d.table.shape == (9, 1, 1)
+    assert equal(d.acoef, qmatrix(a_coef)) and equal(d.bcoef, qmatrix(b_coef))
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            assert np.array_equal(d.evaluate_qmatrix(a, b).data, a * a_coef + b * b_coef)
+    # Transposed planes are not C-contiguous.
+    t = CODMatrix(conj_transpose(d.acoef), conj_transpose(d.bcoef))
+    assert equal(t.acoef, conj_transpose(d.acoef)) and equal(t.bcoef, conj_transpose(d.bcoef))
 
 
 @settings(max_examples=200, deadline=None)

@@ -29,9 +29,10 @@ GRID = {
        for p in (3, 5) for j in (0, 1)},
     **{f"cod-{p}-{k}": ["cod", "--p", str(p), "--k", str(k)]
        for p, k in ((3, 0), (3, 1), (3, 2), (5, 1))},
-    **{f"cod-{p}-1-eval-{e}": ["cod", "--p", str(p), "--k", "1", "--eval", e,
-                               "--out", "{out}"]
-       for p in (3, 5) for e in ("1,1", "0,1")},
+    **{f"cod-{p}-{k}-eval-{e}": ["cod", "--p", str(p), "--k", str(k), "--eval", e,
+                                 "--out", "{out}"]
+       for p, k, e in [(p, k, e) for p, k in ((3, 1), (5, 1), (3, 2)) for e in ("1,1", "0,1")]
+       + [(5, 1, "1,0")]},
     **{f"{cmd}-{name}": [cmd, f"{{fixtures}}/{name}.qhm", "--out", "{out}"]
        for cmd in ("double", "core", "realify") for name in QHM},
     **{f"verify-json-{name}": ["verify", f"{{fixtures}}/{name}.qhm", "--json"]
@@ -277,6 +278,10 @@ GOLDEN = {
     "verify-json-s13-crlf": (0, "a6580a429c5405d1", EMPTY, None),
     "verify-json-s13-displaced-newline": (2, EMPTY, "7dcff51f6bc16c8c", None),
     "verify-json-s13-no-final-newline": (0, "a6580a429c5405d1", EMPTY, None),
+    # Recorded before the design was expanded through a level table.
+    "cod-3-2-eval-0,1": (0, EMPTY, EMPTY, "9309a6016bccadb2"),
+    "cod-3-2-eval-1,1": (0, EMPTY, EMPTY, "fc8bd103444bc227"),
+    "cod-5-1-eval-1,0": (0, EMPTY, EMPTY, "d1b45d727aa2ba8f"),
 }
 
 

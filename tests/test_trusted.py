@@ -91,9 +91,12 @@ def test_cod_designs(p, k):
         assert_planes(d.bcoef, real=False)
         # The design revalidates: disjoint supports.
         CODMatrix(d.acoef, d.bcoef)
+        assert not (d.code.flags.writeable or d.table.flags.writeable)
+        with pytest.raises(AttributeError):
+            d.table = d.table
 
 
-@pytest.mark.parametrize("p, k", [(3, 0), (3, 1)])
+@pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (5, 1)])
 def test_evaluate_qmatrix_at_units(p, k):
     d = cod_recurse(field(p), k)
     for a in (-1, 0, 1):

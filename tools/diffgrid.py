@@ -16,7 +16,8 @@ The grid covers
   - usage errors and ``--help`` for every command;
   - ``construct`` at every odd prime <= 23 and at invalid p;
   - ``excess`` with and without ``--json`` at every odd prime <= 31;
-  - ``cod`` summaries and ``--eval`` points, valid and invalid;
+  - ``cod`` summaries and ``--eval`` points, valid and invalid, at levels
+    k = 1 and 2, and ``--eval 1,1`` at p = 3, k = 3 (order 7290);
   - every file command on S, its twist, double, core, realification and
     the realification of its double, at every odd prime <= 23;
   - those files with one cell negated, rotated by i or zeroed at three
@@ -194,10 +195,12 @@ def grid(inputs: Path) -> list[Run]:
     runs += [Run(f"excess-{p}", ("excess", "--p", str(p))) for p in (2, 9)]
     for p, k in ((3, 0), (3, 1), (3, 2), (5, 1), (7, 1), (3, -1), (3, 6), (4, 1)):
         runs.append(Run(f"cod-{p}-{k}", ("cod", "--p", str(p), "--k", str(k))))
-    for p in (3, 5):
+    for p, k in ((3, 1), (5, 1), (3, 2)):
         for point in ("1,1", "0,1", "1,0", "0,0", "2,0", "x", "1"):
-            runs.append(Run(f"cod-{p}-1-eval-{point}",
-                            ("cod", "--p", str(p), "--k", "1", "--eval", point, "--out", "out")))
+            runs.append(Run(f"cod-{p}-{k}-eval-{point}",
+                            ("cod", "--p", str(p), "--k", str(k), "--eval", point, "--out", "out")))
+    runs.append(Run("cod-3-3-eval-1,1", ("cod", "--p", "3", "--k", "3", "--eval", "1,1",
+                                         "--out", "out")))
     runs.append(Run("cod-3-6-eval", ("cod", "--p", "3", "--k", "6", "--eval", "1,1")))
     for p in PRIMES:
         n = 1 + p * p
