@@ -6,8 +6,6 @@ from .field import BudgetError, FieldCtx, FieldError, make_field
 from .qmatrix import (
     MatrixError,
     QMatrix,
-    block2,
-    conj_transpose,
     diag_similarity,
     gram_is_scalar,
     realify,
@@ -29,7 +27,6 @@ from .cod import (
 from .excess import ExcessReport, run_pipeline
 from .verify import (
     PropertyReport,
-    check_quaternary_hadamard,
     check_skew_type,
     full_report,
 )
@@ -38,9 +35,9 @@ from .matio import ParseError, parse, serialize
 __all__ = [
     "BudgetError", "CODMatrix", "ExcessReport", "FieldCtx", "FieldError",
     "MatrixError", "ParseError", "PropertyReport", "QMatrix",
-    "block2", "certify_gram",
-    "check_quaternary_hadamard", "check_skew_type",
-    "cod_recurse", "conference_matrix", "conj_transpose",
+    "certify_gram",
+    "check_skew_type",
+    "cod_recurse", "conference_matrix",
     "diag_similarity", "double", "factored_summary",
     "full_report", "gram_is_scalar", "make_field",
     "paley_qhm", "parse", "realify", "run_pipeline", "serialize",

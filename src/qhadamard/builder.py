@@ -13,15 +13,7 @@ import math
 import numpy as np
 
 from .field import FieldCtx, certify_character, is_prime
-from .qmatrix import (
-    MatrixError,
-    QMatrix,
-    _mul,
-    block2,
-    conj_transpose,
-    diag_similarity,
-    gram_is_scalar,
-)
+from .qmatrix import MatrixError, QMatrix, _mul, diag_similarity, gram_is_scalar
 
 # Row/column labels are {infinity} followed by GF(p^2) in index order,
 # so position of element x is 1 + index(x) and each additive coset is a
@@ -77,21 +69,22 @@ def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
     return diag_similarity(paley_qhm(ctx), twist_vector(ctx))
 
 
-def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
-    """X X* = cI for X = re + i*im of the base form
-    X = diag(u)(I - iC)diag(w), u and w unit vectors and C the
-    conference matrix of GF(p^2), p an odd prime with 1 + p^2 the order;
-    None when X is not of that form.  S (``skew_regular_qhm``), its
-    twists and their rows negated are of it.
+def base_form(re: np.ndarray, im: np.ndarray | None):
+    """(ctx, u, w), u and w as (re, im) pairs, for X = re + i*im of the
+    base form X = diag(u)(I - iC)diag(w), u and w unit vectors and C the
+    conference matrix of ctx = GF(p^2), p an odd prime with 1 + p^2 the
+    order; None when X is not of that form.  S (``skew_regular_qhm``),
+    its twists and their rows negated are of it.
 
     The form fixes u and w up to a common unit, so set w[0] = 1; then
     X[0, 0] = u[0], X[i, 0] = -i u[i] and X[0, j] = -i u[0] w[j] for
     i, j > 0.  X is of the form exactly when diag(u*) X diag(w*), with u
-    and w read off in this way, is I - iC cell for cell.  Then
-    X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is cI exactly
-    when C = C^T and CC^T = (c - 1)I.  (CC^T)[0, 0] = q, so that asks
-    for c = 1 + q and the symmetric conference matrix C, which
-    ``field.certify_character`` decides from the character table.
+    and w read off in this way, is I - iC cell for cell.
+
+    X + X* = 2I exactly when w = u* and C = C^T: C has a zero diagonal,
+    so X + X* has the diagonal 2 Re(u_k w_k), and for w = u* the cell
+    (j, k) off it is -i u_j C_jk u*_k + conj(-i u_k C_kj u*_j)
+    = i u_j u*_k (C_kj - C_jk), with u_j u*_k a unit.
     """
     n = re.shape[0]
     p = math.isqrt(n - 1)
@@ -104,8 +97,12 @@ def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | 
     # The planes are disjoint, so a cell is a unit exactly when one is nonzero.
     if not ((ur | ui).all() and (wr | wi).all()):
         return None
-    yr, yi = _mul(*_mul(re, im, ur[:, None], -ui[:, None]), wr, -wi)
-    if not (yr.diagonal() == 1).all() or np.count_nonzero(yr) != n:
+    # Y = diag(u*) X diag(w*) = Z diag(w*) has |Y_jk| <= 1, so a unit diagonal and
+    # Im Y = -C, nonzero off the diagonal, leave Re Y zero there: Y = I - iC.
+    zr, zi = _mul(re, im, ur[:, None], -ui[:, None])
+    yi = zi * wr - zr * wi
+    if ((zr.diagonal() * wr + zi.diagonal() * wi != 1).any()
+            or np.count_nonzero(yi) != n * (n - 1)):
         return None
     # yi + C = 0, with C added in place through the view of its core, so
     # that C is not built a second time.
@@ -114,9 +111,20 @@ def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | 
     yi[1:, 0] += 1
     core = yi[1:, 1:].reshape(p, p, p, p)
     core += _core(ctx)
-    if yi.any():
-        return None
-    return c == 1 + ctx.q and certify_character(ctx.char_table, p)
+    return None if yi.any() else (ctx, (ur, ui), (wr, wi))
+
+
+def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
+    """X X* = cI for X of the base form (``base_form``); None when X is
+    not of that form.
+
+    X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is cI exactly
+    when C = C^T and CC^T = (c - 1)I.  (CC^T)[0, 0] = q, so that asks
+    for c = 1 + q and the symmetric conference matrix C, which
+    ``field.certify_character`` decides from the character table.
+    """
+    ctx = (base_form(re, im) or (None,))[0]
+    return None if ctx is None else c == 1 + ctx.q and certify_character(ctx.char_table, ctx.p)
 
 
 def skew_core(h: QMatrix) -> QMatrix:
@@ -145,9 +153,16 @@ def double(h: QMatrix) -> QMatrix:
     """Order-doubling block matrix [[H, iH], [iH*, H*]].
 
     Preserves the Hadamard property and skewness; a constant row sum
-    a + b*i spreads into {a-b + (a+b)i, a+b + (a-b)i}.
+    a + b*i spreads into {a-b + (a+b)i, a+b + (a-b)i}.  For H = A + iB, the
+    planes of iH = -B + iA, H* = A^T - iB^T and iH* = B^T + iA^T are written in place.
     """
     if not gram_is_scalar(h, h.n):
         raise MatrixError("input is not a quaternary Hadamard matrix")
-    hs = conj_transpose(h)
-    return block2(h, h.scale(1j), hs.scale(1j), hs)
+    n = h.n
+    re, im = np.empty((2, 2 * n, 2 * n), dtype=np.int8)
+    re[:n, :n], im[:n, :n], im[:n, n:] = h.re, h.im, h.re
+    np.negative(h.im, out=re[:n, n:])
+    re[n:, n:], re[n:, :n] = h.re.T, h.im.T
+    im[n:, :n] = re[n:, n:]
+    np.negative(re[n:, :n], out=im[n:, n:])
+    return QMatrix(re, im)

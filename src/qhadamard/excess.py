@@ -23,9 +23,10 @@ S's planes in O(N^2), with no matrix of order 2N or 4N:
 - A unit a + bi has a - b and a + b nonzero, so row 0 of W_M has
   4 nnz(M row 0) nonzero cells; skewness puts 1 on S's diagonal.
 - E W1 has Gram 4N I iff X_S X_S* = 2N I (``qmatrix._realified_gram``)
-  iff S S* = N I (``qmatrix._doubled_gram``), and a zero cell iff S has
-  one, so ``check_quaternary_hadamard(S)`` certifies it.  Skewness makes
-  Q quaternary, and regularity fixes the excess.
+  iff S S* = N I (``qmatrix._doubled_gram``), which leaves no zero cell
+  in S or E W1, so the report's recognition of S (``verify._recognise``)
+  certifies it.  Skewness makes Q quaternary, and regularity fixes the
+  excess.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .field import FieldCtx
 from .qmatrix import _PANEL_CAP, MatrixError, _exact_dtype
 from .builder import skew_regular_qhm
-from .verify import _common_sum, _row_sums, check_quaternary_hadamard, check_skew_type
+from .verify import _common_sum, _recognise, check_skew_type
 
 
 def weight_bound(n: int, w: int) -> int | None:
@@ -89,8 +90,8 @@ def run_pipeline(ctx: FieldCtx) -> PipelineReport:
     """Certify S and report on E W1, E W2 and E W3 from S's planes; raises
     MatrixError if S is not a skew-regular quaternary Hadamard matrix."""
     s = skew_regular_qhm(ctx)
-    x, y = _row_sums(s)
-    if not (check_quaternary_hadamard(s) and check_skew_type(s)
+    hadamard, skew, x, y = _recognise(s.re, s.im)
+    if not (hadamard and (check_skew_type(s) if skew is None else skew)
             and _common_sum(x, y) is not None):
         raise MatrixError("input is not a skew-regular quaternary Hadamard matrix")
     order = 4 * s.n

@@ -119,6 +119,12 @@ def make_field(p: int, budget_mb: int | None = None) -> FieldCtx:
     return FieldCtx(p)
 
 
+def character_is_even(table: np.ndarray, p: int) -> bool:
+    """chi(-x) = chi(x) for every x: the conference matrix is symmetric."""
+    t, neg = table.reshape(p, p), -np.arange(p) % p
+    return bool(np.array_equal(t[neg][:, neg], t))
+
+
 def certify_character(table: np.ndarray, p: int) -> bool:
     """Whether the conference matrix C that ``builder.conference_matrix``
     builds from ``table``, a character table of GF(p^2) with entries in
@@ -144,13 +150,11 @@ def certify_character(table: np.ndarray, p: int) -> bool:
     absolute value at most q, exact in ``_exact_dtype(q, 1)``.
     """
     q = p * p
-    if table[0] != 0 or not np.isin(table[1:], (-1, 1)).all():
+    if (table[0] != 0 or not (np.abs(table[1:]) == 1).all()
+            or not character_is_even(table, p) or table.sum() != 0):
         return False
     ar = np.arange(p)
     t = table.reshape(p, p)
-    neg = -ar % p
-    if not np.array_equal(t[neg][:, neg], t) or table.sum() != 0:
-        return False
     shift = (ar[:, None] + ar) % p
     t = t.astype(_exact_dtype(q, 1))
     m = t.T @ t[shift]

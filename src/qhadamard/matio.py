@@ -5,12 +5,9 @@ character each: '1' -> 1, '-' -> -1, 'i' -> i, 'j' -> -i, '0' -> 0.
 ('j' denoting -i follows the printed convention of the source tables.)
 Real bodies are restricted to {'1', '-', '0'}.
 
-Cells go through ``bytes.translate`` tables over the whole body at once.
-A cell value x = re + im*i has the code 3*re + im + 4 in 0..8, and code
-9 is the newline; ``_CODE_CHAR`` maps codes to characters.  Each
-alphabet has a pair of 256-byte tables that map a character to the int8
-byte of its ``re`` or its ``im`` plane, and every other byte (so also
-every non-ASCII one) to ``_BAD``.
+Cells are read by byte compares and written by byte arithmetic on the
+(n, n + 1) uint8 view of the body, one panel of rows at a time, so that
+no temporary is larger than a panel.
 """
 
 from __future__ import annotations
@@ -19,26 +16,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, _row_panels
 
-_BAD = b"\x02"  # no plane value: the planes hold 0, 1 and -1 (0xff)
-_CHARS = b"?-?j0i?1?"
-_CODE_CHAR = bytes.maketrans(bytes(range(10)), _CHARS + b"\n")
-
-
-def _tables(chars: bytes) -> tuple[bytes, bytes]:
-    """The ``re`` and ``im`` plane tables of an alphabet."""
-    re, im = bytearray(_BAD * 256), bytearray(_BAD * 256)
-    for ch in chars:
-        code = _CHARS.index(ch)
-        re[ch] = (code // 3 - 1) & 0xFF
-        im[ch] = (code % 3 - 1) & 0xFF
-    return bytes(re), bytes(im)
-
-
-_QHM = _tables(b"1-ij0")
-_RHM = _tables(b"1-0")
-_PHASE = _tables(b"1-ij")
+_ALPHABET = {False: "1-ij0", True: "1-0"}  # by whether the matrix is real
 
 
 class ParseError(ValueError):
@@ -71,24 +51,44 @@ def _to_bytes(text: str) -> bytes:
     return text.encode("latin-1", errors="replace")
 
 
-def _cells(data: bytes, table: bytes, count: int) -> bytes | None:
-    """``data`` through ``table`` with newlines dropped; None unless that
-    leaves exactly ``count`` cells, all in the alphabet."""
-    out = data.translate(table, b"\n")
-    return out if len(out) == count and _BAD not in out else None
+def _planes(cells: np.ndarray, alphabet: str) -> list[np.ndarray] | None:
+    """The int8 ``re`` plane ('1', '-') and, unless ``alphabet`` is real,
+    ``im`` plane ('i', 'j') of a 2-D uint8 array of cell characters; None
+    unless the nonzero plane cells and the '0' cells the alphabet allows
+    number as many as the cells, that is, all are in the alphabet."""
+    pairs = ("1-", "ij") if "i" in alphabet else ("1-",)
+    planes = [np.empty(cells.shape, dtype=np.int8) for _ in pairs]
+    found = 0
+    for rows in _row_panels(*cells.shape):
+        panel = np.ascontiguousarray(cells[rows])  # compares run faster on it
+        for plane, (one, minus) in zip(planes, pairs):
+            out = plane[rows]
+            np.subtract((panel == ord(one)).view(np.int8),
+                        (panel == ord(minus)).view(np.int8), out=out)
+            found += np.count_nonzero(out)
+        if "0" in alphabet:
+            found += np.count_nonzero(panel == ord("0"))
+    return planes if found == cells.size else None
 
 
 def serialize(m: QMatrix) -> str:
+    """The file text, written into one byte buffer and decoded once.  A
+    cell's character is '0' plus the offset (re & -3) + 57|im| + [im < 0]:
+    1 for 1, -3 for -1, 57 for i and 58 for -i."""
     n = m.n
-    body = np.empty((n, n + 1), dtype=np.int8)
-    cells = body[:, :n]
-    np.multiply(m.re, 3, out=cells)
-    if m.im is not None:
-        cells += m.im
-    cells += 4
-    body[:, n] = 9
-    kind = "RHM" if m.im is None else "QHM"
-    return f"{kind} {n}\n" + body.tobytes().translate(_CODE_CHAR).decode("ascii")
+    head = f"{'RHM' if m.im is None else 'QHM'} {n}\n".encode()
+    buf = bytearray(len(head) + n * (n + 1))
+    buf[:len(head)] = head
+    body = np.frombuffer(buf, dtype=np.uint8, offset=len(head)).reshape(n, n + 1)
+    body[:, n] = ord("\n")
+    for rows in _row_panels(n, n):
+        offset = m.re[rows] & np.int8(-3)
+        if m.im is not None:
+            im = m.im[rows]
+            offset += im * im * np.int8(57)
+            offset += (im < 0).view(np.int8)
+        np.add(offset.view(np.uint8), ord("0"), out=body[rows, :n])
+    return buf.decode("ascii")
 
 
 def _header(head: str) -> tuple[bool, int]:
@@ -110,8 +110,8 @@ def parse(text: str) -> QMatrix:
 
     A well-formed body is exactly n rows of n cells and a newline (the
     last newline may be missing), so its layout is checked by its length
-    and its newline column, and its cells by one translation per plane.
-    Any other input goes to ``_locate_error``.
+    and its newline column, and its cells by ``_planes``.  Any other
+    input goes to ``_locate_error``.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -122,11 +122,10 @@ def parse(text: str) -> QMatrix:
         if not body.endswith(b"\n"):
             body += b"\n"
         if len(body) == n * (n + 1) and body[n::n + 1] == b"\n" * n:
-            re = _cells(body, (_RHM if real else _QHM)[0], n * n)
-            if re is not None:
-                planes = (re,) if real else (re, body.translate(_QHM[1], b"\n"))
-                return QMatrix(*(np.frombuffer(plane, dtype=np.int8).reshape(n, n)
-                                 for plane in planes))
+            cells = np.frombuffer(body, dtype=np.uint8).reshape(n, n + 1)[:, :n]
+            planes = _planes(cells, _ALPHABET[real])
+            if planes is not None:
+                return QMatrix(*planes)
     _locate_error(text)
 
 
@@ -143,12 +142,11 @@ def _locate_error(text: str) -> NoReturn:
     real, n = _header(head)
     if len(rows) != n:
         raise ParseError(f"expected {n} body rows, got {len(rows)}", len(rows) + 1)
-    table = (_RHM if real else _QHM)[0]
     for line, row in enumerate(rows, start=2):
         if len(row) != n:
             raise ParseError(f"expected {n} cells, got {len(row)}", line)
-        col = _to_bytes(row).translate(table).find(_BAD)
-        if col >= 0:
+        col = n - len(row.lstrip(_ALPHABET[real]))
+        if col < n:
             raise ParseError(f"bad cell {row[col]!r}", line, col + 1)
     raise AssertionError("parse refused a well-formed file")
 
@@ -156,11 +154,10 @@ def _locate_error(text: str) -> NoReturn:
 def parse_phase_vector(text: str) -> np.ndarray:
     """One phase per whitespace-separated token; errors name the token's index."""
     tokens = text.replace("\r\n", "\n").split()
-    cells = _to_bytes("".join(tokens))
-    re = _cells(cells, _PHASE[0], len(tokens))
-    if re is None:
+    cells = np.frombuffer(_to_bytes("".join(tokens)), dtype=np.uint8)
+    planes = _planes(cells[None], "1-ij") if len(cells) == len(tokens) else None
+    if planes is None:
         for index, token in enumerate(tokens, start=1):
-            if len(token) != 1 or _to_bytes(token).translate(_PHASE[0]) == _BAD:
+            if len(token) != 1 or token not in "1-ij":
                 raise ParseError(f"bad phase {token!r}", index)
-    im = cells.translate(_PHASE[1])
-    return np.frombuffer(re, dtype=np.int8) + 1j * np.frombuffer(im, dtype=np.int8)
+    return planes[0][0] + 1j * planes[1][0]

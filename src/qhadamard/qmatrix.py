@@ -27,6 +27,12 @@ class MatrixError(ValueError):
     """Shape or alphabet violation."""
 
 
+def _row_panels(rows: int, cols: int):
+    """Row slices of about 2^16 cells each, covering 0..rows."""
+    step = max(1, (1 << 16) // max(cols, 1))
+    return (slice(r0, r0 + step) for r0 in range(0, rows, step))
+
+
 def _plane(x) -> np.ndarray:
     """``x`` as a read-only int8 array with entries in {-1, 0, 1}.  An
     int8 array is frozen as it is, not copied."""
@@ -64,7 +70,7 @@ class QMatrix:
             if im.shape != re.shape:
                 raise MatrixError(f"plane shapes differ: {re.shape} and {im.shape}")
             # A nonzero int8 in {-1, 1} has its lowest bit set.
-            if (re & im).any():
+            if any((re[rows] & im[rows]).any() for rows in _row_panels(*re.shape)):
                 raise MatrixError("entries must be 0 or fourth roots of unity")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -90,11 +96,6 @@ class QMatrix:
     def __repr__(self):
         return f"QMatrix(n={self.n}{', real' if self.im is None else ''})"
 
-    def scale(self, phase: complex) -> "QMatrix":
-        if phase not in PHASES:
-            raise MatrixError(f"{phase!r} is not a phase")
-        return QMatrix(*_mul(self.re, self.im, int(phase.real), int(phase.imag)))
-
 
 def _mul(re, im, ur, ui):
     """The planes of (re + i*im)(ur + i*ui), broadcast, for factors that
@@ -105,10 +106,6 @@ def _mul(re, im, ur, ui):
     out_im = re * ui
     out_im += im * ur
     return out_re, out_im
-
-
-def conj_transpose(m: QMatrix) -> QMatrix:
-    return QMatrix(m.re.T, None if m.im is None else -m.im.T)
 
 
 def _exact_dtype(n: int, max_abs_sq: int) -> type:
@@ -270,24 +267,9 @@ def diag_similarity(m: QMatrix, v) -> QMatrix:
     return QMatrix(*_mul(re, im, vr, -vi))
 
 
-def block2(m11: QMatrix, m12: QMatrix, m21: QMatrix, m22: QMatrix) -> QMatrix:
-    """[[M11, M12], [M21, M22]] of quaternary blocks of one order."""
-    if not (m11.n == m12.n == m21.n == m22.n):
-        raise MatrixError("block orders differ")
-    rows = ((m11, m12), (m21, m22))
-    return QMatrix(np.block([[m.re for m in row] for row in rows]),
-                   np.block([[m.im for m in row] for row in rows]))
-
-
-def _doubled_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
-    """X X* = cI for X = [[A, iA], [iB, B]]; None when X is not of that
-    form.
-
-    X X* = [[AA* + AA*, -iAB* + iAB*], [iBA* - iBA*, BB* + BB*]]
-    = diag(2AA*, 2BB*), so X X* = cI exactly when AA* = BB* = (c/2)I.
-    B is not certified when it is A or A*: AA* = kI makes A*A = kI too
-    (A is invertible for k != 0, and zero for k = 0).
-    """
+def doubled_blocks(re: np.ndarray, im: np.ndarray | None):
+    """The planes (A.re, A.im) and (B.re, B.im) of X = [[A, iA], [iB, B]],
+    as views, and whether B = A*; None when X is not of that form."""
     n = re.shape[0]
     if im is None or n % 2:
         return None
@@ -297,14 +279,25 @@ def _doubled_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | N
     if not (np.array_equal(im[:h, h:], a_re) and np.array_equal(re[:h, h:], -a_im)
             and np.array_equal(im[h:, :h], b_re) and np.array_equal(re[h:, :h], -b_im)):
         return None
+    adjoint = np.array_equal(b_re, a_re.T) and np.array_equal(b_im, -a_im.T)
+    return (a_re, a_im), (b_re, b_im), adjoint
+
+
+def _doubled_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
+    """X X* = cI for X = [[A, iA], [iB, B]]; None when X is not of that
+    form.
+
+    X X* = [[AA* + AA*, -iAB* + iAB*], [iBA* - iBA*, BB* + BB*]]
+    = diag(2AA*, 2BB*), so X X* = cI exactly when AA* = BB* = (c/2)I.
+    B is not certified when it is A*: AA* = kI makes A*A = kI too (A is
+    invertible for k != 0, and zero for k = 0).
+    """
+    blocks = doubled_blocks(re, im)
+    if blocks is None:
+        return None
+    (a_re, a_im), (b_re, b_im), adjoint = blocks
     c = complex(c) / 2
-    if not _certify(a_re, a_im, c):
-        return False
-    if np.array_equal(b_re, a_re) and np.array_equal(b_im, a_im):
-        return True
-    if np.array_equal(b_re, a_re.T) and np.array_equal(b_im, -a_im.T):
-        return True
-    return _certify(b_re, b_im, c)
+    return _certify(a_re, a_im, c) and (adjoint or _certify(b_re, b_im, c))
 
 
 def realify(m: QMatrix) -> QMatrix:

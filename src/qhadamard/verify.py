@@ -1,19 +1,29 @@
-"""Certification predicates and machine-readable property reports."""
+"""Certification predicates and machine-readable property reports.
+
+``full_report`` recognises a quaternary matrix X once (``_recognise``)
+and takes its Hadamard and skew verdicts and row sums from its form;
+X X* = nI alone makes X Hadamard, its diagonal counting the nonzero
+cells of each row.  ``builder.base_form`` proves the base form.  For
+D = [[A, iA], [iB, B]], D D* = nI iff AA* = BB* = (n/2)I
+(``qmatrix._doubled_gram``), and D + D* = [[A + A*, i(A - B*)],
+[i(B - A*), B + B*]] is 2I iff B = A* and A + A* = 2I.  Row k of the
+top half sums to (1 + i)r = (x - y) + i(x + y), r = x + iy the k-th
+row sum of A, and of the bottom half likewise with B: A is recognised
+in turn and the sums are read from A and B.  Any other X goes to the
+dense Gram certificate and the panelled skew check.
+"""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import QMatrix, gram_is_scalar, sign_gram_is_scalar
-
-
-def check_quaternary_hadamard(m: QMatrix) -> bool:
-    """All entries nonzero phases and M M* = n I."""
-    return bool((m.re | m.im).all()) and gram_is_scalar(m, m.n)
+from . import qmatrix
+from .builder import base_form
+from .field import certify_character, character_is_even
+from .qmatrix import QMatrix, doubled_blocks, sign_gram_is_scalar
 
 
 def check_real_hadamard(w: QMatrix) -> bool:
@@ -43,11 +53,11 @@ def check_skew_type(m: QMatrix) -> bool:
     return True
 
 
-def _row_sums(m: QMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The real and the imaginary parts of the row sums, as int64 vectors."""
-    re = m.re.sum(axis=1, dtype=np.int64)
-    im = np.zeros_like(re) if m.im is None else m.im.sum(axis=1, dtype=np.int64)
-    return re, im
+def _row_sums(re: np.ndarray, im: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the row sums, summed in int32, as int64."""
+    x = re.sum(axis=1, dtype=np.int32).astype(np.int64)
+    y = np.zeros_like(x) if im is None else im.sum(axis=1, dtype=np.int32).astype(np.int64)
+    return x, y
 
 
 def _common_sum(re: np.ndarray, im: np.ndarray) -> complex | None:
@@ -56,9 +66,23 @@ def _common_sum(re: np.ndarray, im: np.ndarray) -> complex | None:
     return None
 
 
-def is_regular(m: QMatrix) -> complex | None:
-    """The common row sum, or None when row sums differ."""
-    return _common_sum(*_row_sums(m))
+def _recognise(re: np.ndarray, im: np.ndarray):
+    """(hadamard, skew, x, y) of X = re + i*im: X X* = nI, X + X* = 2I
+    (None if no form decides it) and the row sums x + iy."""
+    if form := base_form(re, im):
+        ctx, (ur, ui), (wr, wi) = form
+        skew = (np.array_equal(wr, ur) and np.array_equal(wi, -ui)
+                and character_is_even(ctx.char_table, ctx.p))
+        return certify_character(ctx.char_table, ctx.p), skew, *_row_sums(re, im)
+    if not (blocks := doubled_blocks(re, im)):
+        return qmatrix._gram_is_scalar(re, im, 1, len(re)), None, *_row_sums(re, im)
+    (ar, ai), (br, bi), adjoint = blocks
+    hadamard, skew, x, y = _recognise(ar, ai)
+    if not adjoint:
+        hadamard, skew = hadamard and qmatrix._certify(br, bi, len(br)), False
+    bx, by = _row_sums(br, bi)
+    x, y = np.concatenate((x, bx)), np.concatenate((y, by))
+    return hadamard, skew, x - y, x + y
 
 
 def _semi_regular_witness(re: np.ndarray, im: np.ndarray, n: int) -> tuple[int, int] | None:
@@ -105,12 +129,10 @@ class PropertyReport:
 
 def full_report(m: QMatrix) -> PropertyReport:
     if m.im is None:
-        hadamard = check_real_hadamard(m)
-        total = int(m.re.sum())
+        hadamard, skew, re, im = check_real_hadamard(m), None, *_row_sums(m.re, None)
     else:
-        hadamard = check_quaternary_hadamard(m)
-        total = None
-    re, im = _row_sums(m)
+        hadamard, skew, re, im = _recognise(m.re, m.im)
+    skew = check_skew_type(m) if skew is None else skew
     regular = _common_sum(re, im)
     norms = re * re + im * im
     abs_reg = bool((norms == norms[0]).all())
@@ -121,14 +143,15 @@ def full_report(m: QMatrix) -> PropertyReport:
             raise AssertionError(
                 f"regular Hadamard matrix of order {m.n} with |row sum|^2 = {abs_sq}"
             )
+    sums, counts = np.unique(re + 1j * im, return_counts=True)
     return PropertyReport(
         order=m.n,
         hadamard=hadamard,
-        skew=check_skew_type(m),
-        row_sum_multiset=dict(Counter(map(complex, re.tolist(), im.tolist()))),
+        skew=skew,
+        row_sum_multiset=dict(zip(sums.tolist(), counts.tolist())),
         regular=regular,
         abs_regular=abs_reg,
         abs_value_sq=abs_sq,
         semi_regular_witness=_semi_regular_witness(re, im, m.n) if hadamard else None,
-        excess=total,
+        excess=int(re.sum()) if m.im is None else None,
     )

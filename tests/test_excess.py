@@ -15,13 +15,15 @@ import qhadamard.qmatrix as qmatrix_module
 from qhadamard import MatrixError, QMatrix, gram_is_scalar, realify, run_pipeline
 from qhadamard.cli import main
 from qhadamard.qmatrix import sign_gram_is_scalar
-from qhadamard.verify import check_quaternary_hadamard, check_real_hadamard, check_skew_type, is_regular
+from qhadamard.verify import check_real_hadamard, check_skew_type
 from conftest import FIXTURES, field, skew_regular
 from reference import (
     build_triple,
+    check_quaternary_hadamard,
     dense_pipeline,
     equal,
     excess,
+    is_regular,
     maximize_excess_rows,
     negate_rows,
     qmatrix,

@@ -134,6 +134,23 @@ PARSE_CASES = {
 }
 
 
+ORDER_3 = {"QHM": "QHM 3\n1ij\n-0j\ni-1\n", "RHM": "RHM 3\n1-0\n-1-\n01-\n"}
+# Offsets into the texts above: the first, the middle and the last cell,
+# the newline ending the middle row and the final newline.
+BYTE_SITES = {"first cell": 6, "middle cell": 11, "last cell": 16,
+              "middle newline": 13, "final newline": 17}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER_3))
+@pytest.mark.parametrize("site", sorted(BYTE_SITES))
+def test_parse_matches_reference_on_every_byte(kind, site):
+    text, at = ORDER_3[kind], BYTE_SITES[site]
+    assert text[at] in "1-ij0\n"
+    for byte in range(256):
+        edited = text[:at] + chr(byte) + text[at + 1:]
+        assert same(outcome(parse, edited), outcome(reference.parse, edited)), byte
+
+
 @pytest.mark.parametrize("name", sorted(PARSE_CASES))
 def test_parse_matches_reference_on_cases(name):
     text = PARSE_CASES[name]

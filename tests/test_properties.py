@@ -5,16 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     QMatrix,
-    check_quaternary_hadamard,
     check_skew_type,
-    conj_transpose,
     diag_similarity,
     gram_is_scalar,
     realify,
 )
 from qhadamard.qmatrix import PHASES, sign_gram_is_scalar
 from conftest import skew_regular
-from reference import QALPHABET, equal, qmatrix
+from reference import QALPHABET, check_quaternary_hadamard, conj_transpose, equal, qmatrix
 
 entries = st.sampled_from(QALPHABET)
 phases = st.sampled_from(PHASES)

@@ -22,15 +22,18 @@ from qhadamard import (
     conference_matrix,
     diag_similarity,
     double,
+    full_report,
     gram_is_scalar,
     realify,
     serialize,
 )
 from qhadamard import builder, cli, qmatrix
-from qhadamard.field import FieldCtx, certify_character
+from qhadamard.field import FieldCtx, certify_character, character_is_even
 from qhadamard.qmatrix import _gram_is_scalar, _panels, sign_gram_is_scalar
 from conftest import skew_regular
-from reference import QALPHABET, build_triple, gauss_is_scalar, maximize_excess_rows, qmatrix as make
+from reference import (
+    QALPHABET, build_triple, gauss_is_scalar, maximize_excess_rows, qmatrix as make, skew_type,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 UNITS = np.array([1, 1j, -1, -1j])
@@ -211,6 +214,32 @@ def test_character_certificate_matches_conference_oracle(p, seed):
         if rng.random() < 0.5:
             table[neg_index(x, p)] = value
     assert certify_character(table, p) == _conference_oracle(table, p)
+    c = conference_matrix(SimpleNamespace(p=p, q=p * p, char_table=table)).re
+    assert character_is_even(table, p) is bool(np.array_equal(c, c.T))
+
+
+@pytest.mark.parametrize("edit", ("swapped", "zeroed"))
+def test_report_does_not_trust_the_character_table(edit, monkeypatch):
+    # X = I - iC for the conference matrix of a broken table, with a real
+    # 1 where C is zero off the diagonal.  Swapping a +1 and a -1 makes C
+    # non-symmetric; zeroing chi(x) and chi(-x) leaves C symmetric with
+    # zero cells.  Neither X is Hadamard or skew.
+    p = 5
+    table = FieldCtx(p).char_table.copy()
+    plus, minus = np.flatnonzero(table == 1)[0], np.flatnonzero(table == -1)[0]
+    if edit == "swapped":
+        table[[plus, minus]] = table[[minus, plus]]
+    else:
+        table[[plus, neg_index(plus, p)]] = 0
+    ctx = SimpleNamespace(p=p, q=p * p, char_table=table)
+    c = conference_matrix(ctx).re
+    eye = np.eye(p * p + 1)
+    m = make(eye - 1j * c + ((c == 0) & (eye == 0)))
+    monkeypatch.setattr(builder, "FieldCtx", lambda p: ctx)
+    assert (builder.base_form(m.re, m.im) is None) is (edit == "zeroed")
+    report = full_report(m)
+    assert report.hadamard is gauss_is_scalar(m.re, m.im, m.n) is False
+    assert report.skew is skew_type(m) is False
 
 
 def test_panels_cover_the_rows():

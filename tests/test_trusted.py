@@ -14,10 +14,8 @@ from qhadamard import (
     CODMatrix,
     MatrixError,
     QMatrix,
-    block2,
     cod_recurse,
     conference_matrix,
-    conj_transpose,
     diag_similarity,
     double,
     paley_qhm,
@@ -29,7 +27,10 @@ from qhadamard import (
 from qhadamard import cod
 from qhadamard.qmatrix import PHASES
 from conftest import field, skew_regular
-from reference import QALPHABET, build_triple, equal, maximize_excess_rows, negate_rows, qmatrix
+from reference import (
+    QALPHABET, block2, build_triple, conj_transpose, equal, maximize_excess_rows, negate_rows,
+    qmatrix, scale,
+)
 
 
 def assert_planes(m, real):
@@ -56,9 +57,9 @@ def test_matrix_operations(m, phase, data):
     zero = qmatrix(np.zeros((m.n, m.n), dtype=complex))
     for result in (
         conj_transpose(m),
-        m.scale(phase),
+        scale(m, phase),
         diag_similarity(m, v),
-        block2(m, conj_transpose(m), m.scale(phase), zero),
+        block2(m, conj_transpose(m), scale(m, phase), zero),
         parse(serialize(m)),
     ):
         assert_planes(result, real=False)

@@ -6,23 +6,27 @@ import pytest
 
 from qhadamard import (
     QMatrix,
-    check_quaternary_hadamard,
     check_skew_type,
     diag_similarity,
     double,
     full_report,
     realify,
 )
-from qhadamard import matio
+from qhadamard import matio, qmatrix as qmatrix_module, verify
 from conftest import field, skew_regular, FIXTURES
 from reference import (
+    block2,
     build_triple,
+    check_quaternary_hadamard,
     check_semi_regular,
+    conj_transpose,
+    gauss_is_scalar,
     is_absolutely_regular,
     maximize_excess_rows,
     negate_rows,
     qmatrix,
     row_sums,
+    scale,
     semi_regular_witness,
     skew_type,
 )
@@ -67,7 +71,9 @@ def test_check_semi_regular_examples():
     lambda: _corrupted(skew_regular(3)),
     lambda: negate_rows(realify(build_triple(skew_regular(3))[2]), [0, 3]),
     lambda: eye(2),
-], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2"])
+    lambda: qmatrix(np.full((130, 130), 1j)),
+    lambda: QMatrix(np.ones((130, 130))),
+], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2", "iJ130", "J130"])
 def test_report_row_sum_fields_match_reference(make):
     # The report derives these from one pair of int64 row-sum vectors.
     m = make()
@@ -199,3 +205,108 @@ def test_skew_type_panels_match_one_shot_formula(n, real):
             if value != old:
                 bad = _with_cell(m, r, c, complex(value))
                 assert (check_skew_type(bad), skew_type(bad)) == (False, False), (r, c, value)
+
+
+UNITS = np.array([1, 1j, -1, -1j])
+
+
+def _doubled(a, b):
+    """[[A, iA], [iB, B]], built from the values."""
+    return block2(a, scale(a, 1j), scale(b, 1j), b)
+
+
+def _report_family(name, p):
+    """A matrix of one of the forms ``full_report`` recognises, or of a
+    near miss, seeded by its name and p."""
+    rng = np.random.default_rng([p, len(name), sum(map(ord, name))])
+    s = skew_regular(p)
+    u, w = (UNITS[rng.integers(0, 4, s.n)] for _ in range(2))
+    signs = rng.choice([1, -1], s.n)
+    base = {
+        "S": s,
+        "twist": diag_similarity(s, u),
+        "two-sided": qmatrix(u[:, None] * s.data * w),
+        "rows-negated": qmatrix(signs[:, None] * s.data),
+    }
+    if name in base:
+        return base[name]
+    if name == "B-not-A*":
+        return _doubled(s, base["two-sided"])
+    if name == "B=A^T":
+        return _doubled(s, qmatrix(np.asarray(s.data).T))
+    # A or B itself with one cell negated, in both blocks it fills.
+    bad = np.array(s.data)
+    bad[1, 2] *= -1
+    if name == "B-not-Hadamard":
+        return _doubled(s, qmatrix(bad))
+    if name == "A-not-Hadamard":
+        return _doubled(qmatrix(bad), conj_transpose(qmatrix(bad)))
+    a = base[name.removeprefix("double-")]
+    return _doubled(a, conj_transpose(a))
+
+
+REPORT_FAMILIES = ("S", "twist", "two-sided", "rows-negated", "double-S", "double-twist",
+                   "double-two-sided", "double-rows-negated", "B-not-A*", "B=A^T",
+                   "B-not-Hadamard", "A-not-Hadamard")
+CELL_EDITS = {
+    "negated": lambda x: -x,
+    "rotated": lambda x: 1j * x,
+    "planes-swapped": lambda x: complex(x.imag, x.real),
+}
+
+
+def _oracle_report(m):
+    """``to_json`` of the report, from the Gaussian-integer Gram (order at
+    most 20, else the exact complex128 product of the cell values), the
+    one-shot skew test and the row sums as Python complex numbers."""
+    x = np.asarray(m.data, dtype=complex)
+    if m.n <= 20:
+        hadamard = gauss_is_scalar(m.re, m.im, m.n)
+    else:
+        hadamard = bool(np.array_equal(x @ x.conj().T, m.n * np.eye(m.n)))
+    sums = row_sums(m)
+    regular = sums[0] if len(set(sums)) == 1 else None
+    abs_regular = is_absolutely_regular(m)[0]
+    witness = semi_regular_witness(m) if hadamard else None
+    return {
+        "order": m.n, "hadamard": hadamard, "skew": skew_type(m),
+        "row_sums": sorted([int(s.real), int(s.imag), c] for s, c in Counter(sums).items()),
+        "regular": None if regular is None else [int(regular.real), int(regular.imag)],
+        "abs_regular": abs_regular,
+        "semi_regular_witness": None if witness is None else list(witness),
+        "excess": None,
+    }
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+@pytest.mark.parametrize("name", REPORT_FAMILIES)
+def test_structural_report_matches_general_path(name, p):
+    m = _report_family(name, p)
+    rng = np.random.default_rng(p)
+    # Corners of the matrix and of its blocks, and seeded cells.
+    h = m.n // 2
+    cells = [(0, 0), (h, h), (0, m.n - 1), (h - 1, h)] + [tuple(rng.integers(0, m.n, 2))
+                                                         for _ in range(2)]
+    cases = [("clean", m)]
+    for edit, change in CELL_EDITS.items():
+        for r, c in cells:
+            x = np.array(m.data, dtype=complex)
+            x[r, c] = change(x[r, c])
+            cases.append((f"{edit} at {(r, c)}", qmatrix(x)))
+    for label, x in cases:
+        got = full_report(x).to_json()
+        assert got == _oracle_report(x), label
+        assert got["hadamard"] is (label == "clean" and "not-Hadamard" not in name)
+
+
+def test_verify_reads_the_families_from_their_forms(tmp_path, capsys, monkeypatch):
+    import test_golden_cli as golden
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recognised form reached the general path")
+
+    monkeypatch.setattr(qmatrix_module, "_gram_is_scalar", refuse)
+    monkeypatch.setattr(verify, "check_skew_type", refuse)
+    for name in ("verify-json-s13", "verify-json-t13", "verify-json-d13"):
+        got = golden.run_digests(golden.GRID[name], tmp_path, capsys)
+        assert got == golden.GOLDEN[name], name
