@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx, certify_character, is_prime
+from .field import FieldCtx, is_prime
 from .qmatrix import MatrixError, QMatrix, _mul, diag_similarity, gram_is_scalar
 
 # Row/column labels are {infinity} followed by GF(p^2) in index order,
@@ -112,19 +112,6 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
     core = yi[1:, 1:].reshape(p, p, p, p)
     core += _core(ctx)
     return None if yi.any() else (ctx, (ur, ui), (wr, wi))
-
-
-def base_form_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
-    """X X* = cI for X of the base form (``base_form``); None when X is
-    not of that form.
-
-    X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is cI exactly
-    when C = C^T and CC^T = (c - 1)I.  (CC^T)[0, 0] = q, so that asks
-    for c = 1 + q and the symmetric conference matrix C, which
-    ``field.certify_character`` decides from the character table.
-    """
-    ctx = (base_form(re, im) or (None,))[0]
-    return None if ctx is None else c == 1 + ctx.q and certify_character(ctx.char_table, ctx.p)
 
 
 def skew_core(h: QMatrix) -> QMatrix:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import BudgetError, FieldCtx, order_within_budget
-from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _gram_parts
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar
 from .builder import skew_core, skew_regular_qhm
 
 _UNITS = (-1, 0, 1)
@@ -136,7 +136,7 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
         return False
     for a, b in ((1, 0), (0, 1), (1, 1)):
         # A unit point keeps every |entry|^2 at most 1.
-        if not _gram_is_scalar(*d._planes(a, b), 1, s1 * a * a + s2 * b * b):
+        if not _gram_is_scalar(*d._planes(a, b), s1 * a * a + s2 * b * b):
             return False
     return True
 
@@ -190,7 +190,7 @@ def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
     """The first hypothesis of the factored certificate that the factors
     fail, by name; None when all hold.  Every check is exact: the cells
     are Gaussian integers, the sums have at most q unit terms, and QQ* is
-    formed by the exact kernel."""
+    checked by the exact kernel."""
     if not np.array_equal((q_core.re | q_core.im) != 0, ~np.eye(q, dtype=bool)):
         return "Q has zero diagonal and unit cells off it"
     if not (np.array_equal(q_core.re.T, -q_core.re)
@@ -198,8 +198,12 @@ def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
         return "Q* = -Q"
     if q_core.re.sum(axis=1).any() or q_core.im.sum(axis=1).any():
         return "QJ = 0"
-    g_re, g_im = _gram_parts(q_core.re, q_core.im, 1)
-    if g_im.any() or not np.array_equal(g_re, q * np.eye(q) - 1):
+    # Given QJ = 0, the bordered M = [[0, 1^T], [1, Q]] has
+    # MM* = [[q, (QJ)*], [QJ, J + QQ*]], which is qI exactly when QQ* = qI - J.
+    border = np.zeros((2, q + 1, q + 1), dtype=np.int8)
+    border[0, 0, 1:] = border[0, 1:, 0] = 1
+    border[0, 1:, 1:], border[1, 1:, 1:] = q_core.re, q_core.im
+    if not _gram_is_scalar(*border, q):
         return "QQ* = qI - J"
     s1, s2 = base.stype
     if s2 != q * s1:

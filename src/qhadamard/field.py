@@ -147,7 +147,7 @@ def certify_character(table: np.ndarray, p: int) -> bool:
     With T = table viewed as [b, a], R(db, da) is
     sum_a M_db[a, a + da] for M_db = T^T T[b + db, :], one p x p product
     per shift db, O(q^2) in all.  Every partial sum is an integer of
-    absolute value at most q, exact in ``_exact_dtype(q, 1)``.
+    absolute value at most q, exact in ``_exact_dtype(q)``.
     """
     q = p * p
     if (table[0] != 0 or not (np.abs(table[1:]) == 1).all()
@@ -156,7 +156,7 @@ def certify_character(table: np.ndarray, p: int) -> bool:
     ar = np.arange(p)
     t = table.reshape(p, p)
     shift = (ar[:, None] + ar) % p
-    t = t.astype(_exact_dtype(q, 1))
+    t = t.astype(_exact_dtype(q))
     m = t.T @ t[shift]
     r = m[:, ar[:, None], shift].sum(axis=1)
     r[0, 0] = -1  # R(0) = q - 1 is not a condition

@@ -2,18 +2,18 @@
 
 A matrix X = re + i*im is held as two int8 planes with entries in
 {-1, 0, 1} and disjoint supports; a real (sign) matrix has no ``im``
-plane.  Gram matrices are formed from the planes with real float BLAS
-products in a float type chosen from an explicit bound on the order and
-the entry size (``_exact_dtype``), under which every partial sum is an
-exactly representable integer.
+plane.  The dense Gram certificate ``_gram_is_scalar`` forms X X* from
+the planes with real float BLAS products in a float type chosen from an
+explicit bound on the order (``_exact_dtype``), under which every
+partial sum is an exactly representable integer.
 
-``gram_is_scalar`` and ``sign_gram_is_scalar`` form no Gram matrix for
-the families the constructions produce: the base form
-diag(u)(I - iC)diag(w) (``builder.base_form_gram``), the doubled blocks
-[[A, iA], [iB, B]] (``_doubled_gram``) and realified matrices up to row
-signs (``_realified_gram``) are each decided in O(n^2) by a lemma that
-holds exactly when the Gram identity does.  Any other matrix goes to
-the dense certificate, ``_gram_is_scalar``.
+``gram_is_scalar(m, n)`` and ``sign_gram_is_scalar(w, n)`` for the order
+n take their verdict from ``verify._recognise``, which decides the
+families the constructions produce by their form, with no Gram product,
+and sends any other matrix to the dense certificate.  A realified
+matrix up to row signs (``_realified_planes``) is recognised by the
+quaternary matrix it realifies.  For any other target c the dense
+certificate decides.
 """
 
 from __future__ import annotations
@@ -108,57 +108,25 @@ def _mul(re, im, ur, ui):
     return out_re, out_im
 
 
-def _exact_dtype(n: int, max_abs_sq: int) -> type:
-    """Float type in which the Gram products of ``_gram_parts`` are exact
-    for an order-n matrix X = A + iB of integers with |x|^2 <= max_abs_sq.
+def _exact_dtype(n: int) -> type:
+    """Float type in which the Gram products of ``_gram_is_scalar`` are
+    exact for an order-n matrix X = A + iB with |x| <= 1.
 
-    Every entry of A A^T, B B^T, A A^T +- B B^T, B A^T and B A^T +- A B^T,
-    and every partial sum BLAS forms towards one in whatever order, is an
-    integer sum over some k of terms bounded by |a_ik a_jk| + |b_ik b_jk|
-    or |b_ik a_jk| + |a_ik b_jk|.  By Cauchy-Schwarz on the vectors
-    (a, b) each such bound is at most |x_ik| |x_jk| <= max|x|^2, so every
-    value is an integer of absolute value at most n * max|x|^2.  A float
-    with a p-bit significand holds all integers below 2^p exactly, so no
-    operation rounds while n * max|x|^2 < 2^24 (float32) or < 2^53
-    (float64).  Beyond that no float type is exact.
+    Every entry of A A^T + B B^T and B A^T - A B^T, and every partial sum
+    BLAS forms towards one in whatever order, is an integer sum over some
+    k of terms bounded by |a_ik a_jk| + |b_ik b_jk| or
+    |b_ik a_jk| + |a_ik b_jk|.  By Cauchy-Schwarz on the vectors (a, b)
+    each such bound is at most |x_ik| |x_jk| <= 1, so every value is an
+    integer of absolute value at most n.  A float with a p-bit
+    significand holds all integers below 2^p exactly, so no operation
+    rounds while n < 2^24 (float32) or n < 2^53 (float64).  Beyond that
+    no float type is exact.
     """
-    bound = n * max_abs_sq
-    if bound < 2**24:
+    if n < 2**24:
         return np.float32
-    if bound < 2**53:
+    if n < 2**53:
         return np.float64
-    raise MatrixError(
-        f"order {n} with |entry|^2 up to {max_abs_sq} exceeds exact float arithmetic"
-    )
-
-
-def _gram_parts(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
-                conjugate: bool = True):
-    """Yield the real part, then the imaginary part of X X* for
-    X = re + i*im (X X^T when ``conjugate`` is false), exactly.
-
-    ``re`` and ``im`` hold integers with re^2 + im^2 <= max_abs_sq; ``im``
-    None means X is real, and then the imaginary part yielded is None.
-    With M = B A^T, X X* = A A^T + B B^T + i(M - M^T) and
-    X X^T = A A^T - B B^T + i(M + M^T).  The imaginary part is only
-    computed when the caller asks for it.
-    """
-    dtype = _exact_dtype(re.shape[0], max_abs_sq)
-    a = np.asarray(re, dtype=dtype)
-    g = a @ a.T
-    if im is None:
-        yield g
-        yield None
-        return
-    b = np.asarray(im, dtype=dtype)
-    if conjugate:
-        g += b @ b.T
-    else:
-        g -= b @ b.T
-    yield g
-    del g
-    m = b @ a.T
-    yield m - m.T if conjugate else m + m.T
+    raise MatrixError(f"order {n} exceeds exact float arithmetic")
 
 
 # The dense certificate forms the upper triangle of the Gram matrix in
@@ -196,61 +164,46 @@ def _panel_is_scalar(part: np.ndarray, target: float) -> bool:
     return not part.any()
 
 
-def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, max_abs_sq: int,
-                    c: complex, conjugate: bool = True) -> bool:
-    """Exact certificate X X* = cI (X X^T = cI unless ``conjugate``) by
-    the dense products of ``_gram_parts``, row panel by row panel.
+def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
+    """Exact dense certificate X X* = cI for X = re + i*im with
+    re^2 + im^2 <= 1 (``im`` None for a real X), row panel by row panel.
 
-    The Gram matrix is Hermitian (X X^T symmetric), so its upper
-    triangle decides.  A panel of rows R against the columns C from R's
-    first row on is A_R A_C^T +- B_R B_C^T in the real part and
-    B_R A_C^T -+ A_R B_C^T in the imaginary part, the rows R, columns C
-    of AA^T +- BB^T and of M -+ M^T for M = BA^T.  The real part of a
+    With M = B A^T, X X* = A A^T + B B^T + i(M - M^T) is Hermitian, so
+    its upper triangle decides.  A panel of rows R against the columns C
+    from R's first row on is A_R A_C^T + B_R B_C^T in the real part and
+    B_R A_C^T - A_R B_C^T in the imaginary part.  The real part of a
     panel is checked before its imaginary part is formed.
     """
     c = complex(c)
     if im is None and c.imag:
         return False
-    dtype = _exact_dtype(re.shape[0], max_abs_sq)
+    dtype = _exact_dtype(re.shape[0])
     a = np.asarray(re, dtype=dtype)
     b = None if im is None else np.asarray(im, dtype=dtype)
-    real_sign, imag_sign = (np.add, np.subtract) if conjugate else (np.subtract, np.add)
     for r0, r1 in _panels(a.shape[0]):
         rows, cols = slice(r0, r1), slice(r0, None)
         part = a[rows] @ a[cols].T
         if b is not None:
-            real_sign(part, b[rows] @ b[cols].T, out=part)
+            part += b[rows] @ b[cols].T
         if not _panel_is_scalar(part, c.real):
             return False
         if b is None:
             continue
         del part
         part = b[rows] @ a[cols].T
-        imag_sign(part, a[rows] @ b[cols].T, out=part)
+        part -= a[rows] @ b[cols].T
         if not _panel_is_scalar(part, c.imag):
             return False
     return True
 
 
-def _certify(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
-    """X X* = cI for X = re + i*im with unit or zero cells.
-
-    The first lemma whose form X has decides, each exactly when the
-    dense certificate would: the base form (``builder.base_form_gram``),
-    then the doubled blocks (``_doubled_gram``).  Any other X goes to
-    the dense certificate ``_gram_is_scalar``.
-    """
-    from .builder import base_form_gram
-
-    for lemma in (base_form_gram, _doubled_gram):
-        verdict = lemma(re, im, c)
-        if verdict is not None:
-            return verdict
-    return _gram_is_scalar(re, im, 1, c)
-
-
 def gram_is_scalar(m: QMatrix, c: complex) -> bool:
-    return _certify(m.re, m.im, c)
+    """M M* = cI, exactly."""
+    if c != m.n:
+        return _gram_is_scalar(m.re, m.im, c)
+    from .verify import _recognise
+
+    return _recognise(m.re, m.im)[0]
 
 
 def diag_similarity(m: QMatrix, v) -> QMatrix:
@@ -283,23 +236,6 @@ def doubled_blocks(re: np.ndarray, im: np.ndarray | None):
     return (a_re, a_im), (b_re, b_im), adjoint
 
 
-def _doubled_gram(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool | None:
-    """X X* = cI for X = [[A, iA], [iB, B]]; None when X is not of that
-    form.
-
-    X X* = [[AA* + AA*, -iAB* + iAB*], [iBA* - iBA*, BB* + BB*]]
-    = diag(2AA*, 2BB*), so X X* = cI exactly when AA* = BB* = (c/2)I.
-    B is not certified when it is A*: AA* = kI makes A*A = kI too (A is
-    invertible for k != 0, and zero for k = 0).
-    """
-    blocks = doubled_blocks(re, im)
-    if blocks is None:
-        return None
-    (a_re, a_im), (b_re, b_im), adjoint = blocks
-    c = complex(c) / 2
-    return _certify(a_re, a_im, c) and (adjoint or _certify(b_re, b_im, c))
-
-
 def realify(m: QMatrix) -> QMatrix:
     """Order-doubling substitution 1 -> [[1,1],[1,-1]], i -> [[-1,1],[1,1]]
     of a quaternary matrix, giving a real one.
@@ -316,9 +252,9 @@ def realify(m: QMatrix) -> QMatrix:
     return QMatrix(out)
 
 
-def _realified_gram(w: np.ndarray, c: complex) -> bool | None:
-    """W W^T = cI for a real W that is ``realify(X)`` up to the sign of
-    each row, by X X* = (c/2)I; None when W is not of that form.
+def _realified_planes(w: np.ndarray):
+    """The planes of X for a real W that is ``realify(X)`` up to the sign
+    of each row; None when W is not of that form.
 
     ``realify`` writes a cell x = a + bi as [[e, f], [f, -e]] with
     e = a - b and f = a + b, so a row pair (u, v) of W has
@@ -343,9 +279,14 @@ def _realified_gram(w: np.ndarray, c: complex) -> bool | None:
     if not (u.all() and tau.all() and np.array_equal(v[:, 0::2], tau * f)
             and np.array_equal(v[:, 1::2], -tau * e)):
         return None
-    return _certify((e + f) // 2, (f - e) // 2, complex(c) / 2)
+    return (e + f) // 2, (f - e) // 2
 
 
 def sign_gram_is_scalar(w: QMatrix, c: int) -> bool:
-    verdict = _realified_gram(w.re, c)
-    return _gram_is_scalar(w.re, None, 1, c) if verdict is None else verdict
+    """W W^T = cI, exactly, for a real W."""
+    planes = _realified_planes(w.re) if c == w.n else None
+    if planes is None:
+        return _gram_is_scalar(w.re, None, c)
+    from .verify import _recognise
+
+    return _recognise(*planes)[0]

@@ -1,16 +1,27 @@
 """Certification predicates and machine-readable property reports.
 
-``full_report`` recognises a quaternary matrix X once (``_recognise``)
-and takes its Hadamard and skew verdicts and row sums from its form;
-X X* = nI alone makes X Hadamard, its diagonal counting the nonzero
-cells of each row.  ``builder.base_form`` proves the base form.  For
-D = [[A, iA], [iB, B]], D D* = nI iff AA* = BB* = (n/2)I
-(``qmatrix._doubled_gram``), and D + D* = [[A + A*, i(A - B*)],
-[i(B - A*), B + B*]] is 2I iff B = A* and A + A* = 2I.  Row k of the
-top half sums to (1 + i)r = (x - y) + i(x + y), r = x + iy the k-th
-row sum of A, and of the bottom half likewise with B: A is recognised
-in turn and the sums are read from A and B.  Any other X goes to the
-dense Gram certificate and the panelled skew check.
+``_recognise`` decides a quaternary matrix X by its form.  It is the one
+recogniser: ``full_report``, ``qmatrix.gram_is_scalar`` and
+``qmatrix.sign_gram_is_scalar`` all take their verdicts from it.  X X* = nI
+alone makes X Hadamard, its diagonal counting the nonzero cells of each
+row.
+
+- The base form X = diag(u)(I - iC)diag(w) (``builder.base_form``) has
+  X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is nI exactly
+  when C = C^T and CC^T = (n - 1)I: the symmetric conference matrix,
+  which ``field.certify_character`` decides from the character table.
+- For D = [[A, iA], [iB, B]] (``qmatrix.doubled_blocks``),
+  D D* = [[AA* + AA*, -iAB* + iAB*], [iBA* - iBA*, BB* + BB*]]
+  = diag(2AA*, 2BB*), so D D* = nI exactly when AA* = BB* = (n/2)I.
+  B needs no certificate when it is A*: AA* = kI makes A*A = kI too (A
+  is invertible for k != 0, and zero for k = 0).  D + D* =
+  [[A + A*, i(A - B*)], [i(B - A*), B + B*]] is 2I iff B = A* and
+  A + A* = 2I.  Row k of the top half sums to (1 + i)r = (x - y) +
+  i(x + y), r = x + iy the k-th row sum of A, and of the bottom half
+  likewise with B.  A, and B unless it is A*, are recognised in turn,
+  and the sums are read from them.
+- Any other X goes to the dense Gram certificate and the panelled skew
+  check.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ def _common_sum(re: np.ndarray, im: np.ndarray) -> complex | None:
     return None
 
 
-def _recognise(re: np.ndarray, im: np.ndarray):
+def _recognise(re: np.ndarray, im: np.ndarray | None):
     """(hadamard, skew, x, y) of X = re + i*im: X X* = nI, X + X* = 2I
     (None if no form decides it) and the row sums x + iy."""
     if form := base_form(re, im):
@@ -75,12 +86,14 @@ def _recognise(re: np.ndarray, im: np.ndarray):
                 and character_is_even(ctx.char_table, ctx.p))
         return certify_character(ctx.char_table, ctx.p), skew, *_row_sums(re, im)
     if not (blocks := doubled_blocks(re, im)):
-        return qmatrix._gram_is_scalar(re, im, 1, len(re)), None, *_row_sums(re, im)
+        return qmatrix._gram_is_scalar(re, im, len(re)), None, *_row_sums(re, im)
     (ar, ai), (br, bi), adjoint = blocks
     hadamard, skew, x, y = _recognise(ar, ai)
-    if not adjoint:
-        hadamard, skew = hadamard and qmatrix._certify(br, bi, len(br)), False
-    bx, by = _row_sums(br, bi)
+    if adjoint:
+        bx, by = _row_sums(br, bi)
+    else:
+        b_hadamard, _, bx, by = _recognise(br, bi)
+        hadamard, skew = hadamard and b_hadamard, False
     x, y = np.concatenate((x, bx)), np.concatenate((y, by))
     return hadamard, skew, x - y, x + y
 

@@ -1,7 +1,7 @@
 """Slow reference implementations that the library is tested against.
 
 The text format as it was first written, one Python step per cell, a
-Gram product over Python integers, GF(p^2) arithmetic on coordinate
+Gram product over Python integers and one by int64 numpy products, GF(p^2) arithmetic on coordinate
 pairs, row sums as Python complex numbers with the row-sum predicates
 on them, the skew-type test as one n x n sum, the Hadamard predicate,
 the conjugate transpose, unit scaling and 2 x 2 block matrices by cell
@@ -143,6 +143,24 @@ def gauss_is_scalar(re, im, c, conjugate=True):
         (g_re[i][j], g_im[i][j]) == ((c.real, c.imag) if i == j else (0, 0))
         for i in range(n) for j in range(n)
     )
+
+
+def gram_parts(re, im, conjugate=True):
+    """X X* (X X^T unless ``conjugate``) for X = re + i*im of integers, as
+    int64 real and imaginary parts by numpy products; ``im`` None for a
+    real X."""
+    a = np.asarray(re, dtype=np.int64)
+    b = np.zeros_like(a) if im is None else np.asarray(im, dtype=np.int64)
+    sign = 1 if conjugate else -1
+    return a @ a.T + sign * (b @ b.T), b @ a.T - sign * (a @ b.T)
+
+
+def parts_are_scalar(parts, c):
+    """Whether the Gram parts ``(g_re, g_im)`` are cI."""
+    c = complex(c)
+    g_re, g_im = parts
+    eye = np.eye(len(g_re))
+    return bool(np.array_equal(g_re, c.real * eye) and np.array_equal(g_im, c.imag * eye))
 
 
 def skew_type(m):

@@ -12,9 +12,12 @@ from qhadamard import (
 )
 from qhadamard import cod
 from qhadamard.cod import _broken_identity
-from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _gram_parts
+from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar
 from conftest import field, skew_regular
-from reference import check_quaternary_hadamard, conj_transpose, equal, expected_row_sum, qmatrix, row_sums, scale
+from reference import (
+    check_quaternary_hadamard, conj_transpose, equal, expected_row_sum, gram_parts,
+    parts_are_scalar, qmatrix, row_sums, scale,
+)
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
@@ -25,10 +28,9 @@ def cod_base(ctx):
 
 
 def parts_at(d, a, b):
-    """Real and imaginary parts of a*A + b*B at any integer point, and the
-    bound max(a^2, b^2) on |entry|^2 (one variable a cell)."""
+    """Real and imaginary parts of a*A + b*B at any integer point."""
     x = a * d.acoef.data + b * d.bcoef.data
-    return x.real, x.imag, max(a * a, b * b)
+    return x.real, x.imag
 
 
 def design(acoef, bcoef):
@@ -41,7 +43,7 @@ def test_cod_base_examples():
     assert d.n == 10 and d.stype == (1, 9)
     assert equal(d.evaluate_qmatrix(1, 1), skew_regular(3))
     assert np.array_equal(d.evaluate_qmatrix(1, 0).data, np.eye(10))
-    g_re, g_im = _gram_parts(*parts_at(d, 2, 3))
+    g_re, g_im = gram_parts(*parts_at(d, 2, 3))
     assert np.array_equal(g_re, 85 * np.eye(10)) and not g_im.any()
 
 
@@ -79,7 +81,7 @@ def test_cod_recurse_type_and_gram(p, k, order):
 
 def test_cod_recurse_gram_example():
     d = cod_recurse(field(3), 1)
-    g_re, g_im = _gram_parts(*parts_at(d, 1, 2))
+    g_re, g_im = gram_parts(*parts_at(d, 1, 2))
     assert np.array_equal(g_re, 333 * np.eye(90)) and not g_im.any()
 
 
@@ -126,9 +128,16 @@ def test_certify_gram_needs_the_cross_term_point():
 
 
 def kernel_verdict(d, conjugate):
-    """certify_gram's three points, each through the kernel's own mode."""
+    """certify_gram's three points, X X* through the kernel and X X^T
+    through the int64 oracle."""
     s1, s2 = d.stype
-    return all(_gram_is_scalar(*parts_at(d, a, b), s1 * a * a + s2 * b * b, conjugate)
+
+    def holds(re, im, c):
+        if conjugate:
+            return _gram_is_scalar(re, im, c)
+        return parts_are_scalar(gram_parts(re, im, conjugate=False), c)
+
+    return all(holds(*parts_at(d, a, b), s1 * a * a + s2 * b * b)
                for a, b in ((1, 0), (0, 1), (1, 1)))
 
 
@@ -197,6 +206,21 @@ def test_broken_identity_names():
     assert _broken_identity(base, scale(q_core, 1j), ctx.q) == "Q* = -Q"
     no_b = design(base.acoef.data, np.zeros((base.n, base.n)))
     assert _broken_identity(no_b, q_core, ctx.q) == "s2 = q s1"
+
+
+def test_broken_identity_names_the_core_gram():
+    # The real circulant of order 9 with first row (0, 1, 1, 1, 1, -1, -1,
+    # -1, -1) has a zero diagonal, is skew and has QJ = 0, but QQ^T is not
+    # 9I - J: a doubly regular tournament needs an order = 3 (mod 4).
+    ctx = field(3)
+    base = cod._factors(ctx)[0]
+    first = np.array([0, 1, 1, 1, 1, -1, -1, -1, -1])
+    q = np.array([np.roll(first, r) for r in range(9)])
+    assert np.array_equal(q.T, -q) and not q.sum(axis=1).any()
+    g_re, g_im = gram_parts(q, None)
+    assert not np.array_equal(g_re, 9 * np.eye(9) - 1)
+    q_core = QMatrix(q, np.zeros_like(q))
+    assert _broken_identity(base, q_core, ctx.q) == "QQ* = qI - J"
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])

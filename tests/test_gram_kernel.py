@@ -1,4 +1,9 @@
-"""The float-BLAS Gram kernel against a Gaussian-integer oracle."""
+"""The float-BLAS Gram kernel against a Gaussian-integer oracle.
+
+The kernel decides X X* = cI for entries with |x|^2 <= 1.  Larger
+entries and the plain transpose X X^T are checked on the int64 oracle
+``reference.gram_parts``, which the COD tests use for them.
+"""
 
 import numpy as np
 import pytest
@@ -13,14 +18,9 @@ from qhadamard import (
     realify,
 )
 from qhadamard import cod
-from qhadamard.qmatrix import (
-    _exact_dtype,
-    _gram_is_scalar,
-    _gram_parts,
-    sign_gram_is_scalar,
-)
+from qhadamard.qmatrix import _exact_dtype, _gram_is_scalar, sign_gram_is_scalar
 from conftest import field, skew_regular
-from reference import QALPHABET, gauss_gram, gauss_is_scalar
+from reference import QALPHABET, gauss_gram, gauss_is_scalar, gram_parts, parts_are_scalar
 
 # The three points of certify_gram and one with |entry|^2 = 9.
 EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (2, 3))
@@ -71,29 +71,32 @@ def cod_evaluations():
     return draw_one()
 
 
-def check_against_oracle(x, max_abs_sq, conjugate):
-    g_re, g_im = _gram_parts(x.real, x.imag, max_abs_sq, conjugate)
+def check_against_oracle(x, conjugate):
+    """The int64 oracle's Gram parts against the Gaussian-integer ones,
+    and for X X* of a matrix with |x|^2 <= 1 the kernel's verdicts."""
+    parts = gram_parts(x.real, x.imag, conjugate)
     want_re, want_im = gauss_gram(x.real, x.imag, conjugate)
-    assert g_re.tolist() == want_re and g_im.tolist() == want_im
+    assert parts[0].tolist() == want_re and parts[1].tolist() == want_im
     for c in (x.shape[0], want_re[0][0], want_re[0][0] + 1):
-        got = _gram_is_scalar(x.real, x.imag, max_abs_sq, c, conjugate)
-        assert type(got) is bool
-        assert got == gauss_is_scalar(x.real, x.imag, c, conjugate)
+        want = gauss_is_scalar(x.real, x.imag, c, conjugate)
+        assert parts_are_scalar(parts, c) == want
+        if conjugate and (np.abs(x) <= 1).all():
+            got = _gram_is_scalar(x.real, x.imag, c)
+            assert type(got) is bool
+            assert got == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrices(QALPHABET), st.booleans())
 def test_kernel_matches_oracle_on_quaternary(x, conjugate):
-    check_against_oracle(x, 1, conjugate)
+    check_against_oracle(x, conjugate)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_matrices((1, -1, 0)), st.booleans())
 def test_kernel_matches_oracle_on_signs(x, conjugate):
-    check_against_oracle(x, 1, conjugate)
+    check_against_oracle(x, conjugate)
     w = QMatrix(x.real)
-    g, _ = _gram_parts(w.re, None, 1)
-    assert g.tolist() == gauss_gram(x.real, x.imag)[0]
     for c in (w.n, 0):
         assert sign_gram_is_scalar(w, c) == gauss_is_scalar(x.real, x.imag, c)
 
@@ -101,49 +104,59 @@ def test_kernel_matches_oracle_on_signs(x, conjugate):
 @settings(max_examples=40, deadline=None)
 @given(hadamard_or_corrupted(), st.booleans())
 def test_kernel_matches_oracle_on_hadamard_and_corrupted(x, conjugate):
-    check_against_oracle(x, 1, conjugate)
+    check_against_oracle(x, conjugate)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_matrices(COD_ENTRIES), st.booleans())
 def test_kernel_matches_oracle_on_cod_entries(x, conjugate):
-    check_against_oracle(x, 9, conjugate)
+    check_against_oracle(x, conjugate)
 
 
 @settings(max_examples=30, deadline=None)
 @given(cod_evaluations(), st.booleans())
 def test_kernel_matches_oracle_on_cod_evaluations(x, conjugate):
-    check_against_oracle(x, 9, conjugate)
+    check_against_oracle(x, conjugate)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_kernel_exact_up_to_the_float32_edge(data):
-    # Entries as large as the float32 bound allows: every sum is exact.
+    # The bound of ``_exact_dtype`` is the order times max|x|^2, which the
+    # kernel's alphabet fixes at 1.  With entries as large as the float32
+    # bound allows, float32 products are exact.
     n = data.draw(st.integers(1, 5))
     limit = (2**24 - 1) // n
     k = int(np.sqrt(limit / 2))
     x = data.draw(matrices_of(range(-k, k + 1), n))
     x = x + 1j * data.draw(matrices_of(range(-k, k + 1), n))
-    assert _exact_dtype(n, 2 * k * k) is np.float32
-    check_against_oracle(x, 2 * k * k, data.draw(st.booleans()))
+    assert _exact_dtype(n * 2 * k * k) is np.float32
+    conjugate = data.draw(st.booleans())
+    check_against_oracle(x, conjugate)
+    a, b = x.real.astype(np.float32), x.imag.astype(np.float32)
+    sign = 1 if conjugate else -1
+    g_re, g_im = gram_parts(x.real, x.imag, conjugate)
+    assert np.array_equal(a @ a.T + sign * (b @ b.T), g_re)
+    assert np.array_equal(b @ a.T - sign * (a @ b.T), g_im)
 
 
 def test_public_grams_match_oracle():
     for m in (KNOWN["S3"], KNOWN["D3"]):
         want_re, want_im = gauss_gram(m.re, m.im)
-        g_re, g_im = _gram_parts(m.re, m.im, 1)
+        g_re, g_im = gram_parts(m.re, m.im)
         assert g_re.tolist() == want_re and g_im.tolist() == want_im
         assert gram_is_scalar(m, m.n) is True
+        assert _gram_is_scalar(m.re, m.im, m.n) is True
     w = KNOWN["R3"]
-    g, _ = _gram_parts(w.re, None, 1)
+    g, _ = gram_parts(w.re, None)
     assert g.tolist() == gauss_gram(w.re, np.zeros_like(w.re))[0]
     assert sign_gram_is_scalar(w, w.n) is True
+    assert _gram_is_scalar(w.re, None, w.n) is True
     d = cod._factors(field(3))[0]
     for a, b in EVAL_POINTS:
         x = a * d.acoef.data + b * d.bcoef.data
         want_re, want_im = gauss_gram(x.real, x.imag)
-        g_re, g_im = _gram_parts(x.real, x.imag, max(a * a, b * b))
+        g_re, g_im = gram_parts(x.real, x.imag)
         assert g_re.tolist() == want_re and g_im.tolist() == want_im
     assert certify_gram(d) is True and certify_gram(d, conjugate=False) is False
 
@@ -157,6 +170,8 @@ def test_scalar_target_is_compared_exactly():
     assert not sign_gram_is_scalar(w, 20 + 1e-9) and not sign_gram_is_scalar(w, 20j)
 
 
+# The general bound n * max|x|^2 of an order-n matrix with |x|^2 <= max_abs_sq
+# is the order of a unit matrix that ``_exact_dtype`` takes.
 @pytest.mark.parametrize("n, max_abs_sq, dtype", [
     (2**24 - 1, 1, np.float32),
     (2**24, 1, np.float64),
@@ -166,10 +181,10 @@ def test_scalar_target_is_compared_exactly():
     (2**40, 2**13 - 1, np.float64),
 ])
 def test_exact_dtype_edges(n, max_abs_sq, dtype):
-    assert _exact_dtype(n, max_abs_sq) is dtype
+    assert _exact_dtype(n * max_abs_sq) is dtype
 
 
 @pytest.mark.parametrize("n, max_abs_sq", [(2**53, 1), (2**40, 2**13), (2**27, 2**26)])
 def test_exact_dtype_refuses_beyond_float64(n, max_abs_sq):
     with pytest.raises(MatrixError):
-        _exact_dtype(n, max_abs_sq)
+        _exact_dtype(n * max_abs_sq)

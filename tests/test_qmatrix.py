@@ -9,10 +9,10 @@ from qhadamard import (
     gram_is_scalar,
     realify,
 )
-from qhadamard.qmatrix import _gram_parts, sign_gram_is_scalar
+from qhadamard.qmatrix import sign_gram_is_scalar
 from qhadamard.verify import _row_sums
 from conftest import skew_regular
-from reference import block2, conj_transpose, equal, qmatrix, row_sums, scale
+from reference import block2, conj_transpose, equal, gram_parts, qmatrix, row_sums, scale
 
 
 def eye(n):
@@ -44,7 +44,7 @@ def test_conj_transpose_involution():
 
 def test_construction_gram_p3():
     s = skew_regular(3)
-    g_re, g_im = _gram_parts(s.re, s.im, 1)
+    g_re, g_im = gram_parts(s.re, s.im)
     assert np.array_equal(g_re, 10 * np.eye(10)) and not g_im.any()
     assert np.array_equal(s.data @ conj_transpose(s).data, 10 * np.eye(10))
 

@@ -1,11 +1,12 @@
-"""The structural Gram certificates against the dense kernel.
+"""The form recogniser against the dense kernel.
 
-``gram_is_scalar`` and ``sign_gram_is_scalar`` decide the base form
-(``builder.base_form_gram``), the doubled blocks (``qmatrix._doubled_gram``)
-and realified matrices up to row signs (``qmatrix._realified_gram``)
-without a Gram product.  Each lemma is an equivalence, so on every input
-the verdict must equal the dense kernel ``_gram_is_scalar``'s, and at
-small orders the Gaussian-integer oracle's.
+``gram_is_scalar`` and ``sign_gram_is_scalar`` take their verdict from
+``verify._recognise``, which decides the base form (``builder.base_form``)
+and the doubled blocks (``qmatrix.doubled_blocks``) without a Gram
+product; a realified matrix up to row signs (``qmatrix._realified_planes``)
+is recognised by the matrix it realifies.  Each lemma is an equivalence,
+so on every input the verdict must equal the dense kernel
+``_gram_is_scalar``'s, and at small orders the Gaussian-integer oracle's.
 """
 
 import contextlib
@@ -27,12 +28,13 @@ from qhadamard import (
     realify,
     serialize,
 )
-from qhadamard import builder, cli, qmatrix
+from qhadamard import builder, cli, qmatrix, verify
 from qhadamard.field import FieldCtx, certify_character, character_is_even
 from qhadamard.qmatrix import _gram_is_scalar, _panels, sign_gram_is_scalar
 from conftest import skew_regular
 from reference import (
-    QALPHABET, build_triple, gauss_is_scalar, maximize_excess_rows, qmatrix as make, skew_type,
+    QALPHABET, build_triple, gauss_is_scalar, gram_parts, maximize_excess_rows, parts_are_scalar,
+    qmatrix as make, skew_type,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -94,8 +96,8 @@ def corrupt(m, rng):
 def verdicts(m, c):
     """(certifier, dense kernel) verdicts of M M* = cI."""
     if m.im is None:
-        return sign_gram_is_scalar(m, c), _gram_is_scalar(m.re, None, 1, c)
-    return gram_is_scalar(m, c), _gram_is_scalar(m.re, m.im, 1, c)
+        return sign_gram_is_scalar(m, c), _gram_is_scalar(m.re, None, c)
+    return gram_is_scalar(m, c), _gram_is_scalar(m.re, m.im, c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,29 +131,37 @@ def test_doubled_block_b_is_certified_on_its_own(p):
         m = make(x)
         assert not np.array_equal(b_cells, a.data)
         assert not np.array_equal(b_cells, a.data.conj().T)
-        assert qmatrix._doubled_gram(m.re, m.im, m.n) is want
+        _, (b_re, b_im), adjoint = qmatrix.doubled_blocks(m.re, m.im)
+        assert not adjoint
+        assert verify._recognise(b_re, b_im)[0] is want
+        assert verify._recognise(m.re, m.im)[:2] == (want, False)
         assert gram_is_scalar(m, m.n) is want
-        assert _gram_is_scalar(m.re, m.im, 1, m.n) is want
+        assert _gram_is_scalar(m.re, m.im, m.n) is want
 
 
 def test_lemmas_recognise_their_forms():
     rng = np.random.default_rng(1)
     s = skew_regular(5)
     for m in (s, twist(s, rng), two_sided(s, rng)):
-        assert builder.base_form_gram(m.re, m.im, m.n) is True
-        assert builder.base_form_gram(m.re, m.im, m.n + 1) is False
+        assert builder.base_form(m.re, m.im) is not None
+        assert verify._recognise(m.re, m.im)[0] is True
+        assert gram_is_scalar(m, m.n + 1) is False
     for m in (double(s), make(np.block([[s.data, 1j * s.data], [1j * s.data, s.data]]))):
-        assert builder.base_form_gram(m.re, m.im, m.n) is None
-        assert qmatrix._doubled_gram(m.re, m.im, m.n) is True
+        assert builder.base_form(m.re, m.im) is None
+        assert qmatrix.doubled_blocks(m.re, m.im) is not None
+        assert verify._recognise(m.re, m.im)[0] is True
     w = realify(s)
-    assert qmatrix._realified_gram(w.re, w.n) is True
-    assert qmatrix._realified_gram(negate_row_pairs(w, rng).re, w.n) is True
+    for v in (w, negate_row_pairs(w, rng)):
+        planes = qmatrix._realified_planes(v.re)
+        assert planes is not None
+        assert builder.base_form(*planes) is not None
+        assert verify._recognise(*planes)[0] is True
     # Not of the forms: a changed cell, zero cells, odd order.
     bad = corrupt(s, rng)
-    assert builder.base_form_gram(bad.re, bad.im, bad.n) in (None, False)
+    assert builder.base_form(bad.re, bad.im) is None or not verify._recognise(bad.re, bad.im)[0]
     w2 = realify(build_triple(s)[1])
-    assert qmatrix._realified_gram(w2.re, w2.n) is None
-    assert qmatrix._doubled_gram(np.eye(3, dtype=np.int8), np.zeros((3, 3), np.int8), 3) is None
+    assert qmatrix._realified_planes(w2.re) is None
+    assert qmatrix.doubled_blocks(np.eye(3, dtype=np.int8), np.zeros((3, 3), np.int8)) is None
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
@@ -258,9 +268,8 @@ LARGE = {"S13": lambda: skew_regular(13), "D11": lambda: double(skew_regular(11)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(("S13", "D11", "R11", 129, 200)), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_panelled_kernel_matches_int64_gram(source, conjugate, seed):
+@given(st.sampled_from(("S13", "D11", "R11", 129, 200)), st.integers(0, 2**32 - 1))
+def test_panelled_kernel_matches_int64_gram(source, seed):
     # Orders above one panel: Hadamard matrices with up to two cells
     # negated, and random matrices of units.
     rng = np.random.default_rng(seed)
@@ -275,15 +284,10 @@ def test_panelled_kernel_matches_int64_gram(source, conjugate, seed):
     for _ in range(rng.integers(0, 3)):
         r, c = rng.integers(0, n, 2)
         x[r, c] = -x[r, c]
-    re, im = x.real.astype(np.int64), x.imag.astype(np.int64)
-    sign = 1 if conjugate else -1
-    g_re, g_im = re @ re.T + sign * (im @ im.T), im @ re.T - sign * (re @ im.T)
-    planes = (re.astype(np.int8), None if real else im.astype(np.int8))
-    for c in (n, int(g_re[0, 0]), int(g_re[0, 0]) + 1, complex(n, 1)):
-        c = complex(c)
-        want = (np.array_equal(g_re, c.real * np.eye(n))
-                and np.array_equal(g_im, c.imag * np.eye(n)))
-        assert _gram_is_scalar(*planes, 1, c, conjugate) is want
+    parts = gram_parts(x.real, x.imag)
+    planes = (x.real.astype(np.int8), None if real else x.imag.astype(np.int8))
+    for c in (n, int(parts[0][0, 0]), int(parts[0][0, 0]) + 1, complex(n, 1)):
+        assert _gram_is_scalar(*planes, c) is parts_are_scalar(parts, c)
 
 
 def _run(argv):

@@ -305,8 +305,19 @@ def test_verify_reads_the_families_from_their_forms(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a recognised form reached the general path")
 
+    def check(name):
+        run = tmp_path / name
+        run.mkdir()
+        assert golden.run_digests(golden.GRID[name], run, capsys) == golden.GOLDEN[name], name
+
+    # Every family the recogniser covers: S, its twist, its double and the
+    # double of that, construct and excess, and the realification of S.
+    # ``verify`` of a real file takes its skew verdict from the skew check,
+    # which is refused only for the quaternary inputs.
     monkeypatch.setattr(qmatrix_module, "_gram_is_scalar", refuse)
-    monkeypatch.setattr(verify, "check_skew_type", refuse)
-    for name in ("verify-json-s13", "verify-json-t13", "verify-json-d13"):
-        got = golden.run_digests(golden.GRID[name], tmp_path, capsys)
-        assert got == golden.GOLDEN[name], name
+    with monkeypatch.context() as skew:
+        skew.setattr(verify, "check_skew_type", refuse)
+        for name in ("verify-json-s13", "verify-json-t13", "verify-json-d13", "double-s13",
+                     "double-d13", "excess-5-json", "construct-7"):
+            check(name)
+    check("verify-json-r13")
