@@ -10,14 +10,7 @@ from .qmatrix import (
     gram_is_scalar,
     realify,
 )
-from .builder import (
-    conference_matrix,
-    double,
-    paley_qhm,
-    skew_core,
-    skew_regular_qhm,
-    twist_vector,
-)
+from .builder import double, skew_core, skew_regular_qhm
 from .cod import (
     CODMatrix,
     certify_gram,
@@ -37,11 +30,11 @@ __all__ = [
     "MatrixError", "ParseError", "PropertyReport", "QMatrix",
     "certify_gram",
     "check_skew_type",
-    "cod_recurse", "conference_matrix",
+    "cod_recurse",
     "diag_similarity", "double", "factored_summary",
     "full_report", "gram_is_scalar", "make_field",
-    "paley_qhm", "parse", "realify", "run_pipeline", "serialize",
-    "skew_core", "skew_regular_qhm", "twist_vector",
+    "parse", "realify", "run_pipeline", "serialize",
+    "skew_core", "skew_regular_qhm",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,14 @@
 """Skew-regular quaternary Hadamard matrices of order 1 + p^2.
 
-The pipeline: Paley-style conference matrix C over GF(p^2), the complex
-Hadamard matrix H = I - iC, and a diagonal phase similarity that makes
-every row sum equal to 1 - p*i while keeping H + H* = 2I.  Also the
-skew-core extraction and the order-doubling block construction.
+S = diag(v)(I - iC)diag(v*) for C the Paley-style conference matrix
+over GF(p^2) and v the twist, which is constant on each additive coset:
+1 on {infinity} and the coset b = 0, -i on the cosets 1..(p-1)/2 and +i
+on the others.  It keeps H H* = (1 + p^2) I and H + H* = 2I of
+H = I - iC and makes every row sum 1 - p*i.  Off its border and
+diagonal S is C's core times the p x p coset table
+f[b1, b2] = -i v(b1) v*(b2).  The one view of that core, ``_core``,
+serves the build of S, the base-form recogniser and the skew core, each
+coset by coset.  Also the order-doubling block construction.
 """
 
 from __future__ import annotations
@@ -12,106 +17,144 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx, is_prime
-from .qmatrix import MatrixError, QMatrix, _mul, diag_similarity, gram_is_scalar
+from .field import FieldCtx, character_is_even, is_prime
+from .qmatrix import MatrixError, QMatrix, diag_similarity, gram_is_scalar
 
 # Row/column labels are {infinity} followed by GF(p^2) in index order,
 # so position of element x is 1 + index(x) and each additive coset is a
 # contiguous block of p positions.
 
+# The planes of i^e, for the phase exponent e = 0, 1, 2, 3.
+_UNIT_RE = np.array([1, 0, -1, 0], dtype=np.int8)
+_UNIT_IM = np.array([0, 1, 0, -1], dtype=np.int8)
+
+# ``base_form`` tests rows in panels of whole cosets of about this many cells.
+_FORM_PANEL = 1 << 18
+
+
+def _phase(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The exponent e, modulo 4, of each unit cell re + i*im = i^e, in
+    ``out`` if given; a zero cell gives 0 too.  An int8 -1 has every bit
+    set, so (re & 2) | (im & 3) takes 1, i, -1, -i to 0, 1, 2, 3; at most
+    one plane of a cell is nonzero, so (re & 2) + im is the same modulo 4
+    and needs no temporary."""
+    e = np.bitwise_and(re, 2, out=out)
+    e += im
+    return e
+
 
 def _core(ctx: FieldCtx) -> np.ndarray:
     """The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) of the
-    conference matrix, as a read-only (p, p, p, p) view of O(q) memory.
+    conference matrix, as a read-only (p, p, q) view K[b1, a1, (b2, a2)]
+    whose rows are contiguous runs of q cells.
 
     For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
-    [b, a].  For the 2p x 2p table T[i, j] = chi(-1 - i, -1 - j) (mod p),
-    K[b1, a1] is the p x p window of T at (p-1-b1, p-1-a1).
+    [b, a].  The view lies over the (p, 2p, p) table
+    L[a1, j, a2] = chi(p - j, a1 - a2) (mod p) of 2p^3 bytes: row
+    (b1, a1) of K is the run of q cells of L[a1] from L[a1, p - b1, 0],
+    since L[a1, p - b1 + b2, a2] = chi(b1 - b2, a1 - a2) and p - b1 + b2
+    stays in 1..2p - 1.  L is one strided copy of the 2p x (2p - 1) table
+    W[j, m] = chi(p - j, p - 1 - m), as L[a1, j, a2] = W[j, p - 1 - a1 + a2].
     """
     p = ctx.p
-    i = (-1 - np.arange(2 * p)) % p
-    t = ctx.char_table.reshape(p, p)[i[:, None], i]
-    # From T[p-1, p-1], b1 and a1 step back a row and a column, b2 and a2
-    # forward, so every index stays in T.
-    s0, s1 = t.strides
-    return np.lib.stride_tricks.as_strided(t[p - 1:, p - 1:], (p, p, p, p),
-                                           (-s0, -s1, s0, s1), writeable=False)
-
-
-def conference_matrix(ctx: FieldCtx) -> QMatrix:
-    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere."""
-    p, q = ctx.p, ctx.q
-    c = np.zeros((q + 1, q + 1), dtype=np.int8)
-    c[0, 1:] = 1
-    c[1:, 0] = 1
-    c[1:, 1:].reshape(p, p, p, p)[...] = _core(ctx)
-    return QMatrix(c)
-
-
-def paley_qhm(ctx: FieldCtx) -> QMatrix:
-    """H = I - iC: unit diagonal, +-i off-diagonal, HH* = (q+1) I."""
-    c = conference_matrix(ctx)
-    return QMatrix(np.eye(ctx.q + 1, dtype=np.int8), -c.re)
-
-
-def twist_vector(ctx: FieldCtx) -> np.ndarray:
-    """Phase vector: 1 on {infinity} and GF(p), -i on the cosets 1..(p-1)/2
-    and +i on the others."""
-    b = ctx.b
-    v = np.empty(ctx.q + 1, dtype=np.complex128)
-    v[0] = 1
-    v[1:] = np.where(b == 0, 1, np.where(b <= (ctx.p - 1) // 2, -1j, 1j))
-    return v
+    i = (p - np.arange(2 * p)) % p
+    w = ctx.char_table.reshape(p, p)[i[:, None], i[1:]]
+    # Strided views of a buffer, which numpy checks against its bounds.
+    s_j, s_m = w.strides
+    lt = np.ndarray((p, 2 * p, p), w.dtype, w, (p - 1) * s_m, (-s_m, s_j, s_m)).copy()
+    s_a1, s_j, s_a2 = lt.strides
+    core = np.ndarray((p, p, p * p), lt.dtype, lt, p * s_j, (-s_j, s_a1, s_a2))
+    core.flags.writeable = False
+    return core
 
 
 def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
-    """The order 1+p^2 matrix with Gram (1+p^2) I, row sums 1 - p*i, S + S* = 2I."""
-    return diag_similarity(paley_qhm(ctx), twist_vector(ctx))
+    """The order 1+p^2 matrix with Gram (1+p^2) I, row sums 1 - p*i, S + S* = 2I.
+
+    Each plane is written from phase exponents: S[0, 0] = 1,
+    S[0, k] = -i v*_k and S[k, 0] = -i v_k for k > 0, a unit diagonal
+    (C's is zero), and S[(b1, a1), (b2, a2)] = f[b1, b2] K[b1, a1, (b2, a2)]
+    off it, for the core view K of ``_core``.
+    """
+    p, n = ctx.p, ctx.q + 1
+    b = np.arange(p)
+    ev = np.where(b == 0, 0, np.where(b <= (p - 1) // 2, 3, 1))
+    # f[b1, b2] = i^(3 + ev(b1) - ev(b2)), repeated over the p cells of coset b2.
+    f = np.repeat((3 + ev[:, None] - ev) % 4, p, axis=1)
+    ek = np.repeat(ev, p)
+    row0, col0 = (np.concatenate(([0], (3 + s * ek) % 4)) for s in (-1, 1))
+    core = _core(ctx)
+    planes = np.empty((2, n, n), dtype=np.int8)
+    for plane, unit in zip(planes, (_UNIT_RE, _UNIT_IM)):
+        np.multiply(core, unit[f][:, None], out=plane[1:].reshape(p, p, n)[:, :, 1:])
+        plane[0], plane[:, 0] = unit[row0], unit[col0]
+        plane.flat[:: n + 1] = unit[0]
+    return QMatrix(*planes)
 
 
 def base_form(re: np.ndarray, im: np.ndarray | None):
-    """(ctx, u, w), u and w as (re, im) pairs, for X = re + i*im of the
-    base form X = diag(u)(I - iC)diag(w), u and w unit vectors and C the
-    conference matrix of ctx = GF(p^2), p an odd prime with 1 + p^2 the
-    order; None when X is not of that form.  S (``skew_regular_qhm``),
-    its twists and their rows negated are of it.
+    """(ctx, skew) for X = re + i*im of the base form
+    X = diag(u)(I - iC)diag(w), u and w unit vectors and C the conference
+    matrix of ctx = GF(p^2), p an odd prime with 1 + p^2 the order, and
+    skew whether X + X* = 2I; None when X is not of that form.  S
+    (``skew_regular_qhm``), its twists and their rows negated are of it.
 
-    The form fixes u and w up to a common unit, so set w[0] = 1; then
-    X[0, 0] = u[0], X[i, 0] = -i u[i] and X[0, j] = -i u[0] w[j] for
-    i, j > 0.  X is of the form exactly when diag(u*) X diag(w*), with u
-    and w read off in this way, is I - iC cell for cell.
+    The phase test.  Write a unit as i^e, e as in ``_phase``.  C has a
+    zero diagonal and C_jk = +-1 off it, and -i = i^-1, so
+    (I - iC)_jk = i^(-C_jk) for every j, k, and
+    X_jk = u_j (I - iC)_jk w_k = i^(e(u_j) + e(w_k) - C_jk).  So X is of
+    the form exactly when every cell of X is a unit and
+    (e(X_jk) - e(u_j) - e(w_k) + C_jk) & 3 = 0 for all j, k.  This needs
+    C_jk != 0 off the diagonal: a zero there would accept a 1 = i^0
+    where the form has a 0.  So a character table with chi(0) != 0 or
+    chi(x) = 0 for some x != 0 is refused.
 
-    X + X* = 2I exactly when w = u* and C = C^T: C has a zero diagonal,
-    so X + X* has the diagonal 2 Re(u_k w_k), and for w = u* the cell
-    (j, k) off it is -i u_j C_jk u*_k + conj(-i u_k C_kj u*_j)
-    = i u_j u*_k (C_kj - C_jk), with u_j u*_k a unit.
+    The form fixes u and w up to a common unit, so set w_0 = 1; then
+    X_00 = u_0, X_j0 = -i u_j and X_0k = -i u_0 w_k for j, k > 0, so
+    e(u_0) = e(X_00), e(u_j) = e(X_j0) + 1 and
+    e(w_k) = e(X_0k) - e(X_00) + 1.  Row 0 and column 0 then pass the
+    test by construction.  Rows 1.. are tested in panels of whole
+    cosets, each against its rows of the core view ``_core``.
+
+    X + X* = 2I exactly when w = u*, i.e. e(u_k) + e(w_k) = 0 mod 4,
+    and C = C^T: C has a zero diagonal, so X + X* has the diagonal
+    2 Re(u_k w_k), and for w = u* the cell (j, k) off it is
+    -i u_j C_jk u*_k + conj(-i u_k C_kj u*_j) = i u_j u*_k (C_kj - C_jk),
+    with u_j u*_k a unit.
     """
     n = re.shape[0]
     p = math.isqrt(n - 1)
     if im is None or p * p + 1 != n or p == 2 or not is_prime(p):
         return None
-    ur, ui = _mul(re[:, 0], im[:, 0], 0, 1)
-    ur[0], ui[0] = re[0, 0], im[0, 0]
-    wr, wi = _mul(*_mul(re[0], im[0], 0, 1), ur[0], -ui[0])
-    wr[0], wi[0] = 1, 0
-    # The planes are disjoint, so a cell is a unit exactly when one is nonzero.
-    if not ((ur | ui).all() and (wr | wi).all()):
-        return None
-    # Y = diag(u*) X diag(w*) = Z diag(w*) has |Y_jk| <= 1, so a unit diagonal and
-    # Im Y = -C, nonzero off the diagonal, leave Re Y zero there: Y = I - iC.
-    zr, zi = _mul(re, im, ur[:, None], -ui[:, None])
-    yi = zi * wr - zr * wi
-    if ((zr.diagonal() * wr + zi.diagonal() * wi != 1).any()
-            or np.count_nonzero(yi) != n * (n - 1)):
-        return None
-    # yi + C = 0, with C added in place through the view of its core, so
-    # that C is not built a second time.
     ctx = FieldCtx(p)
-    yi[0, 1:] += 1
-    yi[1:, 0] += 1
-    core = yi[1:, 1:].reshape(p, p, p, p)
-    core += _core(ctx)
-    return None if yi.any() else (ctx, (ur, ui), (wr, wi))
+    table = ctx.char_table
+    # The planes are disjoint, so a cell is a unit exactly when one is nonzero.
+    if (table[0] or not table[1:].all()
+            or not ((re[0] | im[0]).all() and (re[:, 0] | im[:, 0]).all())):
+        return None
+    eu = _phase(re[:, 0], im[:, 0]) + 1
+    eu[0] -= 1
+    ew = _phase(re[0], im[0]) - eu[0] + 1
+    ew[0] = 0
+    core = _core(ctx)
+    step = min(p, max(1, _FORM_PANEL // (p * n)))
+    buf = np.empty((step * p, n - 1), dtype=np.int8)
+    for b0 in range(0, p, step):
+        b1 = min(p, b0 + step)
+        rows = slice(1 + b0 * p, 1 + b1 * p)
+        xr, xi = re[rows], im[rows]
+        if np.count_nonzero(xr) + np.count_nonzero(xi) != xr.size:
+            return None
+        # The int8 sums wrap modulo 256, a multiple of 4.
+        e = _phase(xr[:, 1:], xi[:, 1:], buf[: len(xr)])
+        e -= ew[1:]
+        e -= eu[rows, None]
+        cosets = e.reshape(b1 - b0, p, p * p)
+        cosets += core[b0:b1]
+        e &= 3
+        if e.any():
+            return None
+    return ctx, not ((eu + ew) & 3).any() and character_is_even(table, p)
 
 
 def skew_core(h: QMatrix) -> QMatrix:
@@ -120,7 +163,17 @@ def skew_core(h: QMatrix) -> QMatrix:
     Normalizes by the diagonal phase similarity diag(first row), which
     sends the first row to all ones and (by skewness) the first column
     below the corner to all minus ones.
+
+    A skew X of the base form (``base_form``) has w = u* and
+    u_0 = X_00 = 1, so the first row is d_k = -i w_k for k > 0, and
+    d_j X_jk d*_k = w_j u_j (I - iC)_jk w_k w*_k = (I - iC)_jk for
+    j, k > 0: its core is I - iK, read from the view ``_core``.
     """
+    form = base_form(h.re, h.im)
+    if form and form[1]:
+        ctx = form[0]
+        im = np.negative(_core(ctx), order="C").reshape(ctx.q, ctx.q)
+        return QMatrix(np.eye(ctx.q, dtype=np.int8), im)
     from .verify import check_skew_type
 
     if not check_skew_type(h):

@@ -126,13 +126,13 @@ def character_is_even(table: np.ndarray, p: int) -> bool:
 
 
 def certify_character(table: np.ndarray, p: int) -> bool:
-    """Whether the conference matrix C that ``builder.conference_matrix``
-    builds from ``table``, a character table of GF(p^2) with entries in
-    {-1, 0, 1} in the index layout b*p + a, is a symmetric conference
-    matrix: zero diagonal, +-1 off it, C = C^T and C C^T = qI, q = p^2.
+    """Whether the Paley-style conference matrix C of ``table``, a
+    character table of GF(p^2) with entries in {-1, 0, 1} in the index
+    layout b*p + a, is a symmetric conference matrix: zero diagonal, +-1
+    off it, C = C^T and C C^T = qI, q = p^2.
 
     C has order q + 1, C[0, 0] = 0, a border of ones, and
-    C[1+x, 1+y] = chi(x - y).  So:
+    C[1+x, 1+y] = chi(x - y); its core is ``builder._core``.  So:
       - the diagonal is zero and the cells off it are +-1 exactly when
         chi(0) = 0 and chi(x) = +-1 for x != 0;
       - C = C^T exactly when chi(-d) = chi(d) for every d;

@@ -4,7 +4,7 @@
 recogniser: ``full_report``, ``qmatrix.gram_is_scalar`` and
 ``qmatrix.sign_gram_is_scalar`` all take their verdicts from it.  X X* = nI
 alone makes X Hadamard, its diagonal counting the nonzero cells of each
-row.
+row.  Only ``full_report`` reads row sums, so only it asks for them.
 
 - The base form X = diag(u)(I - iC)diag(w) (``builder.base_form``) has
   X X* = diag(u)(I + CC^T + i(C^T - C))diag(u*), which is nI exactly
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qmatrix
 from .builder import base_form
-from .field import certify_character, character_is_even
+from .field import certify_character
 from .qmatrix import QMatrix, doubled_blocks, sign_gram_is_scalar
 
 
@@ -65,9 +65,13 @@ def check_skew_type(m: QMatrix) -> bool:
 
 
 def _row_sums(re: np.ndarray, im: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the row sums, summed in int32, as int64."""
-    x = re.sum(axis=1, dtype=np.int32).astype(np.int64)
-    y = np.zeros_like(x) if im is None else im.sum(axis=1, dtype=np.int32).astype(np.int64)
+    """Real and imaginary parts of the row sums, as int64.  A row of n
+    cells in {-1, 0, 1}, and each partial sum over it, is at most n in
+    absolute value, so the sums accumulate exactly in int16 below order
+    2^15 and in int32 above."""
+    dtype = np.int16 if re.shape[1] < 2**15 else np.int32
+    x = re.sum(axis=1, dtype=dtype).astype(np.int64)
+    y = np.zeros_like(x) if im is None else im.sum(axis=1, dtype=dtype).astype(np.int64)
     return x, y
 
 
@@ -77,25 +81,28 @@ def _common_sum(re: np.ndarray, im: np.ndarray) -> complex | None:
     return None
 
 
-def _recognise(re: np.ndarray, im: np.ndarray | None):
-    """(hadamard, skew, x, y) of X = re + i*im: X X* = nI, X + X* = 2I
-    (None if no form decides it) and the row sums x + iy."""
+def _recognise(re: np.ndarray, im: np.ndarray | None, sums: bool = False):
+    """(hadamard, skew, row_sums) of X = re + i*im: X X* = nI, X + X* = 2I
+    (None if no form decides it) and, when ``sums`` is set, the row sums
+    x + iy as the pair (x, y), else None."""
     if form := base_form(re, im):
-        ctx, (ur, ui), (wr, wi) = form
-        skew = (np.array_equal(wr, ur) and np.array_equal(wi, -ui)
-                and character_is_even(ctx.char_table, ctx.p))
-        return certify_character(ctx.char_table, ctx.p), skew, *_row_sums(re, im)
-    if not (blocks := doubled_blocks(re, im)):
-        return qmatrix._gram_is_scalar(re, im, len(re)), None, *_row_sums(re, im)
-    (ar, ai), (br, bi), adjoint = blocks
-    hadamard, skew, x, y = _recognise(ar, ai)
-    if adjoint:
-        bx, by = _row_sums(br, bi)
+        ctx, skew = form
+        hadamard = certify_character(ctx.char_table, ctx.p)
+    elif blocks := doubled_blocks(re, im):
+        (ar, ai), (br, bi), adjoint = blocks
+        hadamard, skew, a_sums = _recognise(ar, ai, sums)
+        if adjoint:
+            b_sums = _row_sums(br, bi) if sums else None
+        else:
+            b_hadamard, _, b_sums = _recognise(br, bi, sums)
+            hadamard, skew = hadamard and b_hadamard, False
+        if not sums:
+            return hadamard, skew, None
+        x, y = (np.concatenate(pair) for pair in zip(a_sums, b_sums))
+        return hadamard, skew, (x - y, x + y)
     else:
-        b_hadamard, _, bx, by = _recognise(br, bi)
-        hadamard, skew = hadamard and b_hadamard, False
-    x, y = np.concatenate((x, bx)), np.concatenate((y, by))
-    return hadamard, skew, x - y, x + y
+        hadamard, skew = qmatrix._gram_is_scalar(re, im, len(re)), None
+    return hadamard, skew, _row_sums(re, im) if sums else None
 
 
 def _semi_regular_witness(re: np.ndarray, im: np.ndarray, n: int) -> tuple[int, int] | None:
@@ -142,9 +149,9 @@ class PropertyReport:
 
 def full_report(m: QMatrix) -> PropertyReport:
     if m.im is None:
-        hadamard, skew, re, im = check_real_hadamard(m), None, *_row_sums(m.re, None)
+        hadamard, skew, (re, im) = check_real_hadamard(m), None, _row_sums(m.re, None)
     else:
-        hadamard, skew, re, im = _recognise(m.re, m.im)
+        hadamard, skew, (re, im) = _recognise(m.re, m.im, sums=True)
     skew = check_skew_type(m) if skew is None else skew
     regular = _common_sum(re, im)
     norms = re * re + im * im

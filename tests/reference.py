@@ -6,12 +6,15 @@ pairs, row sums as Python complex numbers with the row-sum predicates
 on them, the skew-type test as one n x n sum, the Hadamard predicate,
 the conjugate transpose, unit scaling and 2 x 2 block matrices by cell
 values, the closed-form row-sum schedule of the evaluated designs, and
-the excess pipeline on the dense matrices of order 4 + 4p^2.
+the excess pipeline on the dense matrices of order 4 + 4p^2, and S as
+the paper writes it, diag(v)(I - iC)diag(v*) from the conference matrix
+C, with the full-plane base-form test and skew core that went with it.
 All are deliberately naive: they are the oracles for the byte-level
 ``matio``, the float-BLAS Gram kernel and the structural certificates
 in ``qmatrix``, the vectorized character table in ``field``, the
-report in ``verify``, the recursion in ``cod`` and the factored report
-in ``excess``.  ``qmatrix`` and ``equal`` build and compare matrices by
+report in ``verify``, the recursion in ``cod``, the factored report
+in ``excess`` and the coset-by-coset build, recogniser and core in
+``builder``.  ``qmatrix`` and ``equal`` build and compare matrices by
 their values.
 """
 
@@ -19,10 +22,11 @@ import math
 
 import numpy as np
 
-from qhadamard import MatrixError, QMatrix, gram_is_scalar, realify
+from qhadamard import MatrixError, QMatrix, diag_similarity, gram_is_scalar, realify
 from qhadamard.excess import ExcessReport, PipelineReport, weight_bound
+from qhadamard.field import FieldCtx, is_prime
 from qhadamard.matio import ParseError
-from qhadamard.qmatrix import PHASES
+from qhadamard.qmatrix import PHASES, _mul
 from qhadamard.verify import check_skew_type
 
 QALPHABET = (0j, 1 + 0j, 1j, -1 + 0j, -1j)
@@ -305,3 +309,86 @@ def dense_pipeline(s):
         w3_total=excess(w3_neg),
     )
     return pipeline, w1_max
+
+
+def conference_matrix(ctx):
+    """Order q+1: zero diagonal, first row/column 1, chi(x - y) elsewhere,
+    x and y at the indices b*p + a of ``ctx.char_table``."""
+    p, q = ctx.p, ctx.q
+    a, b = np.arange(q) % p, np.arange(q) // p
+    c = np.zeros((q + 1, q + 1), dtype=np.int8)
+    c[0, 1:] = 1
+    c[1:, 0] = 1
+    c[1:, 1:] = ctx.char_table[(b[:, None] - b) % p * p + (a[:, None] - a) % p]
+    return QMatrix(c)
+
+
+def paley_qhm(ctx):
+    """H = I - iC: unit diagonal, +-i off-diagonal, HH* = (q+1) I."""
+    c = conference_matrix(ctx)
+    return QMatrix(np.eye(ctx.q + 1, dtype=np.int8), -c.re)
+
+
+def twist_vector(ctx):
+    """Phase vector: 1 on {infinity} and GF(p), -i on the cosets 1..(p-1)/2
+    and +i on the others."""
+    b = np.arange(ctx.q) // ctx.p
+    v = np.empty(ctx.q + 1, dtype=np.complex128)
+    v[0] = 1
+    v[1:] = np.where(b == 0, 1, np.where(b <= (ctx.p - 1) // 2, -1j, 1j))
+    return v
+
+
+def core_blocks(ctx):
+    """The core K[b1, a1, b2, a2] = chi(b1 - b2, a1 - a2) of the conference
+    matrix as a read-only (p, p, p, p) view: K[b1, a1] is the p x p window
+    at (p-1-b1, p-1-a1) of the 2p x 2p table T[i, j] = chi(-1 - i, -1 - j)."""
+    p = ctx.p
+    i = (-1 - np.arange(2 * p)) % p
+    t = ctx.char_table.reshape(p, p)[i[:, None], i]
+    s0, s1 = t.strides
+    return np.lib.stride_tricks.as_strided(t[p - 1:, p - 1:], (p, p, p, p),
+                                           (-s0, -s1, s0, s1), writeable=False)
+
+
+def base_form(re, im, ctx=None):
+    """(ctx, u, w) for X = re + i*im = diag(u)(I - iC)diag(w), u and w as
+    (re, im) pairs with w[0] = 1, formed over whole planes: u from column
+    0, w from row 0, Y = diag(u*) X diag(w*) compared with I - iC.  None
+    when X is not of that form.  ``ctx`` defaults to ``FieldCtx(p)``."""
+    n = re.shape[0]
+    p = math.isqrt(n - 1)
+    if im is None or p * p + 1 != n or p == 2 or not is_prime(p):
+        return None
+    ur, ui = _mul(re[:, 0], im[:, 0], 0, 1)
+    ur[0], ui[0] = re[0, 0], im[0, 0]
+    wr, wi = _mul(*_mul(re[0], im[0], 0, 1), ur[0], -ui[0])
+    wr[0], wi[0] = 1, 0
+    if not ((ur | ui).all() and (wr | wi).all()):
+        return None
+    zr, zi = _mul(re, im, ur[:, None], -ui[:, None])
+    yi = zi * wr - zr * wi
+    if ((zr.diagonal() * wr + zi.diagonal() * wi != 1).any()
+            or np.count_nonzero(yi) != n * (n - 1)):
+        return None
+    ctx = FieldCtx(p) if ctx is None else ctx
+    yi[0, 1:] += 1
+    yi[1:, 0] += 1
+    core = yi[1:, 1:].reshape(p, p, p, p)
+    core += core_blocks(ctx)
+    return None if yi.any() else (ctx, (ur, ui), (wr, wi))
+
+
+def skew_core(h):
+    """I + Q of order n-1 from a skew-type matrix by the similarity
+    diag(first row) over the whole matrix."""
+    if not check_skew_type(h):
+        raise MatrixError("input is not skew-type")
+    d = h.re[0] + 1j * h.im[0]
+    if (d == 0).any():
+        raise MatrixError("input is not normalizable to the bordered form")
+    d[0] = 1
+    normalized = diag_similarity(h, d)
+    if not ((normalized.re[0] == 1).all() and (normalized.re[1:, 0] == -1).all()):
+        raise MatrixError("input is not normalizable to the bordered form")
+    return QMatrix(normalized.re[1:, 1:], normalized.im[1:, 1:])

@@ -1,22 +1,45 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import reference
 from qhadamard import (
-    MatrixError,
-    check_skew_type,
-    conference_matrix,
-    double,
-    gram_is_scalar,
-    paley_qhm,
+    MatrixError, QMatrix, builder, check_skew_type, diag_similarity, double, gram_is_scalar,
     skew_core,
-    twist_vector,
 )
 from conftest import field, skew_regular
-from reference import check_quaternary_hadamard, equal, qmatrix, row_sums
+from reference import (
+    check_quaternary_hadamard, conference_matrix, core_blocks, equal, paley_qhm, qmatrix,
+    row_sums, twist_vector,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
+ODD_PRIMES_TO_31 = PRIMES + (17, 19, 23, 29, 31)
+UNITS = np.array([1, 1j, -1, -1j])
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
+def test_skew_regular_qhm_is_the_twisted_paley_matrix(p):
+    ctx = field(p)
+    assert equal(skew_regular(p), diag_similarity(paley_qhm(ctx), twist_vector(ctx)))
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_31[:8])
+def test_core_view_matches_the_block_layout(p):
+    ctx = field(p)
+    core = builder._core(ctx)
+    assert core.shape == (p, p, p * p) and core.strides[2] == 1
+    assert not core.flags.writeable
+    with pytest.raises(ValueError):
+        core[0, 0, 0] = 1
+    assert np.array_equal(core.reshape(p, p, p, p), core_blocks(ctx))
+    # chi is even, which hides a sign error in a1 - a2 or b1 - b2; a random
+    # table does not.
+    table = np.random.default_rng(p).integers(-1, 2, p * p).astype(np.int8)
+    odd = SimpleNamespace(p=p, q=p * p, char_table=table)
+    assert np.array_equal(builder._core(odd).reshape(p, p, p, p), core_blocks(odd))
 
 
 def test_conference_matrix_p3():
@@ -128,6 +151,29 @@ def test_skew_core_p3():
     # distinct rows of the core have inner product -1
     g = core.data @ core.data.conj().T
     assert np.array_equal(g, 10 * np.eye(9) - np.ones((9, 9)))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_skew_core_matches_the_similarity_path(p):
+    rng = np.random.default_rng(p)
+    s = skew_regular(p)
+    for _ in range(3):
+        t = diag_similarity(s, UNITS[rng.integers(0, 4, s.n)])
+        assert builder.base_form(t.re, t.im)[1] is True
+        assert equal(skew_core(t), reference.skew_core(t))
+    # Skew and Hadamard, but not of the base form: S with its rows and
+    # columns after the first permuted alike.
+    perm = np.concatenate(([0], 1 + rng.permutation(s.n - 1)))
+    m = QMatrix(s.re[perm][:, perm], s.im[perm][:, perm])
+    assert builder.base_form(m.re, m.im) is None
+    assert equal(skew_core(m), reference.skew_core(m))
+    # Of the base form but not skew: both paths refuse it alike.
+    u = UNITS[rng.integers(0, 4, s.n)]
+    two_sided = qmatrix(u[:, None] * s.data)
+    assert builder.base_form(two_sided.re, two_sided.im)[1] is False
+    for core in (skew_core, reference.skew_core):
+        with pytest.raises(MatrixError, match="not skew-type"):
+            core(two_sided)
 
 
 def test_skew_core_rejects_non_skew():

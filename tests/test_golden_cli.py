@@ -16,7 +16,9 @@ import io
 import numpy as np
 import pytest
 
-from qhadamard import diag_similarity, double, make_field, realify, serialize, skew_regular_qhm
+from qhadamard import (
+    builder, diag_similarity, double, make_field, qmatrix, realify, serialize, skew_regular_qhm,
+)
 from qhadamard.cli import main
 from conftest import FIXTURES
 
@@ -24,7 +26,7 @@ QHM = ("appendixA_H", "appendixA_S", "appendixB_H", "appendixB_DHD")
 
 GRID = {
     **{f"construct-{p}": ["construct", "--p", str(p), "--out", "{out}"]
-       for p in (3, 5, 7, 11)},
+       for p in (3, 5, 7, 11, 13)},
     **{f"excess-{p}{'-json' * j}": ["excess", "--p", str(p)] + ["--json"] * j
        for p in (3, 5) for j in (0, 1)},
     **{f"cod-{p}-{k}": ["cod", "--p", str(p), "--k", str(k)]
@@ -282,6 +284,9 @@ GOLDEN = {
     "cod-3-2-eval-0,1": (0, EMPTY, EMPTY, "9309a6016bccadb2"),
     "cod-3-2-eval-1,1": (0, EMPTY, EMPTY, "fc8bd103444bc227"),
     "cod-5-1-eval-1,0": (0, EMPTY, EMPTY, "d1b45d727aa2ba8f"),
+    # Recorded while S was still built as diag(v)(I - iC)diag(v*) by a
+    # diagonal similarity of the whole matrix.
+    "construct-13": (0, EMPTY, EMPTY, "ae5930345133e820"),
 }
 
 
@@ -293,3 +298,16 @@ def test_cli_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
     if name in STDIN:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(STDIN[name].encode())))
     assert run_digests(GRID[name], tmp_path, capsys) == GOLDEN[name]
+
+
+def test_construct_forms_no_phase_product(tmp_path, capsys, monkeypatch):
+    # S is written from the core view: neither the diagonal similarity nor
+    # the plane products behind it run, and the bytes stay the pinned ones.
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase product called")
+
+    monkeypatch.delenv("MEM_BUDGET_MB", raising=False)
+    for module, name in ((qmatrix, "diag_similarity"), (qmatrix, "_mul"),
+                         (builder, "diag_similarity")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run_digests(GRID["construct-13"], tmp_path, capsys) == GOLDEN["construct-13"]

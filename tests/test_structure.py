@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     QMatrix,
-    conference_matrix,
     diag_similarity,
     double,
     full_report,
@@ -31,10 +30,11 @@ from qhadamard import (
 from qhadamard import builder, cli, qmatrix, verify
 from qhadamard.field import FieldCtx, certify_character, character_is_even
 from qhadamard.qmatrix import _gram_is_scalar, _panels, sign_gram_is_scalar
+import reference
 from conftest import skew_regular
 from reference import (
-    QALPHABET, build_triple, gauss_is_scalar, gram_parts, maximize_excess_rows, parts_are_scalar,
-    qmatrix as make, skew_type,
+    QALPHABET, build_triple, conference_matrix, gauss_is_scalar, gram_parts, maximize_excess_rows,
+    parts_are_scalar, qmatrix as make, skew_type,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -162,6 +162,39 @@ def test_lemmas_recognise_their_forms():
     w2 = realify(build_triple(s)[1])
     assert qmatrix._realified_planes(w2.re) is None
     assert qmatrix.doubled_blocks(np.eye(3, dtype=np.int8), np.zeros((3, 3), np.int8)) is None
+
+
+def _reference_verdict(re, im):
+    """None, or whether X + X* = 2I, by the full-plane base-form test."""
+    form = reference.base_form(re, im)
+    if form is None:
+        return None
+    ctx, (ur, ui), (wr, wi) = form
+    return (np.array_equal(wr, ur) and np.array_equal(wi, -ui)
+            and character_is_even(ctx.char_table, ctx.p))
+
+
+def test_panelled_base_form_matches_the_full_plane_test(monkeypatch):
+    # Two cosets a panel, so that p = 13 has seven panels.  The first
+    # corruptions sit on the last row of a panel and the first of the next.
+    p = 13
+    n = p * p + 1
+    monkeypatch.setattr(builder, "_FORM_PANEL", 2 * p * n)
+    rows = [1 + 2 * k * p + d for k in range(1, 7) for d in (-1, 0)]
+    rng = np.random.default_rng(13)
+    s = skew_regular(p)
+    edits = {"negated": lambda r, i: (-r, -i), "rotated": lambda r, i: (-i, r),
+             "zeroed": lambda r, i: (0, 0)}
+    for clean in (s, twist(s, rng), two_sided(s, rng)):
+        assert builder.base_form(clean.re, clean.im)[1] is _reference_verdict(clean.re, clean.im)
+    for trial in range(200):
+        m = s if trial % 2 else twist(s, rng)
+        re, im = m.re.copy(), m.im.copy()
+        r = rows[trial] if trial < len(rows) else rng.integers(0, n)
+        c = rng.integers(0, n)
+        re[r, c], im[r, c] = edits[("negated", "rotated", "zeroed")[trial % 3]](re[r, c], im[r, c])
+        got = builder.base_form(re, im)
+        assert (None if got is None else got[1]) == _reference_verdict(re, im)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_101)

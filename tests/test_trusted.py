@@ -15,10 +15,8 @@ from qhadamard import (
     MatrixError,
     QMatrix,
     cod_recurse,
-    conference_matrix,
     diag_similarity,
     double,
-    paley_qhm,
     parse,
     realify,
     serialize,
@@ -28,8 +26,8 @@ from qhadamard import cod
 from qhadamard.qmatrix import PHASES
 from conftest import field, skew_regular
 from reference import (
-    QALPHABET, block2, build_triple, conj_transpose, equal, maximize_excess_rows, negate_rows,
-    qmatrix, scale,
+    QALPHABET, block2, build_triple, conference_matrix, conj_transpose, equal,
+    maximize_excess_rows, negate_rows, paley_qhm, qmatrix, scale,
 )
 
 

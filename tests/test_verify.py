@@ -85,6 +85,16 @@ def test_report_row_sum_fields_match_reference(make):
     assert report.semi_regular_witness == (semi_regular_witness(m) if report.hadamard else None)
 
 
+@pytest.mark.parametrize("n", (2**15 - 1, 2**15))
+def test_row_sums_hold_a_full_row(n):
+    # int16 holds a sum of 2^15 - 1 units and not one of 2^15, where the
+    # accumulator widens to int32.  Two rows of n cells each suffice.
+    re = np.ones((2, n), dtype=np.int8)
+    re[1] = -1
+    x, y = verify._row_sums(re, -re)
+    assert x.tolist() == [n, -n] and y.tolist() == [-n, n]
+
+
 def test_full_report_p7():
     report = full_report(skew_regular(7))
     assert report.regular == 1 - 7j

@@ -6,7 +6,7 @@ largest orders the default memory budget admits, one subprocess a run.
                                 --checkout NEW --out BENCH_<new>.json
 
 The grid is fixed: ``construct`` at p = 47, 61 and 101, ``verify``,
-``double`` and ``realify`` of the p = 101 file, ``verify`` of the
+``core``, ``double`` and ``realify`` of the p = 101 file, ``verify`` of the
 realified p = 101 file and of the doubled and realified p = 47 files,
 ``excess`` at p = 47, 61 and 101, ``cod --p 3 --k 3 --eval 1,1``
 (order 7290), and the refusals ``cod`` (3, 4) and (7, 2) (exit 3) and
@@ -59,6 +59,7 @@ GRID = (
     ("construct-61", ["construct", "--p", "61", "--out", "S61.qhm"], "S61.qhm"),
     ("construct-101", ["construct", "--p", "101", "--out", "S101.qhm"], "S101.qhm"),
     ("verify-S101", ["verify", "S101.qhm", "--json"], None),
+    ("core-S101", ["core", "S101.qhm", "--out", "C101.qhm"], "C101.qhm"),
     ("double-S101", ["double", "S101.qhm", "--out", "D101.qhm"], "D101.qhm"),
     ("realify-S101", ["realify", "S101.qhm", "--out", "R101.rhm"], "R101.rhm"),
     ("verify-R101", ["verify", "R101.rhm", "--json"], None),
