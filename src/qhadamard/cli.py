@@ -28,31 +28,31 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    """The file's text; a non-ASCII byte is a ParseError."""
+def _read(path: str) -> bytes:
+    """The file's bytes, as ``matio`` parses them."""
     if path == "-":
-        return matio.decode(sys.stdin.buffer.read())
+        return sys.stdin.buffer.read()
     try:
         with open(path, "rb") as fh:
-            return matio.decode(fh.read())
+            return fh.read()
     except OSError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))  # sys.stdout may be a StringIO
         return
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def _load_matrix(path: str):
     try:
-        return matio.parse(_read_text(path))
+        return matio.parse(_read(path))
     except matio.ParseError as exc:
         raise CliError(f"parse error: {exc}", EXIT_PARSE) from exc
 
@@ -80,7 +80,7 @@ def cmd_construct(args) -> int:
     if not (report.hadamard and report.skew
             and report.regular == complex(1, -ctx.p)):
         raise CliError("self-verification failed", EXIT_VERIFY)
-    _write_text(args.out, matio.serialize(s))
+    _write(args.out, matio.serialize(s))
     return 0
 
 
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
 def cmd_double(args) -> int:
     m = _load_qmatrix(args.file)
     try:
-        _write_text(args.out, matio.serialize(builder.double(m)))
+        _write(args.out, matio.serialize(builder.double(m)))
     except MatrixError as exc:
         raise CliError(str(exc), EXIT_VERIFY) from exc
     return 0
@@ -121,7 +121,7 @@ def cmd_double(args) -> int:
 def cmd_core(args) -> int:
     m = _load_qmatrix(args.file)
     try:
-        _write_text(args.out, matio.serialize(builder.skew_core(m)))
+        _write(args.out, matio.serialize(builder.skew_core(m)))
     except MatrixError as exc:
         raise CliError(str(exc), EXIT_VERIFY) from exc
     return 0
@@ -152,7 +152,7 @@ def cmd_cod(args) -> int:
         raise CliError(str(exc), EXIT_BUDGET) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    _write_text(args.out, matio.serialize(d.evaluate_qmatrix(a, b)))
+    _write(args.out, matio.serialize(d.evaluate_qmatrix(a, b)))
     return 0
 
 
@@ -181,21 +181,21 @@ def cmd_excess(args) -> int:
 
 def cmd_realify(args) -> int:
     m = _load_qmatrix(args.file)
-    _write_text(args.out, matio.serialize(realify(m)))
+    _write(args.out, matio.serialize(realify(m)))
     return 0
 
 
 def cmd_twist(args) -> int:
     m = _load_qmatrix(args.file)
     try:
-        v = matio.parse_phase_vector(_read_text(args.v))
+        v = matio.parse_phase_vector(_read(args.v))
     except matio.ParseError as exc:
         raise CliError(f"parse error: {exc}", EXIT_PARSE) from exc
     try:
         twisted = diag_similarity(m, v)
     except MatrixError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    _write_text(args.out, matio.serialize(twisted))
+    _write(args.out, matio.serialize(twisted))
     return 0
 
 

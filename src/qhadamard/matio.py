@@ -5,9 +5,10 @@ character each: '1' -> 1, '-' -> -1, 'i' -> i, 'j' -> -i, '0' -> 0.
 ('j' denoting -i follows the printed convention of the source tables.)
 Real bodies are restricted to {'1', '-', '0'}.
 
-Cells are read by byte compares and written by byte arithmetic on the
-(n, n + 1) uint8 view of the body, one panel of rows at a time, so that
-no temporary is larger than a panel.
+A file stays bytes: ``parse`` reads the cells of the file's bytes and
+``serialize`` writes them into the buffer it returns, through (n, n)
+uint8 views with rows n + 1 bytes apart, one panel of rows at a time,
+so that no temporary is larger than a panel.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ def decode(data: bytes) -> str:
                          data.count(b"\n", 0, at) + 1, at - line_start + 1) from None
 
 
-def _to_bytes(text: str) -> bytes:
-    # One byte per character: characters past U+00FF become '?', which
-    # like every non-ASCII byte is outside the alphabet.
-    return text.encode("latin-1", errors="replace")
-
-
 def _planes(cells: np.ndarray, alphabet: str) -> list[np.ndarray] | None:
     """The int8 ``re`` plane ('1', '-') and, unless ``alphabet`` is real,
     ``im`` plane ('i', 'j') of a 2-D uint8 array of cell characters; None
@@ -71,8 +66,8 @@ def _planes(cells: np.ndarray, alphabet: str) -> list[np.ndarray] | None:
     return planes if found == cells.size else None
 
 
-def serialize(m: QMatrix) -> str:
-    """The file text, written into one byte buffer and decoded once.  A
+def serialize(m: QMatrix) -> bytearray:
+    """The file's bytes, in the one buffer they are written into.  A
     cell's character is '0' plus the offset (re & -3) + 57|im| + [im < 0]:
     1 for 1, -3 for -1, 57 for i and 58 for -i."""
     n = m.n
@@ -88,7 +83,7 @@ def serialize(m: QMatrix) -> str:
             offset += im * im * np.int8(57)
             offset += (im < 0).view(np.int8)
         np.add(offset.view(np.uint8), ord("0"), out=body[rows, :n])
-    return buf.decode("ascii")
+    return buf
 
 
 def _header(head: str) -> tuple[bool, int]:
@@ -105,35 +100,37 @@ def _header(head: str) -> tuple[bool, int]:
     return header[0] == "RHM", n
 
 
-def parse(text: str) -> QMatrix:
-    """Inverse of ``serialize``.
+def parse(data: bytes) -> QMatrix:
+    """Inverse of ``serialize``, on the file's bytes.
 
     A well-formed body is exactly n rows of n cells and a newline (the
     last newline may be missing), so its layout is checked by its length
-    and its newline column, and its cells by ``_planes``.  Any other
-    input goes to ``_locate_error``.
+    and its newline column, and its cells, viewed in place, by
+    ``_planes``.  Any other input goes to ``_locate_error``.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    head_end = text.find("\n")
-    if head_end >= 0:
-        real, n = _header(text[:head_end])
-        body = _to_bytes(text[head_end + 1:])
-        if not body.endswith(b"\n"):
-            body += b"\n"
-        if len(body) == n * (n + 1) and body[n::n + 1] == b"\n" * n:
-            cells = np.frombuffer(body, dtype=np.uint8).reshape(n, n + 1)[:, :n]
-            planes = _planes(cells, _ALPHABET[real])
-            if planes is not None:
-                return QMatrix(*planes)
-    _locate_error(text)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    start = data.find(b"\n") + 1
+    try:
+        real, n = _header(data[:start].decode("ascii"))
+    except (UnicodeDecodeError, ParseError):  # a non-ASCII byte is named first
+        _locate_error(data)
+    size = len(data) - start
+    if (size in (n * (n + 1), n * (n + 1) - 1)
+            and data[start + n::n + 1] == b"\n" * (size // (n + 1))):
+        cells = np.ndarray((n, n), np.uint8, data, start, (n + 1, 1))
+        planes = _planes(cells, _ALPHABET[real])
+        if planes is not None:
+            return QMatrix(*planes)
+    _locate_error(data)
 
 
-def _locate_error(text: str) -> NoReturn:
+def _locate_error(data: bytes) -> NoReturn:
     """Raise the first error of a file ``parse`` refused, in reading
-    order: header, then the row count, then row by row, where a row of
-    the wrong length is reported before any bad cell in it."""
-    head, newline, body = text.partition("\n")
+    order: a non-ASCII byte, the header, then the row count, then row by
+    row, where a row of the wrong length is reported before any bad cell
+    in it."""
+    head, newline, body = decode(data).partition("\n")
     rows = body.split("\n") if newline else []
     if rows and rows[-1] == "":
         rows.pop()
@@ -151,10 +148,11 @@ def _locate_error(text: str) -> NoReturn:
     raise AssertionError("parse refused a well-formed file")
 
 
-def parse_phase_vector(text: str) -> np.ndarray:
-    """One phase per whitespace-separated token; errors name the token's index."""
-    tokens = text.replace("\r\n", "\n").split()
-    cells = np.frombuffer(_to_bytes("".join(tokens)), dtype=np.uint8)
+def parse_phase_vector(data: bytes) -> np.ndarray:
+    """One phase per whitespace-separated token of the file's decoded
+    bytes; a bad token's error names its index."""
+    tokens = decode(data).split()
+    cells = np.frombuffer("".join(tokens).encode(), dtype=np.uint8)
     planes = _planes(cells[None], "1-ij") if len(cells) == len(tokens) else None
     if planes is None:
         for index, token in enumerate(tokens, start=1):

@@ -91,15 +91,15 @@ def test_criterion_2_skew_regular_construction():
 
 
 def test_criterion_3_appendix_fixtures():
-    a_s = matio.parse((FIXTURES / "appendixA_S.qhm").read_text())
+    a_s = matio.parse((FIXTURES / "appendixA_S.qhm").read_bytes())
     assert check_quaternary_hadamard(a_s) and check_skew_type(a_s)
     assert set(row_sums(a_s)) == {1 - 5j}
 
-    b_h = matio.parse((FIXTURES / "appendixB_H.qhm").read_text())
+    b_h = matio.parse((FIXTURES / "appendixB_H.qhm").read_bytes())
     assert check_quaternary_hadamard(b_h) and check_skew_type(b_h)
     assert set(row_sums(b_h)) == {1 - 7j}
 
-    b_d = matio.parse((FIXTURES / "appendixB_DHD.qhm").read_text())
+    b_d = matio.parse((FIXTURES / "appendixB_DHD.qhm").read_bytes())
     assert check_quaternary_hadamard(b_d)
     abs_reg, abs_sq = is_absolutely_regular(b_d)
     assert abs_reg and abs_sq == 50
@@ -154,7 +154,7 @@ def test_criterion_6_excess():
 
 def test_criterion_7_roundtrip_and_cli(tmp_path):
     for name in ("appendixA_H", "appendixA_S", "appendixB_H", "appendixB_DHD"):
-        text = (FIXTURES / f"{name}.qhm").read_text()
+        text = (FIXTURES / f"{name}.qhm").read_bytes()
         assert matio.serialize(matio.parse(text)) == text
     for p in (3, 5, 7):
         s = skew_regular(p)

@@ -124,8 +124,8 @@ def _p13_inputs():
     texts = {}
     for name, m in (("s13", s), ("d13", double(s)), ("t13", diag_similarity(s, v)),
                     ("r13", realify(s))):
-        texts[f"{name}.qhm"] = serialize(m)
-        texts[f"{name}-bad.qhm"] = _edit(serialize(m), 5, 7, lambda c: c.translate(negate))
+        texts[f"{name}.qhm"] = text = serialize(m).decode()
+        texts[f"{name}-bad.qhm"] = _edit(text, 5, 7, lambda c: c.translate(negate))
     return texts
 
 

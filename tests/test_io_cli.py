@@ -11,40 +11,40 @@ from reference import equal, qmatrix, serialize_phase_vector
 
 
 def test_parse_examples():
-    assert equal(parse("QHM 1\n1\n"), qmatrix([[1 + 0j]]))
-    assert equal(parse("QHM 2\n1j\ni1\n"), qmatrix([[1, -1j], [1j, 1]]))
+    assert equal(parse(b"QHM 1\n1\n"), qmatrix([[1 + 0j]]))
+    assert equal(parse(b"QHM 2\n1j\ni1\n"), qmatrix([[1, -1j], [1j, 1]]))
     # A QHM file whose cells are all real stays quaternary.
-    assert equal(parse("QHM 2\n11\n1-\n"), qmatrix(np.array([[1, 1], [1, -1]], dtype=complex)))
-    assert equal(parse("RHM 2\n11\n1-\n"), qmatrix([[1, 1], [1, -1]]))
+    assert equal(parse(b"QHM 2\n11\n1-\n"), qmatrix(np.array([[1, 1], [1, -1]], dtype=complex)))
+    assert equal(parse(b"RHM 2\n11\n1-\n"), qmatrix([[1, 1], [1, -1]]))
 
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
-        parse("QHM 2\n1x\ni1\n")
+        parse(b"QHM 2\n1x\ni1\n")
     assert err.value.line == 2 and err.value.col == 2
 
 
 def test_parse_errors():
     with pytest.raises(ParseError):
-        parse("XHM 2\n11\n11\n")
+        parse(b"XHM 2\n11\n11\n")
     with pytest.raises(ParseError):
-        parse("QHM 2\n11\n")
+        parse(b"QHM 2\n11\n")
     with pytest.raises(ParseError):
-        parse("QHM 2\n111\n11\n")
+        parse(b"QHM 2\n111\n11\n")
     with pytest.raises(ParseError):
-        parse("RHM 1\ni\n")
+        parse(b"RHM 1\ni\n")
 
 
 def test_crlf_normalized():
-    assert equal(parse("QHM 1\r\n1\r\n"), qmatrix([[1 + 0j]]))
+    assert equal(parse(b"QHM 1\r\n1\r\n"), qmatrix([[1 + 0j]]))
 
 
 @pytest.mark.parametrize(
     "name", ["appendixA_H", "appendixA_S", "appendixB_H", "appendixB_DHD"]
 )
 def test_fixture_roundtrip(name):
-    text = (FIXTURES / f"{name}.qhm").read_text()
-    assert serialize(parse(text)) == text
+    data = (FIXTURES / f"{name}.qhm").read_bytes()
+    assert serialize(parse(data)) == data
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -55,13 +55,13 @@ def test_constructed_roundtrip(p):
 
 def test_phase_vector_roundtrip():
     for name in ("appendixA_v.phv", "appendixB_v.phv"):
-        text = (FIXTURES / name).read_text()
-        assert serialize_phase_vector(parse_phase_vector(text)) == text
+        data = (FIXTURES / name).read_bytes()
+        assert serialize_phase_vector(parse_phase_vector(data)).encode() == data
 
 
 def test_phase_vector_rejects_zero():
     with pytest.raises(ParseError):
-        parse_phase_vector("1\n0\n")
+        parse_phase_vector(b"1\n0\n")
 
 
 # -- CLI ------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_cli_construct_verify_roundtrip(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
-def test_cli_construct_verify_stdin(capsys, monkeypatch):
+def test_cli_construct_verify_stdin(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, monkeypatch, ["construct", "--p", "3"])
     assert code == 0
     code, _, _ = run_cli(
@@ -96,6 +96,12 @@ def test_cli_construct_verify_stdin(capsys, monkeypatch):
         stdin=out,
     )
     assert code == 0
+    # Stdout and --out carry the same bytes.
+    s5, w5 = tmp_path / "s5.qhm", tmp_path / "w5.rhm"
+    for argv, path in ((["construct", "--p", "5"], s5), (["realify", str(s5)], w5)):
+        code, out, _ = run_cli(capsys, monkeypatch, argv)
+        assert code == 0 and run_cli(capsys, monkeypatch, [*argv, "--out", str(path)])[0] == 0
+        assert out.encode() == path.read_bytes()
 
 
 def test_cli_verify_expect_fail(capsys, monkeypatch, tmp_path):
@@ -164,10 +170,26 @@ def _s3(capsys, monkeypatch, tmp_path):
     return path
 
 
+# Files whose non-ASCII byte comes after another error.
+NON_ASCII_FILES = {
+    "bad-header.qhm": b"QHX 2\n1j\ni\xe9\n",
+    "few-rows.qhm": b"QHM 3\n1ij\n-\xe9j\n",
+    "short-row.qhm": b"QHM 2\n1\ni\xe9\n",
+    "crlf.qhm": b"QHM 2\r\n1x\r\ni\xe9\r\n",
+    "late.phv": b"1\r\n0\nx\n\xe9\n",
+}
+
+
 @pytest.mark.parametrize("argv, where", [
     (["verify", "{bad}"], "(line 3 col 4)"),
     (["twist", "{s3}", "--v", "{badv}"], "(line 2 col 1)"),
-], ids=["verify", "twist-vector"])
+    (["verify", "{tmp}/bad-header.qhm"], "(line 3 col 2)"),
+    (["double", "{tmp}/few-rows.qhm"], "(line 3 col 2)"),
+    (["verify", "{tmp}/short-row.qhm"], "(line 3 col 2)"),
+    (["realify", "{tmp}/crlf.qhm"], "(line 3 col 2)"),
+    (["twist", "{s3}", "--v", "{tmp}/late.phv"], "(line 4 col 1)"),
+], ids=["verify", "twist-vector", "bad-header", "few-rows", "short-row", "crlf",
+        "twist-vector-late"])
 def test_cli_non_ascii_byte_is_a_parse_error(capsys, monkeypatch, tmp_path, argv, where):
     s3 = _s3(capsys, monkeypatch, tmp_path)
     lines = s3.read_bytes().split(b"\n")
@@ -176,7 +198,9 @@ def test_cli_non_ascii_byte_is_a_parse_error(capsys, monkeypatch, tmp_path, argv
     bad.write_bytes(b"\n".join(lines))
     badv = tmp_path / "bad.phv"
     badv.write_bytes(b"1\n\xff\n" + b"1\n" * 8)
-    argv = [a.format(bad=bad, s3=s3, badv=badv) for a in argv]
+    for name, data in NON_ASCII_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.format(bad=bad, s3=s3, badv=badv, tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, monkeypatch, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: parse error: non-ASCII byte") and where in err
@@ -213,15 +237,15 @@ def test_cli_double_core_twist_realify(capsys, monkeypatch, tmp_path):
 
     doubled = tmp_path / "d.qhm"
     assert run_cli(capsys, monkeypatch, ["double", str(s3), "--out", str(doubled)])[0] == 0
-    assert parse(doubled.read_text()).n == 20
+    assert parse(doubled.read_bytes()).n == 20
 
     core = tmp_path / "core.qhm"
     assert run_cli(capsys, monkeypatch, ["core", str(s3), "--out", str(core)])[0] == 0
-    assert parse(core.read_text()).n == 9
+    assert parse(core.read_bytes()).n == 9
 
     real = tmp_path / "w.rhm"
     assert run_cli(capsys, monkeypatch, ["realify", str(s3), "--out", str(real)])[0] == 0
-    assert parse(real.read_text()).im is None
+    assert parse(real.read_bytes()).im is None
 
     vfile = tmp_path / "v.phv"
     vfile.write_text("1\n" * 10)
@@ -229,7 +253,7 @@ def test_cli_double_core_twist_realify(capsys, monkeypatch, tmp_path):
     assert run_cli(
         capsys, monkeypatch, ["twist", str(s3), "--v", str(vfile), "--out", str(twisted)]
     )[0] == 0
-    assert equal(parse(twisted.read_text()), skew_regular(3))
+    assert equal(parse(twisted.read_bytes()), skew_regular(3))
 
 
 def test_cli_cod_summary_and_eval(capsys, monkeypatch, tmp_path):
@@ -245,7 +269,7 @@ def test_cli_cod_summary_and_eval(capsys, monkeypatch, tmp_path):
         ["cod", "--p", "3", "--k", "1", "--eval", "1,1", "--out", str(evaluated)],
     )
     assert code == 0
-    m = parse(evaluated.read_text())
+    m = parse(evaluated.read_bytes())
     assert m.n == 90
 
 
@@ -294,7 +318,7 @@ def test_cli_appendix_twist_matches_printed(capsys, monkeypatch, tmp_path):
 ])
 def test_cli_quaternary_commands_reject_real_files(capsys, monkeypatch, tmp_path, argv):
     w = tmp_path / "w.rhm"
-    w.write_text(serialize(realify(skew_regular(3))))
+    w.write_bytes(serialize(realify(skew_regular(3))))
     v = tmp_path / "v.phv"
     v.write_text("1\n" * 20)
     code, out, err = run_cli(capsys, monkeypatch, [a.format(w=w, v=v) for a in argv])

@@ -338,7 +338,7 @@ def test_certified_commands_skip_the_dense_kernel(tmp_path, monkeypatch):
     t = twist(s, np.random.default_rng(13))
     files = {"s": s, "t": t, "d": double(s), "dt": double(t), "r": realify(s)}
     for name, m in files.items():
-        (tmp_path / f"{name}.qhm").write_text(serialize(m))
+        (tmp_path / f"{name}.qhm").write_bytes(serialize(m))
     argvs = [["construct", "--p", "13", "--out", str(tmp_path / "c.qhm")],
              ["excess", "--p", "5", "--json"]]
     for name in files:
@@ -369,7 +369,7 @@ def test_corrupted_files_reach_the_dense_kernel(tmp_path, monkeypatch):
             if im is not None:
                 im[r, c] *= -1
             path = tmp_path / "bad.qhm"
-            path.write_text(serialize(QMatrix(re, im)))
+            path.write_bytes(serialize(QMatrix(re, im)))
             calls.clear()
             assert _run(["verify", str(path), "--json"]) == 0
             assert calls

@@ -39,7 +39,7 @@ def eye(n):
 def test_check_quaternary_hadamard_examples():
     assert check_quaternary_hadamard(qmatrix([[1 + 0j, 1], [1, -1]]))
     assert not check_quaternary_hadamard(qmatrix(np.ones((2, 2), dtype=complex)))
-    bh = matio.parse((FIXTURES / "appendixB_H.qhm").read_text())
+    bh = matio.parse((FIXTURES / "appendixB_H.qhm").read_bytes())
     assert check_quaternary_hadamard(bh)
 
 
@@ -66,7 +66,7 @@ def test_check_semi_regular_examples():
     lambda: skew_regular(3),
     lambda: skew_regular(5),
     lambda: double(skew_regular(3)),
-    lambda: matio.parse((FIXTURES / "appendixB_DHD.qhm").read_text()),
+    lambda: matio.parse((FIXTURES / "appendixB_DHD.qhm").read_bytes()),
     lambda: realify(skew_regular(3)),
     lambda: _corrupted(skew_regular(3)),
     lambda: negate_rows(realify(build_triple(skew_regular(3))[2]), [0, 3]),
@@ -103,7 +103,7 @@ def test_full_report_p7():
 
 
 def test_full_report_appendix_b_twisted():
-    report = full_report(matio.parse((FIXTURES / "appendixB_DHD.qhm").read_text()))
+    report = full_report(matio.parse((FIXTURES / "appendixB_DHD.qhm").read_bytes()))
     assert report.hadamard
     assert report.abs_regular and report.abs_value_sq == 50
     assert report.regular is None
