@@ -160,9 +160,12 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
 def skew_core(h: QMatrix) -> QMatrix:
     """Extract I + Q of order n-1 from a skew-type quaternary Hadamard matrix.
 
-    Normalizes by the diagonal phase similarity diag(first row), which
-    sends the first row to all ones and (by skewness) the first column
-    below the corner to all minus ones.
+    Normalizes by the diagonal phase similarity N = D H D* for
+    D = diag(first row), which sends the first row to all ones and the
+    first column below the corner to all minus ones: H + H* = 2I gives
+    h_00 = 1 and h_j0 = -conj(h_0j), so for a first row of units
+    N_0k = |h_0k|^2 = 1 and N_j0 = -|h_0j|^2 = -1.  A zero in the first
+    row is the one input that cannot be normalized.
 
     A skew X of the base form (``base_form``) has w = u* and
     u_0 = X_00 = 1, so the first row is d_k = -i w_k for k > 0, and
@@ -181,11 +184,7 @@ def skew_core(h: QMatrix) -> QMatrix:
     d = h.re[0] + 1j * h.im[0]
     if (d == 0).any():
         raise MatrixError("input is not normalizable to the bordered form")
-    d[0] = 1
     normalized = diag_similarity(h, d)
-    # A cell whose real plane is +-1 has a zero imaginary plane.
-    if not ((normalized.re[0] == 1).all() and (normalized.re[1:, 0] == -1).all()):
-        raise MatrixError("input is not normalizable to the bordered form")
     return QMatrix(normalized.re[1:, 1:], normalized.im[1:, 1:])
 
 

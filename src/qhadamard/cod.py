@@ -3,9 +3,9 @@
 A cell of X = aA + bB has one of nine codes: 0, 1 + e for a*i^e or
 5 + e for b*i^e.  X is a plane ``code`` over a level table ``table`` of
 shape (9, m, m): ``code`` with every cell c replaced by the block
-table[c].  Explicit A and B make level 0, over the identity table.  An
-evaluation maps the codes to their values in the small table and
-gathers X from it; A and B are those at (1, 0) and (0, 1).
+table[c].  The base design aI + b(S - I) is level 0, over the identity
+table.  An evaluation maps the codes to their values in the small
+table and gathers X from it; A and B are those at (1, 0) and (0, 1).
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import numpy as np
 from .field import BudgetError, FieldCtx, order_within_budget
 from .qmatrix import MatrixError, QMatrix, _gram_is_scalar
 from .builder import skew_core, skew_regular_qhm
+from .verify import _row_sums, check_skew_type
 
 _UNITS = (-1, 0, 1)
-# The code of a cell re + i*im of A (row 0) or B (row 1), at 3*re + im + 4.
-_CODES = np.array([[0, 3, 0, 4, 0, 2, 0, 1, 0], [0, 7, 0, 8, 0, 6, 0, 5, 0]], dtype=np.uint8)
+# The code of a cell re + i*im of B, at 3*re + im + 4.
+_B_CODES = np.array([0, 7, 0, 8, 0, 6, 0, 5, 0], dtype=np.uint8)
 # The real and the imaginary plane of each code's value at a unit point.
 _VALUES = {(a, b): np.array([[0, a, 0, -a, 0, b, 0, -b, 0], [0, 0, a, 0, -a, 0, b, 0, -b]],
                             dtype=np.int8) for a in _UNITS for b in _UNITS}
@@ -39,9 +40,11 @@ def _lookup(values: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.frombuffer(bytearray(code).translate(table), values.dtype).reshape(code.shape)
 
 
-def _code_plane(m: QMatrix, variable: int) -> np.ndarray:
-    """The codes of m's cells as coefficients of variable 0 (a) or 1 (b)."""
-    return _lookup(_CODES[variable], 3 * m.re + m.im + 4)
+def _design(m: QMatrix) -> np.ndarray:
+    """The code plane of aI + b(M - I) for an M with unit diagonal."""
+    code = _lookup(_B_CODES, 3 * m.re + m.im + 4)
+    np.fill_diagonal(code, 1)
+    return code
 
 
 def _substitute(code: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -60,21 +63,7 @@ class CODMatrix:
     """Two-variable quaternary orthogonal design with constant row type:
     the read-only ``code`` plane over the level ``table`` (see the module)."""
 
-    def __init__(self, acoef: QMatrix, bcoef: QMatrix):
-        if acoef.n != bcoef.n or acoef.im is None or bcoef.im is None:
-            raise MatrixError("coefficients must be quaternary matrices of one order")
-        a, b = _code_plane(acoef, 0), _code_plane(bcoef, 1)
-        if np.logical_and(a, b).any():
-            raise MatrixError("each cell may carry at most one variable")
-        self._hold(a + b, _IDENTITY)
-
-    @classmethod
-    def _level(cls, code: np.ndarray, table: np.ndarray) -> CODMatrix:
-        d = cls.__new__(cls)
-        d._hold(code, table)
-        return d
-
-    def _hold(self, code: np.ndarray, table: np.ndarray) -> None:
+    def __init__(self, code: np.ndarray, table: np.ndarray):
         code.setflags(write=False)
         table.setflags(write=False)
         self.__dict__.update(code=code, table=table, n=code.shape[0] * table.shape[1])
@@ -91,14 +80,6 @@ class CODMatrix:
             raise MatrixError("row type is not constant")
         return int(rows[0][0]), int(rows[1][0])
 
-    @cached_property
-    def acoef(self) -> QMatrix:
-        return QMatrix(*self._planes(1, 0))
-
-    @cached_property
-    def bcoef(self) -> QMatrix:
-        return QMatrix(*self._planes(0, 1))
-
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
         """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix."""
         if not (a in _UNITS and b in _UNITS):
@@ -111,11 +92,18 @@ class CODMatrix:
 
 
 def _is_real(d: CODMatrix) -> bool:
-    """No block of a code in ``d.code`` holds an imaginary cell."""
+    """No block of a code in ``d.code`` holds an imaginary cell.
+
+    The plain-transpose Gram X X^T = (s1 a^2 + s2 b^2) I holds exactly
+    when ``d`` is real and X X* does (``certify_gram``): the diagonal of
+    X X^T at (1, 0) counts the real minus the imaginary cells in a row of
+    A, so it equals s1 only when A has no imaginary cell, and likewise
+    for B at (0, 1); for a real X, X^T = X*.
+    """
     return not _lookup(_VALUES[1, 1][1].take(d.table).any(axis=(1, 2)), d.code).any()
 
 
-def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
+def certify_gram(d: CODMatrix) -> bool:
     """Check X X* = (s1 a^2 + s2 b^2) I at (1, 0), (0, 1) and (1, 1).
 
     For X = aA + bB with real a, b,
@@ -124,16 +112,8 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
     s1 I, s2 I and 0 are P at (1, 0), R at (0, 1) and P + R + T at (1, 1),
     so the form agrees with the claim at these three points exactly when
     P = R = T = 0, which certifies the symbolic identity.
-
-    With ``conjugate=False`` checks the plain-transpose variant X X^T,
-    which holds exactly when the design is real and X X* holds: the
-    diagonal of X X^T at (1, 0) counts the real minus the imaginary cells
-    in a row of A, so it equals s1 only when A has no imaginary cell, and
-    likewise for B at (0, 1); for a real X, X^T = X*.
     """
     s1, s2 = d.stype
-    if not (conjugate or _is_real(d)):
-        return False
     for a, b in ((1, 0), (0, 1), (1, 1)):
         # A unit point keeps every |entry|^2 at most 1.
         if not _gram_is_scalar(*d._planes(a, b), s1 * a * a + s2 * b * b):
@@ -142,14 +122,10 @@ def certify_gram(d: CODMatrix, conjugate: bool = True) -> bool:
 
 
 def _factors(ctx: FieldCtx) -> tuple[CODMatrix, QMatrix]:
-    """The base design a I + b (S - I) and the core Q = skew_core(S) - I,
-    from one build of S; ``skew_core`` certifies S + S* = 2I, so S_ii = 1."""
+    """The base design a I + b (S - I) and the skew core I + Q of S, from
+    one build of S; ``skew_core`` certifies S + S* = 2I, so S_ii = 1."""
     s = skew_regular_qhm(ctx)
-    core = skew_core(s)
-    code = _code_plane(s, 1)
-    np.fill_diagonal(code, 1)
-    eye = np.eye(ctx.q, dtype=np.int8)
-    return CODMatrix._level(code, _IDENTITY), QMatrix(core.re - eye, core.im)
+    return CODMatrix(_design(s), _IDENTITY), skew_core(s)
 
 
 def _checked_order(ctx: FieldCtx, k: int) -> int:
@@ -166,43 +142,44 @@ def _checked_order(ctx: FieldCtx, k: int) -> int:
 def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     """k substitution steps: order (1+p^2) p^(2k), type (p^(2k), p^(2k+2)).
 
-    A step, A' = B (x) I and B' = A (x) J + B (x) Q for Q the skew core
-    minus I, sends a cell of code c to a q x q block step[c]: a*i^e to
+    A step, A' = B (x) I and B' = A (x) J + B (x) Q for I + Q the skew
+    core, sends a cell of code c to a q x q block step[c]: a*i^e to
     i^e b J, b*i^e to i^e (a I + b Q).  So a cell's k-fold expansion
     depends on its code alone; it is the block T_k[c], where T_0 is the
     identity and T_{j+1}[c] is step[c] with each cell c' replaced by its
     j-fold expansion T_j[c'].  Level k is the base code plane over T_k.
     """
     _checked_order(ctx, k)
-    base, q_core = _factors(ctx)
+    base, core = _factors(ctx)
     table = _IDENTITY
     if k:
-        eye = np.eye(ctx.q, dtype=np.int8)
         step = np.zeros((9, ctx.q, ctx.q), dtype=np.uint8)
         step[1:5] = _TIMES[:, 5, None, None]
-        step[5:] = _TIMES[:, CODMatrix(QMatrix(eye, 0 * eye), q_core).code]
+        step[5:] = _TIMES[:, _design(core)]
         for _ in range(k):
             table = _substitute(step, table)
-    return CODMatrix._level(base.code, table)
+    return CODMatrix(base.code, table)
 
 
-def _broken_identity(base: CODMatrix, q_core: QMatrix, q: int) -> str | None:
+def _broken_identity(base: CODMatrix, core: QMatrix, q: int) -> str | None:
     """The first hypothesis of the factored certificate that the factors
-    fail, by name; None when all hold.  Every check is exact: the cells
-    are Gaussian integers, the sums have at most q unit terms, and QQ* is
-    checked by the exact kernel."""
-    if not np.array_equal((q_core.re | q_core.im) != 0, ~np.eye(q, dtype=bool)):
+    fail, by name, each checked on the skew core I + Q; None when all
+    hold.  Every check is exact: the cells are Gaussian integers, the
+    sums have at most q unit terms, and QQ* is checked by the exact
+    kernel."""
+    if not ((core.re | core.im).all() and (core.re.diagonal() == 1).all()):
         return "Q has zero diagonal and unit cells off it"
-    if not (np.array_equal(q_core.re.T, -q_core.re)
-            and np.array_equal(q_core.im.T, q_core.im)):
+    if not check_skew_type(core):
         return "Q* = -Q"
-    if q_core.re.sum(axis=1).any() or q_core.im.sum(axis=1).any():
+    x, y = _row_sums(core.re, core.im)
+    if (x != 1).any() or y.any():
         return "QJ = 0"
     # Given QJ = 0, the bordered M = [[0, 1^T], [1, Q]] has
     # MM* = [[q, (QJ)*], [QJ, J + QQ*]], which is qI exactly when QQ* = qI - J.
     border = np.zeros((2, q + 1, q + 1), dtype=np.int8)
     border[0, 0, 1:] = border[0, 1:, 0] = 1
-    border[0, 1:, 1:], border[1, 1:, 1:] = q_core.re, q_core.im
+    border[0, 1:, 1:], border[1, 1:, 1:] = core.re, core.im
+    np.fill_diagonal(border[0, 1:, 1:], 0)
     if not _gram_is_scalar(*border, q):
         return "QQ* = qI - J"
     s1, s2 = base.stype
@@ -228,32 +205,33 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     type steps as (s1, s2) -> (s2, q s2).  By induction level k is
     certified by the dense base certificate and the q x q facts
     Q zero-diagonal with unit cells off it, Q* = -Q, QJ = 0,
-    QQ* = qI - J, and s2 = q s1 at the base.  The order (1+q) q^k is an
-    exact int.
+    QQ* = qI - J, and s2 = q s1 at the base, each read off the skew core
+    I + Q (``_broken_identity``).  The order (1+q) q^k is an exact int.
 
     Level k is real exactly when the base is and (k = 0 or Q is real): an
     imaginary cell of A or B reappears in B' or A', and a real B, with
     s2 > 0 cells a row, times a non-real Q puts one in B'.  With the
     conjugate verdict this decides the transpose verdict (see
-    ``certify_gram``).
+    ``_is_real``).
 
     Should a hypothesis fail, its name is reported under "broken" and the
     verdicts are those of the dense design, so a broken hypothesis never
     yields a verdict.
     """
     order = _checked_order(ctx, k)
-    base, q_core = _factors(ctx)
-    broken = (_broken_identity(base, q_core, ctx.q) if certify_gram(base)
+    base, core = _factors(ctx)
+    broken = (_broken_identity(base, core, ctx.q) if certify_gram(base)
               else "base Gram")
     if broken is not None:
         d = cod_recurse(ctx, k)
+        conjugate = certify_gram(d)
         return {"order": d.n, "type": list(d.stype),
-                "gram_conjugate": certify_gram(d),
-                "gram_transpose": certify_gram(d, conjugate=False),
+                "gram_conjugate": conjugate,
+                "gram_transpose": conjugate and _is_real(d),
                 "broken": broken}
     s1, s2 = base.stype
     for _ in range(k):
         s1, s2 = s2, ctx.q * s2
-    real = _is_real(base) and (k == 0 or not q_core.im.any())
+    real = _is_real(base) and (k == 0 or not core.im.any())
     return {"order": order, "type": [s1, s2],
             "gram_conjugate": True, "gram_transpose": real}

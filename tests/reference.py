@@ -5,7 +5,8 @@ Gram product over Python integers and one by int64 numpy products, GF(p^2) arith
 pairs, row sums as Python complex numbers with the row-sum predicates
 on them, the skew-type test as one n x n sum, the Hadamard predicate,
 the conjugate transpose, unit scaling and 2 x 2 block matrices by cell
-values, the closed-form row-sum schedule of the evaluated designs, and
+values, a design's cell codes from its coefficients' values, the
+closed-form row-sum schedule of the evaluated designs, and
 the excess pipeline on the dense matrices of order 4 + 4p^2, and S as
 the paper writes it, diag(v)(I - iC)diag(v*) from the conference matrix
 C, with the full-plane base-form test and skew core that went with it.
@@ -22,7 +23,9 @@ import math
 
 import numpy as np
 
-from qhadamard import MatrixError, QMatrix, diag_similarity, gram_is_scalar, realify
+from qhadamard import (
+    CODMatrix, MatrixError, QMatrix, diag_similarity, gram_is_scalar, realify,
+)
 from qhadamard.excess import ExcessReport, PipelineReport, weight_bound
 from qhadamard.field import FieldCtx, is_prime
 from qhadamard.matio import ParseError
@@ -245,6 +248,22 @@ def expected_row_sum(p, level):
     if level % 2 == 0:
         return complex(p**level, -(p ** (level - 1)))
     return complex(p ** (level - 1), -(p**level))
+
+
+def design(acoef, bcoef):
+    """The design aA + bB over the identity level table, its cell codes
+    read from the values of A and B: 0, 1 + e for a*i^e and 5 + e for
+    b*i^e.  Refuses cells outside the alphabet and overlapping supports."""
+    acoef, bcoef = np.asarray(acoef, dtype=complex), np.asarray(bcoef, dtype=complex)
+    if not (np.isin(acoef, QALPHABET).all() and np.isin(bcoef, QALPHABET).all()):
+        raise MatrixError("entries must be 0 or fourth roots of unity")
+    if ((acoef != 0) & (bcoef != 0)).any():
+        raise MatrixError("each cell may carry at most one variable")
+    code = np.zeros(acoef.shape, dtype=np.uint8)
+    for first, coef in ((1, acoef), (5, bcoef)):
+        for e, phase in enumerate(PHASES):
+            code[coef == phase] = first + e
+    return CODMatrix(code, np.arange(9, dtype=np.uint8).reshape(9, 1, 1))
 
 
 def build_triple(s):

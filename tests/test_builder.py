@@ -7,8 +7,9 @@ import pytest
 import reference
 from qhadamard import (
     MatrixError, QMatrix, builder, check_skew_type, diag_similarity, double, gram_is_scalar,
-    skew_core,
+    serialize, skew_core,
 )
+from qhadamard.cli import main
 from conftest import field, skew_regular
 from reference import (
     check_quaternary_hadamard, conference_matrix, core_blocks, equal, paley_qhm, qmatrix,
@@ -176,9 +177,18 @@ def test_skew_core_matches_the_similarity_path(p):
             core(two_sided)
 
 
-def test_skew_core_rejects_non_skew():
+def test_skew_core_rejects_non_skew(capsys, tmp_path):
     with pytest.raises(MatrixError):
         skew_core(qmatrix(np.ones((2, 2), dtype=complex)))
+    # I is skew (Q = 0), but its first row holds zeros.
+    eye = qmatrix(np.eye(3, dtype=complex))
+    for core in (skew_core, reference.skew_core):
+        with pytest.raises(MatrixError, match="not normalizable"):
+            core(eye)
+    path = tmp_path / "eye3.qhm"
+    path.write_bytes(serialize(eye))
+    assert main(["core", str(path)]) == 1
+    assert "not normalizable" in capsys.readouterr().err
 
 
 def test_double_p3_multiset():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
     BudgetError,
-    CODMatrix,
     certify_gram,
     check_skew_type,
     cod_recurse,
@@ -15,8 +14,8 @@ from qhadamard.cod import _broken_identity
 from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar
 from conftest import field, skew_regular
 from reference import (
-    check_quaternary_hadamard, conj_transpose, equal, expected_row_sum, gram_parts,
-    parts_are_scalar, qmatrix, row_sums, scale,
+    check_quaternary_hadamard, conj_transpose, design, equal, expected_row_sum, gram_parts,
+    parts_are_scalar, qmatrix, row_sums,
 )
 
 # The three points of certify_gram and one with |entry|^2 = 9.
@@ -27,15 +26,16 @@ def cod_base(ctx):
     return cod._factors(ctx)[0]
 
 
+def coefficients(d):
+    """A and B, the evaluations at (1, 0) and (0, 1), as complex arrays."""
+    return d.evaluate_qmatrix(1, 0).data, d.evaluate_qmatrix(0, 1).data
+
+
 def parts_at(d, a, b):
     """Real and imaginary parts of a*A + b*B at any integer point."""
-    x = a * d.acoef.data + b * d.bcoef.data
+    acoef, bcoef = coefficients(d)
+    x = a * acoef + b * bcoef
     return x.real, x.imag
-
-
-def design(acoef, bcoef):
-    return CODMatrix(qmatrix(np.asarray(acoef, dtype=complex)),
-                     qmatrix(np.asarray(bcoef, dtype=complex)))
 
 
 def test_cod_base_examples():
@@ -49,9 +49,9 @@ def test_cod_base_examples():
 
 def test_cod_base_row_sum_schedule():
     # evaluated at (a, b) the constant row sum is a - p*b*i
-    d = cod_base(field(3))
+    acoef, bcoef = coefficients(cod_base(field(3)))
     for a, b in EVAL_POINTS:
-        sums = set((a * d.acoef.data + b * d.bcoef.data).sum(axis=1))
+        sums = set((a * acoef + b * bcoef).sum(axis=1))
         assert sums == {complex(a, -3 * b)}
 
 
@@ -59,8 +59,8 @@ def test_cod_recurse_k0_is_base():
     ctx = field(3)
     d0 = cod_recurse(ctx, 0)
     base = cod_base(ctx)
-    assert equal(d0.acoef, base.acoef)
-    assert equal(d0.bcoef, base.bcoef)
+    for point in ((1, 0), (0, 1)):
+        assert equal(d0.evaluate_qmatrix(*point), base.evaluate_qmatrix(*point))
 
 
 def test_cod_recurse_rejects_negative_k():
@@ -118,8 +118,8 @@ def test_row_sum_norm_matches_order(p, level):
 def test_certify_gram_needs_the_cross_term_point():
     # X = aI + b(iQ): both squares are scalar, but the cross term
     # I(iQ)* + (iQ)I* = 2iQ is not zero, which only (1, 1) sees.
-    d = cod_base(field(3))
-    x = CODMatrix(d.acoef, scale(d.bcoef, 1j))
+    acoef, bcoef = coefficients(cod_base(field(3)))
+    x = design(acoef, 1j * bcoef)
     s1, s2 = x.stype
     verdicts = [_gram_is_scalar(*parts_at(x, a, b), s1 * a * a + s2 * b * b)
                 for a, b in ((1, 0), (0, 1), (1, 1))]
@@ -144,7 +144,8 @@ def kernel_verdict(d, conjugate):
 def dense_summary(ctx, k):
     d = cod_recurse(ctx, k)
     s1, s2 = d.stype
-    verdicts = (certify_gram(d), certify_gram(d, conjugate=False))
+    conjugate = certify_gram(d)
+    verdicts = (conjugate, conjugate and cod._is_real(d))
     assert verdicts == (kernel_verdict(d, True), kernel_verdict(d, False))
     return {"order": d.n, "type": [s1, s2],
             "gram_conjugate": verdicts[0], "gram_transpose": verdicts[1]}
@@ -196,16 +197,21 @@ def test_corrupted_core_names_identity_and_falls_back(monkeypatch, cells, broken
 
 def test_broken_identity_names():
     ctx = field(3)
-    base, q_core = cod._factors(ctx)
-    assert _broken_identity(base, q_core, ctx.q) is None
-    re = q_core.re.copy()
-    re[0, 0] = 1
-    diag = QMatrix(re, q_core.im)
-    assert _broken_identity(base, diag, ctx.q) == "Q has zero diagonal and unit cells off it"
+    base, core = cod._factors(ctx)
+    assert _broken_identity(base, core, ctx.q) is None
+    # Cores I + Q with a diagonal cell of Q at -2, at i - 1 and an
+    # off-diagonal cell at 0.
+    for cell, value in (((0, 0), -1), ((0, 0), 1j), ((0, 1), 0)):
+        data = core.data.copy()
+        data[cell] = value
+        assert (_broken_identity(base, qmatrix(data), ctx.q)
+                == "Q has zero diagonal and unit cells off it")
     # iQ keeps the zero diagonal and the unit cells but is Hermitian.
-    assert _broken_identity(base, scale(q_core, 1j), ctx.q) == "Q* = -Q"
-    no_b = design(base.acoef.data, np.zeros((base.n, base.n)))
-    assert _broken_identity(no_b, q_core, ctx.q) == "s2 = q s1"
+    eye = np.eye(ctx.q)
+    hermitian = qmatrix(eye + 1j * (core.data - eye))
+    assert _broken_identity(base, hermitian, ctx.q) == "Q* = -Q"
+    no_b = design(coefficients(base)[0], np.zeros((base.n, base.n)))
+    assert _broken_identity(no_b, core, ctx.q) == "s2 = q s1"
 
 
 def test_broken_identity_names_the_core_gram():
@@ -219,21 +225,22 @@ def test_broken_identity_names_the_core_gram():
     assert np.array_equal(q.T, -q) and not q.sum(axis=1).any()
     g_re, g_im = gram_parts(q, None)
     assert not np.array_equal(g_re, 9 * np.eye(9) - 1)
-    q_core = QMatrix(q, np.zeros_like(q))
-    assert _broken_identity(base, q_core, ctx.q) == "QQ* = qI - J"
+    core = QMatrix(q + np.eye(9, dtype=int), np.zeros_like(q))
+    assert _broken_identity(base, core, ctx.q) == "QQ* = qI - J"
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])
 def test_cod_recurse_matches_kron_steps(p, k):
     ctx = field(p)
-    base, q_core = cod._factors(ctx)
+    base, core = cod._factors(ctx)
     eye, ones = np.eye(ctx.q), np.ones((ctx.q, ctx.q))
-    a, b = base.acoef.data, base.bcoef.data
+    a, b = coefficients(base)
     for _ in range(k):
-        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, q_core.data)
+        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, core.data - eye)
     d = cod_recurse(ctx, k)
-    assert np.array_equal(d.acoef.data, a) and np.array_equal(d.bcoef.data, b)
-    for m in (d.acoef, d.bcoef):
+    got_a, got_b = coefficients(d)
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    for m in (d.evaluate_qmatrix(1, 0), d.evaluate_qmatrix(0, 1)):
         assert m.re.dtype == m.im.dtype == np.int8
 
 
@@ -283,7 +290,7 @@ def random_designs():
     def similar_design(draw):
         acoef, bcoef = draw(st.sampled_from((
             (np.eye(4), SKEW4),
-            (cod_base(field(3)).acoef.data, cod_base(field(3)).bcoef.data),
+            coefficients(cod_base(field(3))),
         )))
         n = acoef.shape[0]
         phases = draw(st.sampled_from(((1, -1), PHASES)))
@@ -317,26 +324,29 @@ def test_explicit_design_round_trip(pair):
     a_coef, b_coef = pair
     d = design(a_coef, b_coef)
     assert d.n == a_coef.shape[0] and d.table.shape == (9, 1, 1)
-    assert equal(d.acoef, qmatrix(a_coef)) and equal(d.bcoef, qmatrix(b_coef))
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             assert np.array_equal(d.evaluate_qmatrix(a, b).data, a * a_coef + b * b_coef)
-    # Transposed planes are not C-contiguous.
-    t = CODMatrix(conj_transpose(d.acoef), conj_transpose(d.bcoef))
-    assert equal(t.acoef, conj_transpose(d.acoef)) and equal(t.bcoef, conj_transpose(d.bcoef))
+    # cod's code plane of aI + b(M - I) for M = I + B off the diagonal,
+    # also from transposed planes, which are not C-contiguous.
+    m = b_coef.copy()
+    np.fill_diagonal(m, 1)
+    eye = np.eye(len(m))
+    for x in (qmatrix(m), conj_transpose(qmatrix(m))):
+        assert np.array_equal(cod._design(x), design(eye, x.data - eye).code)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_designs())
 def test_transpose_verdict_is_realness_and_conjugate(d):
-    assert certify_gram(d, conjugate=False) == kernel_verdict(d, False)
+    assert (certify_gram(d) and cod._is_real(d)) == kernel_verdict(d, False)
     assert certify_gram(d) == kernel_verdict(d, True)
-    real = not (d.acoef.im.any() or d.bcoef.im.any())
-    assert certify_gram(d, conjugate=False) == (real and certify_gram(d))
+    acoef, bcoef = coefficients(d)
+    assert cod._is_real(d) == (not (acoef.imag.any() or bcoef.imag.any()))
 
 
 def test_real_skew_design_passes_both_modes():
     d = design(np.eye(4), SKEW4)
     assert d.stype == (1, 3)
-    assert certify_gram(d) and certify_gram(d, conjugate=False)
+    assert certify_gram(d) and cod._is_real(d)
     assert kernel_verdict(d, True) and kernel_verdict(d, False)

@@ -3,7 +3,9 @@
 There is one matrix type and one, always validating, constructor.  Each
 result must hold read-only int8 planes with entries in {-1, 0, 1} and
 disjoint supports, and have ``im`` None exactly when it is real (RHM).
-The constructor refuses anything else.
+The constructor refuses anything else.  A design holds a read-only code
+plane and level table, made only by ``cod`` from S and its skew core,
+and every matrix read from it goes through that constructor.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhadamard import (
-    CODMatrix,
     MatrixError,
     QMatrix,
     cod_recurse,
@@ -86,10 +87,8 @@ def test_constructions(p, data):
 @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (5, 0)])
 def test_cod_designs(p, k):
     for d in (cod._factors(field(p))[0], cod_recurse(field(p), k)):
-        assert_planes(d.acoef, real=False)
-        assert_planes(d.bcoef, real=False)
-        # The design revalidates: disjoint supports.
-        CODMatrix(d.acoef, d.bcoef)
+        assert_planes(d.evaluate_qmatrix(1, 0), real=False)
+        assert_planes(d.evaluate_qmatrix(0, 1), real=False)
         assert not (d.code.flags.writeable or d.table.flags.writeable)
         with pytest.raises(AttributeError):
             d.table = d.table
@@ -98,11 +97,12 @@ def test_cod_designs(p, k):
 @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (5, 1)])
 def test_evaluate_qmatrix_at_units(p, k):
     d = cod_recurse(field(p), k)
+    acoef, bcoef = d.evaluate_qmatrix(1, 0).data, d.evaluate_qmatrix(0, 1).data
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             m = d.evaluate_qmatrix(a, b)
             assert_planes(m, real=False)
-            assert np.array_equal(m.data, a * d.acoef.data + b * d.bcoef.data)
+            assert np.array_equal(m.data, a * acoef + b * bcoef)
 
 
 def test_evaluate_qmatrix_still_validates():
@@ -136,7 +136,3 @@ def test_add_still_validates():
             QMatrix(re, im)
     other = qmatrix([[0, 1j], [-1, 0]])
     assert equal(QMatrix(eye + other.re, other.im), qmatrix([[1, 1j], [-1, 1]]))
-    with pytest.raises(MatrixError):
-        CODMatrix(other, other)
-    with pytest.raises(MatrixError):
-        CODMatrix(QMatrix(eye), other)
