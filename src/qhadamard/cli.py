@@ -1,7 +1,11 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 memory budget exceeded.
+3 memory budget exceeded.  Commands let library exceptions through, and
+``main`` maps each to its code and one ``error:`` line, subclasses first:
+``matio.ParseError`` 2 (as ``parse error: ...``), ``BudgetError`` 3,
+``MatrixError`` 1, ``FieldError`` and ``OSError`` 2, ``CliError`` its own
+code.  Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -32,49 +36,27 @@ def _read(path: str) -> bytes:
     """The file's bytes, as ``matio`` parses them."""
     if path == "-":
         return sys.stdin.buffer.read()
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _write(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.write(data.decode("ascii"))  # sys.stdout may be a StringIO
         return
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-
-
-def _load_matrix(path: str):
-    try:
-        return matio.parse(_read(path))
-    except matio.ParseError as exc:
-        raise CliError(f"parse error: {exc}", EXIT_PARSE) from exc
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _load_qmatrix(path: str) -> QMatrix:
-    m = _load_matrix(path)
+    m = matio.parse(_read(path))
     if m.im is None:
         raise CliError("expected a QHM file", EXIT_PARSE)
     return m
 
 
-def _field(p: int):
-    try:
-        return make_field(p)
-    except BudgetError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
-    except FieldError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-
-
 def cmd_construct(args) -> int:
-    ctx = _field(args.p)
+    ctx = make_field(args.p)
     s = builder.skew_regular_qhm(ctx)
     report = verify.full_report(s)
     if not (report.hadamard and report.skew
@@ -85,7 +67,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m = _load_matrix(args.file)
+    m = matio.parse(_read(args.file))
     # A malformed value is refused before the report, after file errors.
     regular = None
     if args.expect_regular is not None:
@@ -110,20 +92,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_double(args) -> int:
-    m = _load_qmatrix(args.file)
-    try:
-        _write(args.out, matio.serialize(builder.double(m)))
-    except MatrixError as exc:
-        raise CliError(str(exc), EXIT_VERIFY) from exc
+    _write(args.out, matio.serialize(builder.double(_load_qmatrix(args.file))))
     return 0
 
 
 def cmd_core(args) -> int:
-    m = _load_qmatrix(args.file)
-    try:
-        _write(args.out, matio.serialize(builder.skew_core(m)))
-    except MatrixError as exc:
-        raise CliError(str(exc), EXIT_VERIFY) from exc
+    _write(args.out, matio.serialize(builder.skew_core(_load_qmatrix(args.file))))
     return 0
 
 
@@ -138,21 +112,15 @@ def _eval_point(raw: str) -> tuple[int, int]:
 
 
 def cmd_cod(args) -> int:
-    ctx = _field(args.p)
+    ctx = make_field(args.p)
     # The summary certifies the design from its factors; only --eval
     # materialises it, once k, the budget and the point are checked.
-    try:
-        if args.eval is None:
-            print(json.dumps(cod.factored_summary(ctx, args.k)))
-            return 0
-        cod._checked_order(ctx, args.k)
-        a, b = _eval_point(args.eval)
-        d = cod.cod_recurse(ctx, args.k)
-    except BudgetError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    _write(args.out, matio.serialize(d.evaluate_qmatrix(a, b)))
+    if args.eval is None:
+        print(json.dumps(cod.factored_summary(ctx, args.k)))
+        return 0
+    cod._checked_order(ctx, args.k)
+    a, b = _eval_point(args.eval)
+    _write(args.out, matio.serialize(cod.cod_recurse(ctx, args.k).evaluate_qmatrix(a, b)))
     return 0
 
 
@@ -161,7 +129,7 @@ def _fields(report) -> dict:
 
 
 def cmd_excess(args) -> int:
-    ctx = _field(args.p)
+    ctx = make_field(args.p)
     try:
         report = run_pipeline(ctx)
     except MatrixError as exc:
@@ -180,17 +148,13 @@ def cmd_excess(args) -> int:
 
 
 def cmd_realify(args) -> int:
-    m = _load_qmatrix(args.file)
-    _write(args.out, matio.serialize(realify(m)))
+    _write(args.out, matio.serialize(realify(_load_qmatrix(args.file))))
     return 0
 
 
 def cmd_twist(args) -> int:
     m = _load_qmatrix(args.file)
-    try:
-        v = matio.parse_phase_vector(_read(args.v))
-    except matio.ParseError as exc:
-        raise CliError(f"parse error: {exc}", EXIT_PARSE) from exc
+    v = matio.parse_phase_vector(_read(args.v))
     try:
         twisted = diag_similarity(m, v)
     except MatrixError as exc:
@@ -250,9 +214,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except matio.ParseError as exc:
+        message, code = f"parse error: {exc}", EXIT_PARSE
+    except BudgetError as exc:
+        message, code = exc, EXIT_BUDGET
+    except MatrixError as exc:
+        message, code = exc, EXIT_VERIFY
+    except (FieldError, OSError) as exc:
+        message, code = exc, EXIT_PARSE
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = exc, exc.code
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import BudgetError, FieldCtx, order_within_budget
+from .field import BudgetError, FieldCtx, FieldError, order_within_budget
 from .qmatrix import MatrixError, QMatrix, _gram_is_scalar
 from .builder import skew_core, skew_regular_qhm
 from .verify import _row_sums, check_skew_type
@@ -132,7 +132,7 @@ def _checked_order(ctx: FieldCtx, k: int) -> int:
     """The order of level k, checked against the budget for the dense
     design before anything is built."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise FieldError("k must be nonnegative")
     order = (1 + ctx.q) * ctx.q**k
     if not order_within_budget(order):
         raise BudgetError(f"order {order} exceeds the memory budget")

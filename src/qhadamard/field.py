@@ -20,8 +20,8 @@ _BUDGET_ENV = "MEM_BUDGET_MB"
 
 
 class FieldError(ValueError):
-    """Invalid field parameter (non-prime p, p=2, a malformed budget, or
-    an order over budget, see BudgetError)."""
+    """Invalid field parameter (non-prime p, p=2, a recursion level
+    k < 0, a malformed budget, or an order over budget, see BudgetError)."""
 
 
 class BudgetError(FieldError):

@@ -34,11 +34,12 @@ import numpy as np
 from . import qmatrix
 from .builder import base_form
 from .field import certify_character
-from .qmatrix import QMatrix, doubled_blocks, sign_gram_is_scalar
+from .qmatrix import MatrixError, QMatrix, doubled_blocks, sign_gram_is_scalar
 
 
 def check_real_hadamard(w: QMatrix) -> bool:
-    return bool(w.re.all()) and sign_gram_is_scalar(w, w.n)
+    """W W^T = nI; its diagonal counts each row's nonzero cells."""
+    return sign_gram_is_scalar(w, w.n)
 
 
 _SKEW_PANEL = 128
@@ -160,7 +161,7 @@ def full_report(m: QMatrix) -> PropertyReport:
     if regular is not None:
         # A regular quaternary Hadamard matrix must have |row sum|^2 = order.
         if hadamard and abs_sq != m.n:
-            raise AssertionError(
+            raise MatrixError(
                 f"regular Hadamard matrix of order {m.n} with |row sum|^2 = {abs_sq}"
             )
     sums, counts = np.unique(re + 1j * im, return_counts=True)

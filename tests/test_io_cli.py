@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qhadamard import double, realify
+from qhadamard import double, realify, verify
 from qhadamard.matio import ParseError, parse, parse_phase_vector, serialize
 from qhadamard.cli import main
 from conftest import skew_regular, FIXTURES
@@ -204,6 +204,36 @@ def test_cli_non_ascii_byte_is_a_parse_error(capsys, monkeypatch, tmp_path, argv
     code, out, err = run_cli(capsys, monkeypatch, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: parse error: non-ASCII byte") and where in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "{tmp}"], ["twist", "{s3}", "--v", "{tmp}"]],
+                         ids=["verify", "twist-vector"])
+def test_cli_directory_is_one_error_line(capsys, monkeypatch, tmp_path, argv):
+    s3 = _s3(capsys, monkeypatch, tmp_path)
+    code, out, err = run_cli(capsys, monkeypatch, [a.format(tmp=tmp_path, s3=s3) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_report_inconsistency_is_exit_1(capsys, monkeypatch, tmp_path):
+    # A regular Hadamard verdict with |row sum|^2 != order contradicts itself.
+    f = tmp_path / "j2.qhm"
+    f.write_text("QHM 2\n11\n11\n")
+    monkeypatch.setattr("qhadamard.verify._recognise", lambda re, im, sums=False:
+                        (True, False, verify._row_sums(re, im)))
+    assert run_cli(capsys, monkeypatch, ["verify", str(f)]) == (
+        1, "", "error: regular Hadamard matrix of order 2 with |row sum|^2 = 4\n")
+
+
+def test_cli_cod_fault_propagates(monkeypatch):
+    # Only the library's typed failures map to exit codes; a bare
+    # ValueError is a fault, not a usage error.
+    def fault(ctx, k):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr("qhadamard.cod.factored_summary", fault)
+    with pytest.raises(ValueError, match="a fault"):
+        main(["cod", "--p", "3", "--k", "1"])
 
 
 def test_cli_out_in_missing_directory(capsys, monkeypatch, tmp_path):

@@ -147,13 +147,20 @@ def _corrupted(m):
     (lambda: _corrupted(skew_regular(3)), False),
     (lambda: realify(skew_regular(3)), True),
     (lambda: _corrupted(realify(skew_regular(3))), False),
-], ids=["qhm", "qhm-rejected", "rhm", "rhm-rejected"])
+    # A zero cell in a row of u or of v, the row pairs (u, v) of realify.
+    (lambda: _with_cell(realify(skew_regular(5)), 4, 7, 0j), False),
+    (lambda: _with_cell(realify(skew_regular(5)), 9, 0, 0j), False),
+], ids=["qhm", "qhm-rejected", "rhm", "rhm-rejected", "rhm-zero-even-row",
+        "rhm-zero-odd-row"])
 def test_report_json_serializes_with_bool_verdicts(make, hadamard):
-    payload = full_report(make()).to_json()
+    m = make()
+    payload = full_report(m).to_json()
     json.dumps(payload)
     for key in ("hadamard", "skew", "abs_regular"):
         assert type(payload[key]) is bool, key
     assert payload["hadamard"] is hadamard
+    if m.im is None:
+        assert verify.check_real_hadamard(m) is hadamard
 
 
 def test_sign_matrix_report():

@@ -23,8 +23,8 @@ The grid covers
   - those files with one cell negated, rotated by i or zeroed at three
     places;
   - malformed S files (bytes, line ends, headers, rows) at p = 3, 13;
-  - the fixtures (of the checkout this script is in), stdin input and
-    ``MEM_BUDGET_MB`` of 1 and ``x``.
+  - the fixtures (of the checkout this script is in), stdin input,
+    ``MEM_BUDGET_MB`` of 1 and ``x``, and a directory given as a file.
 
 The input files are written once, by checkout A's CLI and by byte edits
 of what it wrote, and both checkouts read the same files.  The exit
@@ -161,6 +161,7 @@ def make_inputs(checkout: Path, inputs: Path) -> None:
     (inputs / "v2.phv").write_text("1\ni\n")
     (inputs / "bad-phase.phv").write_text("1\n" * 5 + "0\n" + "1\n" * 20)
     (inputs / "bad-char.phv").write_text("1\n" * 5 + "x\n" + "1\n" * 20)
+    (inputs / "dir").mkdir()
 
 
 def _file_runs(name: str, path: Path, p: int, vector: Path | None) -> list[Run]:
@@ -228,7 +229,9 @@ def grid(inputs: Path) -> list[Run]:
     runs.append(Run("verify-stdin", ("verify", "-", "--expect-regular", "1,-13", "--expect-skew"),
                     stdin=inputs / "s13.qhm"))
     runs.append(Run("double-stdin", ("double", "-", "--out", "out"), stdin=inputs / "s13.qhm"))
-    s13 = str(inputs / "s13.qhm")
+    s13, directory = str(inputs / "s13.qhm"), str(inputs / "dir")
+    runs += [Run("verify-directory", ("verify", directory)),
+             Run("twist-v-directory", ("twist", s13, "--v", directory, "--out", "out"))]
     for budget in ("1", "x"):
         for name, argv in (("construct-11", ("construct", "--p", "11")),
                            ("excess-13", ("excess", "--p", "13")),
