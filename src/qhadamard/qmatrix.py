@@ -5,7 +5,10 @@ A matrix X = re + i*im is held as two int8 planes with entries in
 plane.  The dense Gram certificate ``_gram_is_scalar`` forms X X* from
 the planes with real float BLAS products in a float type chosen from an
 explicit bound on the order (``_exact_dtype``), under which every
-partial sum is an exactly representable integer.
+partial sum is an exactly representable integer.  Above one panel it
+first screens X ybar = c1 for the column sums y (``_ones_screen``), exact
+with partial sums at most n^2, which one changed cell of a Hadamard
+matrix fails at its first panel; at one panel it would save nothing.
 
 ``gram_is_scalar(m, n)`` and ``sign_gram_is_scalar(w, n)`` for the order
 n take their verdict from ``verify._recognise``, which decides the
@@ -27,10 +30,16 @@ class MatrixError(ValueError):
     """Shape or alphabet violation."""
 
 
-def _row_panels(rows: int, cols: int):
-    """Row slices of about 2^16 cells each, covering 0..rows."""
-    step = max(1, (1 << 16) // max(cols, 1))
+def _row_panels(rows: int, cols: int, cells: int = 1 << 16):
+    """Row slices of about ``cells`` cells each, covering 0..rows."""
+    step = max(1, cells // max(cols, 1))
     return (slice(r0, r0 + step) for r0 in range(0, rows, step))
+
+
+def _sums(plane: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of an int8 plane along ``axis``: each partial sum of n cells
+    is at most n, exact in int16 below order 2^15 and in int32 above."""
+    return plane.sum(axis=axis, dtype=np.int16 if plane.shape[axis] < 2**15 else np.int32)
 
 
 def _plane(x) -> np.ndarray:
@@ -70,7 +79,7 @@ class QMatrix:
             if im.shape != re.shape:
                 raise MatrixError(f"plane shapes differ: {re.shape} and {im.shape}")
             # A nonzero int8 in {-1, 1} has its lowest bit set.
-            if any((re[rows] & im[rows]).any() for rows in _row_panels(*re.shape)):
+            if any((re[rows] & im[rows]).any() for rows in _row_panels(*re.shape, 1 << 18)):
                 raise MatrixError("entries must be 0 or fourth roots of unity")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -164,6 +173,32 @@ def _panel_is_scalar(part: np.ndarray, target: float) -> bool:
     return not part.any()
 
 
+def _ones_screen(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
+    """Whether X ybar = c1, row panel by row panel, for X = re + i*im
+    with re^2 + im^2 <= 1 and y = u + iv its column sums.  X* 1 = ybar,
+    so X X* = cI gives X ybar = c1 (Freivalds' check with the all-ones
+    vector); False refutes X X* = cI.  A Hadamard matrix of units with
+    cell (r, c) changed by d misses c by x_ic conj(d) in every row i != r.
+
+    X ybar = Au + Bv + i(Bu - Av).  Every |y_k| <= n, so each term of
+    these, by Cauchy-Schwarz, is at most |x_ik| |y_k| <= n, and every
+    partial sum BLAS forms is an integer at most n^2 in absolute value:
+    exact in ``_exact_dtype(n * n)``, float32 while n < 4096.
+    """
+    dtype = _exact_dtype(re.size)  # re.size = n * n
+    planes = (re,) if im is None else (re, im)
+    y = np.stack([_sums(plane, 0) for plane in planes], axis=1).astype(dtype)
+    target = np.array([c.real, c.imag][:len(planes)])
+    for rows in _row_panels(*re.shape):
+        xy = ay = re[rows].astype(dtype) @ y
+        if im is not None:
+            by = im[rows].astype(dtype) @ y
+            xy = np.stack([ay[:, 0] + by[:, 1], by[:, 0] - ay[:, 1]], axis=1)
+        if not (xy == target).all():  # float64 target: no rounding
+            return False
+    return True
+
+
 def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
     """Exact dense certificate X X* = cI for X = re + i*im with
     re^2 + im^2 <= 1 (``im`` None for a real X), row panel by row panel.
@@ -176,6 +211,8 @@ def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
     """
     c = complex(c)
     if im is None and c.imag:
+        return False
+    if re.shape[0] > _PANEL_CAP and not _ones_screen(re, im, c):
         return False
     dtype = _exact_dtype(re.shape[0])
     a = np.asarray(re, dtype=dtype)

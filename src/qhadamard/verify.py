@@ -20,8 +20,9 @@ row.  Only ``full_report`` reads row sums, so only it asks for them.
   i(x + y), r = x + iy the k-th row sum of A, and of the bottom half
   likewise with B.  A, and B unless it is A*, are recognised in turn,
   and the sums are read from them.
-- Any other X goes to the dense Gram certificate and the panelled skew
-  check.
+- Any other X goes to the panelled skew check and the dense Gram
+  certificate, which above one panel (order 128) first screens X ybar = n1
+  for the column sums y in O(n^2), exactly: its partial sums are <= n^2.
 """
 
 from __future__ import annotations
@@ -66,13 +67,9 @@ def check_skew_type(m: QMatrix) -> bool:
 
 
 def _row_sums(re: np.ndarray, im: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the row sums, as int64.  A row of n
-    cells in {-1, 0, 1}, and each partial sum over it, is at most n in
-    absolute value, so the sums accumulate exactly in int16 below order
-    2^15 and in int32 above."""
-    dtype = np.int16 if re.shape[1] < 2**15 else np.int32
-    x = re.sum(axis=1, dtype=dtype).astype(np.int64)
-    y = np.zeros_like(x) if im is None else im.sum(axis=1, dtype=dtype).astype(np.int64)
+    """Real and imaginary parts of the row sums, as int64."""
+    x = qmatrix._sums(re, 1).astype(np.int64)
+    y = np.zeros_like(x) if im is None else qmatrix._sums(im, 1).astype(np.int64)
     return x, y
 
 

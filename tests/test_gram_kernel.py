@@ -13,11 +13,13 @@ from qhadamard import (
     MatrixError,
     QMatrix,
     certify_gram,
+    diag_similarity,
     double,
+    full_report,
     gram_is_scalar,
     realify,
 )
-from qhadamard import cod
+from qhadamard import cod, qmatrix
 from qhadamard.qmatrix import _exact_dtype, _gram_is_scalar, sign_gram_is_scalar
 from conftest import field, skew_regular
 from reference import QALPHABET, gauss_gram, gauss_is_scalar, gram_parts, parts_are_scalar
@@ -190,3 +192,82 @@ def test_exact_dtype_edges(n, max_abs_sq, dtype):
 def test_exact_dtype_refuses_beyond_float64(n, max_abs_sq):
     with pytest.raises(MatrixError):
         _exact_dtype(n * max_abs_sq)
+
+
+def refuse(*args):
+    raise AssertionError("the dense Gram panel ran")
+
+
+def spy(record, f):
+    """``f``, appending each result it returns to ``record``."""
+    def wrapped(*args):
+        record.append(f(*args))
+        return record[-1]
+    return wrapped
+
+
+def _one_cell_changes(m):
+    """Copies of the values of ``m`` with one cell negated, zeroed or, in
+    a quaternary matrix, rotated by i, at two corners, next to the first
+    and in the lower-left quarter."""
+    edits = {"negated": lambda x: -x, "zeroed": lambda x: 0}
+    if m.im is not None:
+        edits["rotated"] = lambda x: 1j * x
+    n = m.n
+    for r, c in ((0, 0), (1, 2), (n // 2, n // 3), (n - 1, n - 1)):
+        for label, edit in edits.items():
+            x = np.array(m.data, dtype=complex)
+            x[r, c] = edit(x[r, c])
+            yield f"{label} at {(r, c)}", x
+
+
+def _p13_family(kind):
+    s = skew_regular(13)
+    v = np.array([1, 1j, -1, -1j])[np.arange(s.n) % 4]
+    return {"S": s, "double": double(s), "twist": diag_similarity(s, v),
+            "realify": realify(s)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["S", "double", "twist", "realify"])
+def test_screen_alone_rejects_one_cell_changes(kind, monkeypatch):
+    m = _p13_family(kind)
+    assert m.n > qmatrix._PANEL_CAP
+    monkeypatch.setattr(qmatrix, "_panel_is_scalar", refuse)
+    for label, x in _one_cell_changes(m):
+        q = QMatrix(x.real) if m.im is None else QMatrix(x.real, x.imag)
+        want = parts_are_scalar(gram_parts(q.re, q.im), q.n)
+        assert full_report(q).hadamard is want is False, label
+    # The screen compares its target exactly, in float64.
+    for c in (m.n + 1e-9, m.n + 0.5j):
+        assert _gram_is_scalar(m.re, m.im, c) is False
+
+
+def test_unrecognised_hadamard_passes_the_screen_to_the_dense_path(monkeypatch):
+    rng = np.random.default_rng(13)
+    screens, panels = [], []
+    monkeypatch.setattr(qmatrix, "_ones_screen", spy(screens, qmatrix._ones_screen))
+    monkeypatch.setattr(qmatrix, "_panel_is_scalar", spy(panels, qmatrix._panel_is_scalar))
+    # S and its realification with rows and columns permuted: no form
+    # recognises either.
+    for m in (skew_regular(13), realify(skew_regular(13))):
+        rows, cols = rng.permutation(m.n), rng.permutation(m.n)
+        planes = [plane[rows][:, cols] for plane in (m.re, m.im) if plane is not None]
+        x = QMatrix(*planes)
+        assert parts_are_scalar(gram_parts(x.re, x.im), x.n)
+        screens.clear()
+        panels.clear()
+        assert full_report(x).hadamard is True
+        assert screens == [True] and len(panels) > 1 and all(panels)
+
+
+@pytest.mark.parametrize("n, dtype", [(4095, np.float32), (4096, np.float64)])
+def test_screen_float_type_edge(n, dtype, monkeypatch):
+    # A broadcast view of one cell stands for the order-n matrix of ones,
+    # so that no plane of that order is allocated.  J J^T 1 = n^2 1 is not
+    # n 1, so the screen rejects it at its first panel.
+    ones = np.broadcast_to(np.int8(1), (n, n))
+    seen = []
+    monkeypatch.setattr(qmatrix, "_exact_dtype", spy(seen, qmatrix._exact_dtype))
+    monkeypatch.setattr(qmatrix, "_panel_is_scalar", refuse)
+    assert _gram_is_scalar(ones, None, n) is False
+    assert seen == [dtype]

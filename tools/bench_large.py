@@ -8,11 +8,12 @@ largest orders the default memory budget admits, one subprocess a run.
 The grid is fixed: ``construct`` at p = 47, 61 and 101, ``verify``,
 ``core``, ``double`` and ``realify`` of the p = 101 file, ``verify`` of the
 realified p = 101 file and of the doubled and realified p = 47 files,
-``excess`` at p = 47, 61 and 101, ``cod --p 3 --k 3 --eval 1,1``
-(order 7290), and the refusals ``cod`` (3, 4) and (7, 2) (exit 3) and
-``construct`` at p = 9 and 25 (exit 2).  The file commands read what the
-runs before them wrote, so every run works on the checkout's own
-output.
+the rejects: ``verify`` of the doubled p = 47 file and of the p = 101
+file, each with one cell rotated by i (``ROTATED``), ``excess`` at
+p = 47, 61 and 101, ``cod --p 3 --k 3 --eval 1,1`` (order 7290), and
+the refusals ``cod`` (3, 4) and (7, 2) (exit 3) and ``construct`` at
+p = 9 and 25 (exit 2).  The file commands read what the runs before
+them wrote, so every run works on the checkout's own output.
 
 Each run is ``python -m qhadamard.cli ARGS`` with ``PYTHONPATH`` set to
 the checkout's ``src``, one BLAS thread and no ``MEM_BUDGET_MB``, in a
@@ -39,6 +40,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -55,10 +57,12 @@ GRID = (
     ("double-S47", ["double", "S47.qhm", "--out", "D47.qhm"], "D47.qhm"),
     ("realify-S47", ["realify", "S47.qhm", "--out", "R47.rhm"], "R47.rhm"),
     ("verify-D47", ["verify", "D47.qhm", "--json"], None),
+    ("verify-D47x", ["verify", "D47x.qhm", "--json"], None),
     ("verify-R47", ["verify", "R47.rhm", "--json"], None),
     ("construct-61", ["construct", "--p", "61", "--out", "S61.qhm"], "S61.qhm"),
     ("construct-101", ["construct", "--p", "101", "--out", "S101.qhm"], "S101.qhm"),
     ("verify-S101", ["verify", "S101.qhm", "--json"], None),
+    ("verify-S101x", ["verify", "S101x.qhm", "--json"], None),
     ("core-S101", ["core", "S101.qhm", "--out", "C101.qhm"], "C101.qhm"),
     ("double-S101", ["double", "S101.qhm", "--out", "D101.qhm"], "D101.qhm"),
     ("realify-S101", ["realify", "S101.qhm", "--out", "R101.rhm"], "R101.rhm"),
@@ -73,6 +77,25 @@ GRID = (
     ("construct-9", ["construct", "--p", "9"], None),
     ("construct-25", ["construct", "--p", "25"], None),
 )
+
+
+# Inputs that are a file an earlier run wrote with the body cell
+# ROTATED_CELL rotated by i (1 -> i -> -1 -> -i -> 1), edited as bytes.
+ROTATED = {"D47x.qhm": "D47.qhm", "S101x.qhm": "S101.qhm"}
+ROTATED_CELL = (1, 2)
+ROTATE = bytes.maketrans(b"1i-j", b"i-j1")
+
+
+def rotate_cell(src: Path, dst: Path, row: int, col: int) -> None:
+    """``src`` copied to ``dst`` with the body cell (row, col) rotated by
+    i, edited in place so that this process never holds the file."""
+    shutil.copyfile(src, dst)
+    with open(dst, "r+b") as fh:
+        header = fh.readline()
+        fh.seek(len(header) + row * (int(header.split()[1]) + 1) + col)
+        cell = fh.read(1)
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(cell.translate(ROTATE))
 
 
 def _sha256(path: Path) -> str:
@@ -116,6 +139,10 @@ def bench(checkouts: list[Path]) -> list[dict]:
             records = [{"name": name, "argv": argv, "exit": [], "wall_s": [],
                         "peak_rss_mb": [], "stdout_sha256": [], "out_sha256": []}
                        for _ in checkouts]
+            for cwd in works:
+                for arg in argv:
+                    if arg in ROTATED:
+                        rotate_cell(cwd / ROTATED[arg], cwd / arg, *ROTATED_CELL)
             for rep in range(REPEAT):
                 order = list(range(len(checkouts)))
                 for i in order[::-1] if rep % 2 else order:
