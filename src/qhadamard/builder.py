@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .field import FieldCtx, character_is_even, is_prime
-from .qmatrix import MatrixError, QMatrix, diag_similarity, gram_is_scalar
+from .qmatrix import MatrixError, QMatrix, _row_panels, diag_similarity, gram_is_scalar
 
 # Row/column labels are {infinity} followed by GF(p^2) in index order,
 # so position of element x is 1 + index(x) and each additive coset is a
@@ -137,11 +137,10 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
     ew = _phase(re[0], im[0]) - eu[0] + 1
     ew[0] = 0
     core = _core(ctx)
-    step = min(p, max(1, _FORM_PANEL // (p * n)))
-    buf = np.empty((step * p, n - 1), dtype=np.int8)
-    for b0 in range(0, p, step):
-        b1 = min(p, b0 + step)
-        rows = slice(1 + b0 * p, 1 + b1 * p)
+    panels = list(_row_panels(p, p * n, _FORM_PANEL))  # slices of cosets
+    buf = np.empty((p * panels[0].stop, n - 1), dtype=np.int8)
+    for b in panels:
+        rows = slice(1 + p * b.start, 1 + p * b.stop)
         xr, xi = re[rows], im[rows]
         if np.count_nonzero(xr) + np.count_nonzero(xi) != xr.size:
             return None
@@ -149,8 +148,8 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
         e = _phase(xr[:, 1:], xi[:, 1:], buf[: len(xr)])
         e -= ew[1:]
         e -= eu[rows, None]
-        cosets = e.reshape(b1 - b0, p, p * p)
-        cosets += core[b0:b1]
+        cosets = e.reshape(-1, p, p * p)
+        cosets += core[b]
         e &= 3
         if e.any():
             return None

@@ -159,6 +159,7 @@ def cmd_twist(args) -> int:
         twisted = diag_similarity(m, v)
     except MatrixError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
+    del m
     _write(args.out, matio.serialize(twisted))
     return 0
 

@@ -2,13 +2,13 @@
 
 A matrix X = re + i*im is held as two int8 planes with entries in
 {-1, 0, 1} and disjoint supports; a real (sign) matrix has no ``im``
-plane.  The dense Gram certificate ``_gram_is_scalar`` forms X X* from
-the planes with real float BLAS products in a float type chosen from an
-explicit bound on the order (``_exact_dtype``), under which every
-partial sum is an exactly representable integer.  Above one panel it
-first screens X ybar = c1 for the column sums y (``_ones_screen``), exact
-with partial sums at most n^2, which one changed cell of a Hadamard
-matrix fails at its first panel; at one panel it would save nothing.
+plane.  Every O(n^2) pass walks the rows by ``_row_panels``.  The dense
+Gram certificate ``_gram_is_scalar`` forms X X* in panels of 128 rows
+with real float BLAS products, in a float type chosen from a bound on
+the order (``_exact_dtype``) under which every partial sum is an exact
+integer.  Above one panel it first screens X ybar = c1 for the column
+sums y (``_ones_screen``), exact with partial sums at most n^2, which one
+changed cell of a Hadamard matrix fails at the screen's first panel.
 
 ``gram_is_scalar(m, n)`` and ``sign_gram_is_scalar(w, n)`` for the order
 n take their verdict from ``verify._recognise``, which decides the
@@ -31,9 +31,10 @@ class MatrixError(ValueError):
 
 
 def _row_panels(rows: int, cols: int, cells: int = 1 << 16):
-    """Row slices of about ``cells`` cells each, covering 0..rows."""
+    """The row walk of every O(n^2) pass: contiguous slices covering
+    0..rows exactly, of max(1, cells // cols) rows each but the last."""
     step = max(1, cells // max(cols, 1))
-    return (slice(r0, r0 + step) for r0 in range(0, rows, step))
+    return (slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
 def _sums(plane: np.ndarray, axis: int) -> np.ndarray:
@@ -139,26 +140,10 @@ def _exact_dtype(n: int) -> type:
 
 
 # The dense certificate forms the upper triangle of the Gram matrix in
-# row panels, so that it holds one panel beside the operands and stops
-# at the first panel that fails.  A Hadamard matrix with one cell
-# changed fails in every pair of rows that cell touches, the first panel
-# among them.  Orders up to one full panel are one product.
-_PANEL_FIRST = 8
+# panels of this many rows, so that it holds one panel beside the
+# operands; rejecting early is the screen's job.  Orders up to one panel
+# are one product.
 _PANEL_CAP = 128
-
-
-def _panels(n: int):
-    """Row ranges [r0, r1) covering 0..n: one range when n fits in a
-    full panel, else ranges growing from ``_PANEL_FIRST`` rows to
-    ``_PANEL_CAP``."""
-    if n <= _PANEL_CAP:
-        yield 0, n
-        return
-    r0, size = 0, _PANEL_FIRST
-    while r0 < n:
-        yield r0, min(n, r0 + size)
-        r0 += size
-        size = min(2 * size, _PANEL_CAP)
 
 
 def _panel_is_scalar(part: np.ndarray, target: float) -> bool:
@@ -217,8 +202,8 @@ def _gram_is_scalar(re: np.ndarray, im: np.ndarray | None, c: complex) -> bool:
     dtype = _exact_dtype(re.shape[0])
     a = np.asarray(re, dtype=dtype)
     b = None if im is None else np.asarray(im, dtype=dtype)
-    for r0, r1 in _panels(a.shape[0]):
-        rows, cols = slice(r0, r1), slice(r0, None)
+    for rows in _row_panels(*a.shape, _PANEL_CAP * a.shape[1]):
+        cols = slice(rows.start, None)
         part = a[rows] @ a[cols].T
         if b is not None:
             part += b[rows] @ b[cols].T
@@ -244,7 +229,9 @@ def gram_is_scalar(m: QMatrix, c: complex) -> bool:
 
 
 def diag_similarity(m: QMatrix, v) -> QMatrix:
-    """D M D* for D = diag(v), v a vector of phases; M quaternary."""
+    """D M D* for D = diag(v), v a vector of phases; M quaternary.  Row
+    j of the result is v_j times row j of M times v*, written into the
+    output planes one row panel at a time."""
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1:
         raise MatrixError("phase vector must be one-dimensional")
@@ -253,8 +240,11 @@ def diag_similarity(m: QMatrix, v) -> QMatrix:
     if v.shape[0] != m.n:
         raise MatrixError(f"vector length {v.shape[0]} != order {m.n}")
     vr, vi = v.real.astype(np.int8), v.imag.astype(np.int8)
-    re, im = _mul(m.re, m.im, vr[:, None], vi[:, None])
-    return QMatrix(*_mul(re, im, vr, -vi))
+    out = np.empty((2, m.n, m.n), dtype=np.int8)
+    for rows in _row_panels(m.n, m.n):
+        re, im = _mul(m.re[rows], m.im[rows], vr[rows, None], vi[rows, None])
+        out[0, rows], out[1, rows] = _mul(re, im, vr, -vi)
+    return QMatrix(*out)
 
 
 def doubled_blocks(re: np.ndarray, im: np.ndarray | None):

@@ -20,9 +20,10 @@ row.  Only ``full_report`` reads row sums, so only it asks for them.
   i(x + y), r = x + iy the k-th row sum of A, and of the bottom half
   likewise with B.  A, and B unless it is A*, are recognised in turn,
   and the sums are read from them.
-- Any other X goes to the panelled skew check and the dense Gram
-  certificate, which above one panel (order 128) first screens X ybar = n1
-  for the column sums y in O(n^2), exactly: its partial sums are <= n^2.
+- Any other X goes to the skew check and the dense Gram certificate,
+  both in panels of 128 rows (``qmatrix._row_panels``); above one panel
+  the certificate first screens X ybar = n1 for the column sums y in
+  O(n^2), exactly: its partial sums are <= n^2.
 """
 
 from __future__ import annotations
@@ -43,25 +44,21 @@ def check_real_hadamard(w: QMatrix) -> bool:
     return sign_gram_is_scalar(w, w.n)
 
 
-_SKEW_PANEL = 128
-
-
 def check_skew_type(m: QMatrix) -> bool:
     """M = I + Q with Q* = -Q, i.e. M + M* = 2I: the real plane plus its
     transpose is 2I and the imaginary plane is symmetric.
 
-    Both conditions are symmetric, so the rows r0:r1 are checked against
-    the columns r0: only, one panel of rows at a time, and the check
-    stops at the first panel that fails.
+    Both conditions are symmetric, so a panel of rows r0:r1 is checked
+    against the columns r0: only, in the dense Gram's row panels, and
+    the check stops at the first panel that fails.
     """
     re, im = m.re, m.im
-    for r0 in range(0, m.n, _SKEW_PANEL):
-        r1 = r0 + _SKEW_PANEL
-        s = re[r0:r1, r0:] + re[r0:, r0:r1].T
+    for rows in qmatrix._row_panels(m.n, m.n, qmatrix._PANEL_CAP * m.n):
+        cols = slice(rows.start, None)
+        s = re[rows, cols] + re[cols, rows].T
         # The panel's row i meets the diagonal at its column i.
         s.flat[:: s.shape[1] + 1] -= 2
-        if s.any() or (im is not None
-                       and not np.array_equal(im[r0:r1, r0:], im[r0:, r0:r1].T)):
+        if s.any() or (im is not None and not np.array_equal(im[rows, cols], im[cols, rows].T)):
             return False
     return True
 

@@ -244,9 +244,15 @@ def test_screen_alone_rejects_one_cell_changes(kind, monkeypatch):
 
 def test_unrecognised_hadamard_passes_the_screen_to_the_dense_path(monkeypatch):
     rng = np.random.default_rng(13)
-    screens, panels = [], []
+    screens, panels, sizes = [], [], []
+    panel_is_scalar = spy(panels, qmatrix._panel_is_scalar)
+
+    def sized(part, target):
+        sizes.append(len(part))
+        return panel_is_scalar(part, target)
+
     monkeypatch.setattr(qmatrix, "_ones_screen", spy(screens, qmatrix._ones_screen))
-    monkeypatch.setattr(qmatrix, "_panel_is_scalar", spy(panels, qmatrix._panel_is_scalar))
+    monkeypatch.setattr(qmatrix, "_panel_is_scalar", sized)
     # S and its realification with rows and columns permuted: no form
     # recognises either.
     for m in (skew_regular(13), realify(skew_regular(13))):
@@ -256,8 +262,14 @@ def test_unrecognised_hadamard_passes_the_screen_to_the_dense_path(monkeypatch):
         assert parts_are_scalar(gram_parts(x.re, x.im), x.n)
         screens.clear()
         panels.clear()
+        sizes.clear()
         assert full_report(x).hadamard is True
         assert screens == [True] and len(panels) > 1 and all(panels)
+        # Panels of 128 rows but the last; a quaternary panel is checked
+        # in its real and then its imaginary part.
+        parts = 1 if x.im is None else 2
+        full, last = divmod(x.n, 128)
+        assert sizes == [128] * (parts * full) + [last] * parts
 
 
 @pytest.mark.parametrize("n, dtype", [(4095, np.float32), (4096, np.float64)])

@@ -9,6 +9,7 @@ from qhadamard import (
     gram_is_scalar,
     realify,
 )
+from qhadamard import qmatrix as qmatrix_module
 from qhadamard.qmatrix import sign_gram_is_scalar
 from qhadamard.verify import _row_sums
 from conftest import skew_regular
@@ -81,6 +82,26 @@ def test_diag_similarity_examples():
         diag_similarity(s, np.zeros(10))
     with pytest.raises(MatrixError):
         diag_similarity(s, np.ones((10, 1)))
+
+
+def test_diag_similarity_across_panel_edges(monkeypatch):
+    # Panels of 3 rows over order 11 put edges after rows 2, 5 and 8 and
+    # leave a short last panel; the cells take all five values.
+    row_panels, walks = qmatrix_module._row_panels, []
+
+    def three_rows(rows, cols, cells=None):
+        walk = list(row_panels(rows, cols, 3 * cols))
+        walks.append([(r.start, r.stop) for r in walk])
+        return walk
+
+    monkeypatch.setattr(qmatrix_module, "_row_panels", three_rows)
+    rng = np.random.default_rng(11)
+    x = np.array([0, 1, 1j, -1, -1j])[rng.integers(0, 5, (11, 11))]
+    v = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, 11)]
+    assert (x == 0).any() and len(set(v.tolist())) == 4
+    got = diag_similarity(qmatrix(x), v)
+    assert np.array_equal(got.data, v[:, None] * x * v.conj())
+    assert walks and all(w == [(0, 3), (3, 6), (6, 9), (9, 11)] for w in walks)
 
 
 def test_scale_examples():

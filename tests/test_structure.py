@@ -29,7 +29,7 @@ from qhadamard import (
 )
 from qhadamard import builder, cli, qmatrix, verify
 from qhadamard.field import FieldCtx, certify_character, character_is_even
-from qhadamard.qmatrix import _gram_is_scalar, _panels, sign_gram_is_scalar
+from qhadamard.qmatrix import _gram_is_scalar, _row_panels, sign_gram_is_scalar
 import reference
 from conftest import skew_regular
 from reference import (
@@ -286,14 +286,20 @@ def test_report_does_not_trust_the_character_table(edit, monkeypatch):
 
 
 def test_panels_cover_the_rows():
-    for n in (1, 10, 128, 129, 300, 962):
-        ranges = list(_panels(n))
-        assert ranges[0][0] == 0 and ranges[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert (len(ranges) == 1) == (n <= 128)
-        assert max(r1 - r0 for r0, r1 in ranges) <= min(n, 128)
-        if n > 128:
-            assert ranges[0][1] == 8
+    # The dense Gram and skew walks (128 rows), the default 2^16 cells
+    # (``matio``, the screen, ``diag_similarity``), the constructor's
+    # 2^18, ``base_form``'s cosets and panels narrower than one row.
+    cases = [(n, n, 128 * n) for n in (1, 10, 128, 129, 300, 962)]
+    cases += [(n, n, 1 << 16) for n in (1, 255, 256, 257, 10202)]
+    cases += [(1060, 1060, 1 << 18), (13, 13 * 170, 1 << 18), (101, 101 * 10202, 1 << 18),
+              (5, 10, 3), (7, 3, 7)]
+    for rows, cols, cells in cases:
+        most = max(1, cells // cols)
+        ranges = list(_row_panels(rows, cols, cells))
+        assert ranges[0].start == 0 and ranges[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+        assert all(r.step is None and 1 <= r.stop - r.start <= most for r in ranges)
+        assert all(r.stop - r.start == most for r in ranges[:-1])
 
 
 LARGE = {"S13": lambda: skew_regular(13), "D11": lambda: double(skew_regular(11)),

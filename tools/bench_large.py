@@ -6,8 +6,9 @@ largest orders the default memory budget admits, one subprocess a run.
                                 --checkout NEW --out BENCH_<new>.json
 
 The grid is fixed: ``construct`` at p = 47, 61 and 101, ``verify``,
-``core``, ``double`` and ``realify`` of the p = 101 file, ``verify`` of the
-realified p = 101 file and of the doubled and realified p = 47 files,
+``core``, ``double`` and ``realify`` of the p = 101 file, ``twist`` of it
+by a fixed phase vector (``PHASES``), ``verify`` of the realified
+p = 101 file and of the doubled and realified p = 47 files,
 the rejects: ``verify`` of the doubled p = 47 file and of the p = 101
 file, each with one cell rotated by i (``ROTATED``), ``excess`` at
 p = 47, 61 and 101, ``cod --p 3 --k 3 --eval 1,1`` (order 7290), and
@@ -64,6 +65,7 @@ GRID = (
     ("verify-S101", ["verify", "S101.qhm", "--json"], None),
     ("verify-S101x", ["verify", "S101x.qhm", "--json"], None),
     ("core-S101", ["core", "S101.qhm", "--out", "C101.qhm"], "C101.qhm"),
+    ("twist-S101", ["twist", "S101.qhm", "--v", "V101.txt", "--out", "T101.qhm"], "T101.qhm"),
     ("double-S101", ["double", "S101.qhm", "--out", "D101.qhm"], "D101.qhm"),
     ("realify-S101", ["realify", "S101.qhm", "--out", "R101.rhm"], "R101.rhm"),
     ("verify-R101", ["verify", "R101.rhm", "--json"], None),
@@ -96,6 +98,15 @@ def rotate_cell(src: Path, dst: Path, row: int, col: int) -> None:
         cell = fh.read(1)
         fh.seek(-1, os.SEEK_CUR)
         fh.write(cell.translate(ROTATE))
+
+
+# Phase-vector inputs, by file name: their length.  Phase k is
+# "1ij-"[k(k + 1)/2 mod 4], which takes all four values.
+PHASES = {"V101.txt": 1 + 101 * 101}
+
+
+def write_phases(dst: Path, length: int) -> None:
+    dst.write_text("".join("1ij-"[k * (k + 1) // 2 % 4] + "\n" for k in range(length)))
 
 
 def _sha256(path: Path) -> str:
@@ -143,6 +154,8 @@ def bench(checkouts: list[Path]) -> list[dict]:
                 for arg in argv:
                     if arg in ROTATED:
                         rotate_cell(cwd / ROTATED[arg], cwd / arg, *ROTATED_CELL)
+                    if arg in PHASES:
+                        write_phases(cwd / arg, PHASES[arg])
             for rep in range(REPEAT):
                 order = list(range(len(checkouts)))
                 for i in order[::-1] if rep % 2 else order:
