@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .field import FieldCtx, character_is_even, is_prime
-from .qmatrix import MatrixError, QMatrix, _row_panels, diag_similarity, gram_is_scalar
+from .qmatrix import (MatrixError, QMatrix, _row_panels, check_skew_type, diag_similarity,
+                      gram_is_scalar)
 
 # Row/column labels are {infinity} followed by GF(p^2) in index order,
 # so position of element x is 1 + index(x) and each additive coset is a
@@ -176,8 +177,6 @@ def skew_core(h: QMatrix) -> QMatrix:
         ctx = form[0]
         im = np.negative(_core(ctx), order="C").reshape(ctx.q, ctx.q)
         return QMatrix(np.eye(ctx.q, dtype=np.int8), im)
-    from .verify import check_skew_type
-
     if not check_skew_type(h):
         raise MatrixError("input is not skew-type")
     d = h.re[0] + 1j * h.im[0]

@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .field import BudgetError, FieldCtx, FieldError, order_within_budget
-from .qmatrix import MatrixError, QMatrix, _gram_is_scalar
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, check_skew_type
 from .builder import skew_core, skew_regular_qhm
-from .verify import _row_sums, check_skew_type
+from .verify import _row_sums
 
 _UNITS = (-1, 0, 1)
 # The code of a cell re + i*im of B, at 3*re + im + 4.

@@ -9,6 +9,7 @@ the order (``_exact_dtype``) under which every partial sum is an exact
 integer.  Above one panel it first screens X ybar = c1 for the column
 sums y (``_ones_screen``), exact with partial sums at most n^2, which one
 changed cell of a Hadamard matrix fails at the screen's first panel.
+The skew check ``check_skew_type`` walks the same panels.
 
 ``gram_is_scalar(m, n)`` and ``sign_gram_is_scalar(w, n)`` for the order
 n take their verdict from ``verify._recognise``, which decides the
@@ -226,6 +227,25 @@ def gram_is_scalar(m: QMatrix, c: complex) -> bool:
     from .verify import _recognise
 
     return _recognise(m.re, m.im)[0]
+
+
+def check_skew_type(m: QMatrix) -> bool:
+    """M = I + Q with Q* = -Q, i.e. M + M* = 2I: the real plane plus its
+    transpose is 2I and the imaginary plane is symmetric.
+
+    Both conditions are symmetric, so a panel of rows r0:r1 is checked
+    against the columns r0: only, in the dense Gram's row panels, and
+    the check stops at the first panel that fails.
+    """
+    re, im = m.re, m.im
+    for rows in _row_panels(m.n, m.n, _PANEL_CAP * m.n):
+        cols = slice(rows.start, None)
+        s = re[rows, cols] + re[cols, rows].T
+        # The panel's row i meets the diagonal at its column i.
+        s.flat[:: s.shape[1] + 1] -= 2
+        if s.any() or (im is not None and not np.array_equal(im[rows, cols], im[cols, rows].T)):
+            return False
+    return True
 
 
 def diag_similarity(m: QMatrix, v) -> QMatrix:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qhadamard import double, realify, verify
+from qhadamard import double, realify
 from qhadamard.matio import ParseError, parse, parse_phase_vector, serialize
 from qhadamard.cli import main
 from conftest import skew_regular, FIXTURES
@@ -219,8 +219,7 @@ def test_cli_report_inconsistency_is_exit_1(capsys, monkeypatch, tmp_path):
     # A regular Hadamard verdict with |row sum|^2 != order contradicts itself.
     f = tmp_path / "j2.qhm"
     f.write_text("QHM 2\n11\n11\n")
-    monkeypatch.setattr("qhadamard.verify._recognise", lambda re, im, sums=False:
-                        (True, False, verify._row_sums(re, im)))
+    monkeypatch.setattr("qhadamard.verify._recognise", lambda re, im: (True, False))
     assert run_cli(capsys, monkeypatch, ["verify", str(f)]) == (
         1, "", "error: regular Hadamard matrix of order 2 with |row sum|^2 = 4\n")
 

@@ -73,9 +73,15 @@ def test_check_semi_regular_examples():
     lambda: eye(2),
     lambda: qmatrix(np.full((130, 130), 1j)),
     lambda: QMatrix(np.ones((130, 130))),
-], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2", "iJ130", "J130"])
+    lambda: _twisted(skew_regular(5)),
+    # A = -S3 puts the sum -4 + 2i of the top rows, (2, 4) with 2^2 + 4^2 = 20,
+    # first among the distinct sums; the sums of the twisted bottom rows differ.
+    lambda: _doubled(scale(skew_regular(3), -1), _twisted(scale(skew_regular(3), -1))),
+    lambda: _doubled(skew_regular(3), skew_regular(3)),
+], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2", "iJ130", "J130",
+        "T5", "D3-twisted-B", "XS3"])
 def test_report_row_sum_fields_match_reference(make):
-    # The report derives these from one pair of int64 row-sum vectors.
+    # The report derives these from the distinct sums of one row-sum multiset.
     m = make()
     report = full_report(m)
     sums = row_sums(m)
@@ -130,6 +136,16 @@ def test_report_json_schema():
     assert payload["regular"] == [1, -3]
     assert payload["row_sums"] == [[1, -3, 10]]
     assert payload["hadamard"] and payload["skew"]
+
+
+def _twisted(m):
+    """D M D* for the phase vector 1, i, -1, -i, 1, ... of M's order."""
+    return diag_similarity(m, np.resize([1, 1j, -1, -1j], m.n))
+
+
+def _doubled(a, b):
+    """[[A, iA], [iB, B]]: not A's double unless B = A*."""
+    return block2(a, scale(a, 1j), scale(b, 1j), b)
 
 
 def _corrupted(m):

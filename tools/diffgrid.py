@@ -20,6 +20,8 @@ The grid covers
     k = 1 and 2, and ``--eval 1,1`` at p = 3, k = 3 (order 7290);
   - every file command on S, its twist, double, core, realification and
     the realification of its double, at every odd prime <= 23;
+  - every file command on the paper's X_S = [[S, iS], [iS, S]] and its
+    realification at p = 3, 5, 13;
   - those files with one cell negated, rotated by i or zeroed at three
     places;
   - malformed S files (bytes, line ends, headers, rows) at p = 3, 13;
@@ -48,6 +50,7 @@ FIXTURES = ROOT / "fixtures"
 COMMANDS = ("construct", "verify", "double", "core", "cod", "excess", "realify", "twist")
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 EXCESS_PRIMES = PRIMES + (29, 31)
+XS_PRIMES = (3, 5, 13)
 WORKERS = 2
 NEGATE = str.maketrans("1-ij", "-1ji")
 ROTATE = str.maketrans("1i-j", "i-j1")
@@ -123,6 +126,14 @@ def make_inputs(checkout: Path, inputs: Path) -> None:
                 for r, c in ((0, 0), (1, 2), (size - 1, 0)):
                     (inputs / f"x-{kind}{p}-{label}-{r}-{c}.qhm").write_text(
                         _edit(text, r, c, table))
+    for p in XS_PRIMES:
+        # X_S = [[S, iS], [iS, S]], a text edit of S: ROTATE multiplies a cell by i.
+        rows = (inputs / f"s{p}.qhm").read_text().split("\n")[1:-1]
+        top = [r + r.translate(ROTATE) for r in rows]
+        bottom = [r.translate(ROTATE) + r for r in rows]
+        (inputs / f"xs{p}.qhm").write_text(
+            f"QHM {2 * len(rows)}\n" + "".join(r + "\n" for r in top + bottom))
+        write(f"rxs{p}.qhm", ["realify", str(inputs / f"xs{p}.qhm")])
     for p in (3, 13):
         text = (inputs / f"s{p}.qhm").read_text()
         header, body = text.split("\n", 1)
@@ -208,6 +219,9 @@ def grid(inputs: Path) -> list[Run]:
         for kind, order in (("s", n), ("t", n), ("d", 2 * n), ("c", p * p), ("r", 0), ("rd", 0)):
             runs += _file_runs(f"{kind}{p}", inputs / f"{kind}{p}.qhm", p,
                                inputs / f"v{order}.phv" if order else None)
+    for p in XS_PRIMES:
+        runs += _file_runs(f"xs{p}", inputs / f"xs{p}.qhm", p, inputs / f"v{2 * (1 + p * p)}.phv")
+        runs += _file_runs(f"rxs{p}", inputs / f"rxs{p}.qhm", p, None)
     # Corrupted cells (x-), then malformed files (m-).
     for path in sorted(inputs.glob("x-*.qhm")):
         runs.append(Run(f"verify-json-{path.stem}", ("verify", str(path), "--json")))
