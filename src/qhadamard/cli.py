@@ -120,7 +120,7 @@ def cmd_cod(args) -> int:
         return 0
     cod._checked_order(ctx, args.k)
     a, b = _eval_point(args.eval)
-    _write(args.out, matio.serialize(cod.cod_recurse(ctx, args.k).evaluate_qmatrix(a, b)))
+    _write(args.out, cod.cod_recurse(ctx, args.k).text(a, b))
     return 0
 
 

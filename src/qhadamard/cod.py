@@ -6,6 +6,9 @@ shape (9, m, m): ``code`` with every cell c replaced by the block
 table[c].  The base design aI + b(S - I) is level 0, over the identity
 table.  An evaluation maps the codes to their values in the small
 table and gathers X from it; A and B are those at (1, 0) and (0, 1).
+The file of an evaluation is written the same way: its nine codes'
+characters, checked against the alphabet, are mapped over the table,
+and each panel of code rows is gathered straight into the file's bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import matio
 from .field import BudgetError, FieldCtx, FieldError, order_within_budget
-from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, check_skew_type
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
 from .builder import skew_core, skew_regular_qhm
 from .verify import _row_sums
 
@@ -40,6 +44,11 @@ def _lookup(values: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.frombuffer(bytearray(code).translate(table), values.dtype).reshape(code.shape)
 
 
+def _check_point(a: int, b: int) -> None:
+    if not (a in _UNITS and b in _UNITS):
+        raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
+
+
 def _design(m: QMatrix) -> np.ndarray:
     """The code plane of aI + b(M - I) for an M with unit diagonal."""
     code = _lookup(_B_CODES, 3 * m.re + m.im + 4)
@@ -48,15 +57,15 @@ def _design(m: QMatrix) -> np.ndarray:
 
 
 def _substitute(code: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``code`` (..., n, n) with every cell c replaced by the m x m block
+    """``code`` (..., h, n) with every cell c replaced by the m x m block
     table[c]: row r of the blocks in row i is the rows table[code[i, j], r],
     one gather from ``table`` viewed as rows of m bytes (m = 1: a lookup)."""
-    n, m = code.shape[-1], table.shape[-1]
+    (h, n), m = code.shape[-2:], table.shape[-1]
     if m == 1:
         return _lookup(table[:, 0, 0], code)
     rows = table.view(np.dtype((np.void, m)))[..., 0]
     out = rows[code[..., None, :], np.arange(m)[:, None]]
-    return out.view(table.dtype).reshape(*code.shape[:-2], n * m, n * m)
+    return out.view(table.dtype).reshape(*code.shape[:-2], h * m, n * m)
 
 
 class CODMatrix:
@@ -74,7 +83,7 @@ class CODMatrix:
     @cached_property
     def stype(self) -> tuple[int, int]:
         """(s1, s2) variable multiplicities; requires them constant per row."""
-        rows = [np.count_nonzero(_substitute(self.code, kind[self.table]), axis=1)
+        rows = [np.count_nonzero(_substitute(self.code, _lookup(kind, self.table)), axis=1)
                 for kind in _KIND]
         if not all((r == r[0]).all() for r in rows):
             raise MatrixError("row type is not constant")
@@ -82,13 +91,31 @@ class CODMatrix:
 
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
         """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix."""
-        if not (a in _UNITS and b in _UNITS):
-            raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
+        _check_point(a, b)
         return QMatrix(*self._planes(a, b))
+
+    def text(self, a: int, b: int) -> bytearray:
+        """The file's bytes of ``evaluate_qmatrix(a, b)``, with no plane.
+
+        The nine codes' values, as the cells of a 3 x 3 ``QMatrix``, pass
+        the constructor's checks; their characters, mapped over the level
+        table, are gathered one panel of code rows at a time into the
+        file's buffer, the only array of the design's order.
+        """
+        _check_point(a, b)
+        values = QMatrix(*_VALUES[a, b].reshape(2, 3, 3))
+        chars = np.empty(9, dtype=np.uint8)
+        matio._chars(values.re.ravel(), values.im.ravel(), chars)
+        table = _lookup(chars, self.table)
+        buf, cells = matio._frame(False, self.n)
+        m = table.shape[1]
+        for rows in _row_panels(self.code.shape[0], m * self.n):
+            cells[rows.start * m:rows.stop * m] = _substitute(self.code[rows], table)
+        return buf
 
     def _planes(self, a: int, b: int) -> list[np.ndarray]:
         # Each plane is in {-1, 0, 1} and the only array of the design's order.
-        return [_substitute(self.code, v.take(self.table)) for v in _VALUES[a, b]]
+        return [_substitute(self.code, _lookup(v, self.table)) for v in _VALUES[a, b]]
 
 
 def _is_real(d: CODMatrix) -> bool:
@@ -100,7 +127,7 @@ def _is_real(d: CODMatrix) -> bool:
     A, so it equals s1 only when A has no imaginary cell, and likewise
     for B at (0, 1); for a real X, X^T = X*.
     """
-    return not _lookup(_VALUES[1, 1][1].take(d.table).any(axis=(1, 2)), d.code).any()
+    return not _lookup(_lookup(_VALUES[1, 1][1], d.table).any(axis=(1, 2)), d.code).any()
 
 
 def certify_gram(d: CODMatrix) -> bool:

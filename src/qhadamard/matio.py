@@ -8,7 +8,9 @@ Real bodies are restricted to {'1', '-', '0'}.
 A file stays bytes: ``parse`` reads the cells of the file's bytes and
 ``serialize`` writes them into the buffer it returns, through (n, n)
 uint8 views with rows n + 1 bytes apart, one panel of rows at a time,
-so that no temporary is larger than a panel.
+so that no temporary is larger than a panel.  ``_frame`` lays out that
+buffer and ``_chars`` forms the cells' characters, for ``serialize``
+and for ``cod``'s evaluated designs alike.
 """
 
 from __future__ import annotations
@@ -66,23 +68,33 @@ def _planes(cells: np.ndarray, alphabet: str) -> list[np.ndarray] | None:
     return planes if found == cells.size else None
 
 
-def serialize(m: QMatrix) -> bytearray:
-    """The file's bytes, in the one buffer they are written into.  A
-    cell's character is '0' plus the offset (re & -3) + 57|im| + [im < 0]:
-    1 for 1, -3 for -1, 57 for i and 58 for -i."""
-    n = m.n
-    head = f"{'RHM' if m.im is None else 'QHM'} {n}\n".encode()
+def _frame(real: bool, n: int) -> tuple[bytearray, np.ndarray]:
+    """The buffer of a file of order n, holding its header and its newline
+    column, and the (n, n) uint8 view of its cells, rows n + 1 bytes apart."""
+    head = f"{'RHM' if real else 'QHM'} {n}\n".encode()
     buf = bytearray(len(head) + n * (n + 1))
     buf[:len(head)] = head
     body = np.frombuffer(buf, dtype=np.uint8, offset=len(head)).reshape(n, n + 1)
     body[:, n] = ord("\n")
-    for rows in _row_panels(n, n):
-        offset = m.re[rows] & np.int8(-3)
-        if m.im is not None:
-            im = m.im[rows]
-            offset += im * im * np.int8(57)
-            offset += (im < 0).view(np.int8)
-        np.add(offset.view(np.uint8), ord("0"), out=body[rows, :n])
+    return buf, body[:, :n]
+
+
+def _chars(re: np.ndarray, im: np.ndarray | None, out: np.ndarray) -> None:
+    """Write the characters of the cells re + i*im into ``out``: '0' plus
+    the offset (re & -3) + 57|im| + [im < 0], that is 1 for 1, -3 for -1,
+    57 for i and 58 for -i."""
+    offset = re & np.int8(-3)
+    if im is not None:
+        offset += im * im * np.int8(57)
+        offset += (im < 0).view(np.int8)
+    np.add(offset.view(np.uint8), ord("0"), out=out)
+
+
+def serialize(m: QMatrix) -> bytearray:
+    """The file's bytes, in the one buffer they are written into."""
+    buf, cells = _frame(m.im is None, m.n)
+    for rows in _row_panels(m.n, m.n):
+        _chars(m.re[rows], None if m.im is None else m.im[rows], cells[rows])
     return buf
 
 

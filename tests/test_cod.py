@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,9 @@ from qhadamard import (
     cod_recurse,
     factored_summary,
 )
-from qhadamard import cod
+from qhadamard import MatrixError, cod, serialize
 from qhadamard.cod import _broken_identity
-from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar
+from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _row_panels
 from conftest import field, skew_regular
 from reference import (
     check_quaternary_hadamard, conj_transpose, design, equal, expected_row_sum, gram_parts,
@@ -242,6 +244,42 @@ def test_cod_recurse_matches_kron_steps(p, k):
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
     for m in (d.evaluate_qmatrix(1, 0), d.evaluate_qmatrix(0, 1)):
         assert m.re.dtype == m.im.dtype == np.int8
+
+
+@pytest.mark.parametrize("p,k", [(3, 0), (5, 0), (3, 1), (5, 1), (3, 2), (7, 1)])
+def test_text_is_the_serialized_evaluation(p, k):
+    # k = 0 gathers through the one-cell table's lookup.
+    d = cod_recurse(field(p), k)
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            assert d.text(a, b) == serialize(d.evaluate_qmatrix(a, b))
+
+
+def test_text_across_panel_edges(monkeypatch):
+    # Order 810: 10 code rows, each 81 rows of 810 cells.
+    d = cod_recurse(field(3), 2)
+    expected = serialize(d.evaluate_qmatrix(1, -1))
+    row_cells = 81 * 810
+    for per_panel, sizes in ((1, [1] * 10), (3, [3, 3, 3, 1])):
+        walks = []
+
+        def panels(rows, cols):
+            walk = list(_row_panels(rows, cols, per_panel * row_cells))
+            walks.append([r.stop - r.start for r in walk])
+            return walk
+
+        monkeypatch.setattr(cod, "_row_panels", panels)
+        assert d.text(1, -1) == expected
+        assert walks == [sizes]
+
+
+def test_text_refuses_points_off_the_units():
+    d = cod_base(field(3))
+    for a, b in ((2, 0), (0, 2), (1, -2), (2, 3)):
+        with pytest.raises(MatrixError) as evaluated:
+            d.evaluate_qmatrix(a, b)
+        with pytest.raises(MatrixError, match=re.escape(str(evaluated.value))):
+            d.text(a, b)
 
 
 def test_cod_recurse_builds_skew_regular_once(monkeypatch):

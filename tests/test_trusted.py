@@ -5,7 +5,8 @@ result must hold read-only int8 planes with entries in {-1, 0, 1} and
 disjoint supports, and have ``im`` None exactly when it is real (RHM).
 The constructor refuses anything else.  A design holds a read-only code
 plane and level table, made only by ``cod`` from S and its skew core,
-and every matrix read from it goes through that constructor.
+and every matrix read from it goes through that constructor; so do the
+nine values its file's characters are formed from.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from qhadamard import (
     serialize,
     skew_core,
 )
-from qhadamard import cod
+from qhadamard import cli, cod, matio
 from qhadamard.qmatrix import PHASES
 from conftest import field, skew_regular
 from reference import (
@@ -111,6 +112,23 @@ def test_evaluate_qmatrix_still_validates():
     for a, b in ((2, 0), (0, 2), (1, -2), (2, 3)):
         with pytest.raises(MatrixError):
             d.evaluate_qmatrix(a, b)
+
+
+@pytest.mark.parametrize("re, im", [(2, 0), (1, 1)])
+def test_text_checks_the_nine_values(monkeypatch, tmp_path, re, im):
+    # Code 1 (a) at (1, 1) made 2, then 1 + i: the file is refused
+    # before its buffer is made.
+    values = dict(cod._VALUES)
+    values[1, 1] = values[1, 1].copy()
+    values[1, 1][:, 1] = re, im
+    monkeypatch.setattr(cod, "_VALUES", values)
+    frames, frame = [], matio._frame
+    monkeypatch.setattr(matio, "_frame", lambda *args: frames.append(args) or frame(*args))
+    with pytest.raises(MatrixError):
+        cod._factors(field(3))[0].text(1, 1)
+    out = tmp_path / "e.qhm"
+    assert cli.main(["cod", "--p", "3", "--k", "1", "--eval", "1,1", "--out", str(out)]) == 1
+    assert frames == [] and not out.exists()
 
 
 def test_add_still_validates():

@@ -23,12 +23,12 @@ each is made ``REPEAT`` times.  Given several checkouts, with one
 ``--out`` each, the script alternates between them run by run, so that
 their files compare under the same host conditions.
 
-A run records its exit code, its wall times, the child's peak RSS
-(``ru_maxrss`` from ``os.wait4``, which reads only that child) and the
-sha256 of its stdout and of the file it writes.  A child starts from
-this process's peak RSS, which Linux copies into it at the fork, so this
-process imports no numpy and hashes files in chunks: its own peak stays
-below that of any run.  A result also holds the line count of each
+A run records its exit code, its wall times and their median, the
+child's peak RSS (``ru_maxrss`` from ``os.wait4``, which reads only that
+child) and the sha256 of its stdout and of the file it writes.  A child
+starts from this process's peak RSS, which Linux copies into it at the
+fork, so this process imports no numpy and hashes files in chunks: its
+own peak stays below that of any run.  A result also holds the line count of each
 ``src/qhadamard/*.py`` file of its checkout (as ``wc -l`` counts them),
 and the Python and numpy versions and the CPU count.
 """
@@ -42,6 +42,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,7 +51,7 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = 3
+REPEAT = 5
 
 # (name, argv, file the run writes or None), in run order.
 GRID = (
@@ -171,7 +172,9 @@ def bench(checkouts: list[Path]) -> list[dict]:
                     record["out_sha256"].append(
                         _sha256(path) if path is not None and path.exists() else None)
             for checkout, record, checkout_runs in zip(checkouts, records, runs):
+                record["wall_median_s"] = statistics.median(record["wall_s"])
                 print(f"{name:14s} exit {record['exit']} wall {record['wall_s']} s "
+                      f"(median {record['wall_median_s']}) "
                       f"peak {record['peak_rss_mb']} MB  ({checkout.name})", file=sys.stderr)
                 checkout_runs.append(record)
     return [{

@@ -17,7 +17,8 @@ The grid covers
   - ``construct`` at every odd prime <= 23 and at invalid p;
   - ``excess`` with and without ``--json`` at every odd prime <= 31;
   - ``cod`` summaries and ``--eval`` points, valid and invalid, at levels
-    k = 1 and 2, and ``--eval 1,1`` at p = 3, k = 3 (order 7290);
+    k = 1 and 2, ``--eval`` at k = 0 and at p = 7, k = 1, ``--eval`` to
+    stdout, and ``--eval 1,1`` at p = 3, k = 3 (order 7290);
   - every file command on S, its twist, double, core, realification and
     the realification of its double, at every odd prime <= 23;
   - every file command on the paper's X_S = [[S, iS], [iS, S]] and its
@@ -211,6 +212,13 @@ def grid(inputs: Path) -> list[Run]:
         for point in ("1,1", "0,1", "1,0", "0,0", "2,0", "x", "1"):
             runs.append(Run(f"cod-{p}-{k}-eval-{point}",
                             ("cod", "--p", str(p), "--k", str(k), "--eval", point, "--out", "out")))
+    for p, k in ((3, 0), (7, 0), (7, 1)):
+        for point in ("1,1", "0,0"):
+            runs.append(Run(f"cod-{p}-{k}-eval-{point}",
+                            ("cod", "--p", str(p), "--k", str(k), "--eval", point, "--out", "out")))
+    for p, k, point in ((3, 1, "1,1"), (5, 1, "0,1")):
+        runs.append(Run(f"cod-{p}-{k}-eval-{point}-stdout",
+                        ("cod", "--p", str(p), "--k", str(k), "--eval", point)))
     runs.append(Run("cod-3-3-eval-1,1", ("cod", "--p", "3", "--k", "3", "--eval", "1,1",
                                          "--out", "out")))
     runs.append(Run("cod-3-6-eval", ("cod", "--p", "3", "--k", "6", "--eval", "1,1")))
