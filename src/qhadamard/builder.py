@@ -6,7 +6,8 @@ over GF(p^2) and v the twist, which is constant on each additive coset:
 on the others.  It keeps H H* = (1 + p^2) I and H + H* = 2I of
 H = I - iC and makes every row sum 1 - p*i.  Off its border and
 diagonal S is C's core times the p x p coset table
-f[b1, b2] = -i v(b1) v*(b2).  The one view of that core, ``_core``,
+f[b1, b2] = -i v(b1) v*(b2).  The one view of that core,
+``FieldCtx.core``, built once per prime and process (``field.context``),
 serves the build of S, the base-form recogniser and the skew core, each
 coset by coset.  Also the order-doubling block construction.
 """
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx, character_is_even, is_prime
+from .field import FieldCtx, context, is_prime
 from .qmatrix import (MatrixError, QMatrix, _row_panels, check_skew_type, diag_similarity,
                       gram_is_scalar)
 
@@ -44,38 +45,13 @@ def _phase(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.
     return e
 
 
-def _core(ctx: FieldCtx) -> np.ndarray:
-    """The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) of the
-    conference matrix, as a read-only (p, p, q) view K[b1, a1, (b2, a2)]
-    whose rows are contiguous runs of q cells.
-
-    For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
-    [b, a].  The view lies over the (p, 2p, p) table
-    L[a1, j, a2] = chi(p - j, a1 - a2) (mod p) of 2p^3 bytes: row
-    (b1, a1) of K is the run of q cells of L[a1] from L[a1, p - b1, 0],
-    since L[a1, p - b1 + b2, a2] = chi(b1 - b2, a1 - a2) and p - b1 + b2
-    stays in 1..2p - 1.  L is one strided copy of the 2p x (2p - 1) table
-    W[j, m] = chi(p - j, p - 1 - m), as L[a1, j, a2] = W[j, p - 1 - a1 + a2].
-    """
-    p = ctx.p
-    i = (p - np.arange(2 * p)) % p
-    w = ctx.char_table.reshape(p, p)[i[:, None], i[1:]]
-    # Strided views of a buffer, which numpy checks against its bounds.
-    s_j, s_m = w.strides
-    lt = np.ndarray((p, 2 * p, p), w.dtype, w, (p - 1) * s_m, (-s_m, s_j, s_m)).copy()
-    s_a1, s_j, s_a2 = lt.strides
-    core = np.ndarray((p, p, p * p), lt.dtype, lt, p * s_j, (-s_j, s_a1, s_a2))
-    core.flags.writeable = False
-    return core
-
-
 def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
     """The order 1+p^2 matrix with Gram (1+p^2) I, row sums 1 - p*i, S + S* = 2I.
 
     Each plane is written from phase exponents: S[0, 0] = 1,
     S[0, k] = -i v*_k and S[k, 0] = -i v_k for k > 0, a unit diagonal
     (C's is zero), and S[(b1, a1), (b2, a2)] = f[b1, b2] K[b1, a1, (b2, a2)]
-    off it, for the core view K of ``_core``.
+    off it, for the core view K = ``ctx.core``.
     """
     p, n = ctx.p, ctx.q + 1
     b = np.arange(p)
@@ -84,7 +60,7 @@ def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
     f = np.repeat((3 + ev[:, None] - ev) % 4, p, axis=1)
     ek = np.repeat(ev, p)
     row0, col0 = (np.concatenate(([0], (3 + s * ek) % 4)) for s in (-1, 1))
-    core = _core(ctx)
+    core = ctx.core
     planes = np.empty((2, n, n), dtype=np.int8)
     for plane, unit in zip(planes, (_UNIT_RE, _UNIT_IM)):
         np.multiply(core, unit[f][:, None], out=plane[1:].reshape(p, p, n)[:, :, 1:])
@@ -115,7 +91,11 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
     e(u_0) = e(X_00), e(u_j) = e(X_j0) + 1 and
     e(w_k) = e(X_0k) - e(X_00) + 1.  Row 0 and column 0 then pass the
     test by construction.  Rows 1.. are tested in panels of whole
-    cosets, each against its rows of the core view ``_core``.
+    cosets, each against its rows of the core view ``ctx.core``.
+
+    The context is the process's one context of p (``field.context``),
+    so its table, core view and evenness are built once per prime; only
+    the phase test runs on every matrix.
 
     X + X* = 2I exactly when w = u*, i.e. e(u_k) + e(w_k) = 0 mod 4,
     and C = C^T: C has a zero diagonal, so X + X* has the diagonal
@@ -127,7 +107,7 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
     p = math.isqrt(n - 1)
     if im is None or p * p + 1 != n or p == 2 or not is_prime(p):
         return None
-    ctx = FieldCtx(p)
+    ctx = context(p)
     table = ctx.char_table
     # The planes are disjoint, so a cell is a unit exactly when one is nonzero.
     if (table[0] or not table[1:].all()
@@ -137,7 +117,7 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
     eu[0] -= 1
     ew = _phase(re[0], im[0]) - eu[0] + 1
     ew[0] = 0
-    core = _core(ctx)
+    core = ctx.core
     panels = list(_row_panels(p, p * n, _FORM_PANEL))  # slices of cosets
     buf = np.empty((p * panels[0].stop, n - 1), dtype=np.int8)
     for b in panels:
@@ -154,7 +134,7 @@ def base_form(re: np.ndarray, im: np.ndarray | None):
         e &= 3
         if e.any():
             return None
-    return ctx, not ((eu + ew) & 3).any() and character_is_even(table, p)
+    return ctx, not ((eu + ew) & 3).any() and ctx.even
 
 
 def skew_core(h: QMatrix) -> QMatrix:
@@ -170,12 +150,12 @@ def skew_core(h: QMatrix) -> QMatrix:
     A skew X of the base form (``base_form``) has w = u* and
     u_0 = X_00 = 1, so the first row is d_k = -i w_k for k > 0, and
     d_j X_jk d*_k = w_j u_j (I - iC)_jk w_k w*_k = (I - iC)_jk for
-    j, k > 0: its core is I - iK, read from the view ``_core``.
+    j, k > 0: its core is I - iK, read from the view ``ctx.core``.
     """
     form = base_form(h.re, h.im)
     if form and form[1]:
         ctx = form[0]
-        im = np.negative(_core(ctx), order="C").reshape(ctx.q, ctx.q)
+        im = np.negative(ctx.core, order="C").reshape(ctx.q, ctx.q)
         return QMatrix(np.eye(ctx.q, dtype=np.int8), im)
     if not check_skew_type(h):
         raise MatrixError("input is not skew-type")

@@ -42,7 +42,12 @@ def _read(path: str) -> bytes:
 
 def _write(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
-        sys.stdout.write(data.decode("ascii"))  # sys.stdout may be a StringIO
+        out = sys.stdout
+        if hasattr(out, "buffer"):
+            out.flush()  # what the text layer holds goes first
+            out.buffer.write(data)
+        else:  # an in-process caller's StringIO
+            out.write(data.decode("ascii"))
         return
     with open(path, "wb") as fh:
         fh.write(data)

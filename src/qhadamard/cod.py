@@ -13,12 +13,13 @@ and each panel of code rows is gathered straight into the file's bytes.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import numpy as np
 
 from . import matio
-from .field import BudgetError, FieldCtx, FieldError, order_within_budget
+from .field import BudgetError, FieldCtx, FieldError, max_order
 from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
 from .builder import skew_core, skew_regular_qhm
 from .verify import _row_sums
@@ -155,14 +156,29 @@ def _factors(ctx: FieldCtx) -> tuple[CODMatrix, QMatrix]:
     return CODMatrix(_design(s), _IDENTITY), skew_core(s)
 
 
+def _order_text(q: int, k: int) -> str:
+    """The order (1 + q) q^k in digits, or by its factors when it has more
+    digits than Python turns into a string (4300 by default).  q^k has
+    over k (bits(q) - 1) bits, and an int of D digits at most 4D, so an
+    order past 4D such bits is named by its factors without being formed."""
+    if k * (q.bit_length() - 1) <= 4 * (sys.get_int_max_str_digits() or 4300):
+        try:
+            return str((1 + q) * q**k)
+        except ValueError:
+            pass
+    return f"(1 + {q}) * {q}^{k}"
+
+
 def _checked_order(ctx: FieldCtx, k: int) -> int:
     """The order of level k, checked against the budget for the dense
-    design before anything is built."""
+    design before anything is built.  q^k > 2^k, so a k above the bit
+    length of the largest order that fits is refused before the order is
+    formed."""
     if k < 0:
         raise FieldError("k must be nonnegative")
-    order = (1 + ctx.q) * ctx.q**k
-    if not order_within_budget(order):
-        raise BudgetError(f"order {order} exceeds the memory budget")
+    limit = max_order()
+    if k > limit.bit_length() or (order := (1 + ctx.q) * ctx.q**k) > limit:
+        raise BudgetError(f"order {_order_text(ctx.q, k)} exceeds the memory budget")
     return order
 
 

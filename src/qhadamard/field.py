@@ -5,11 +5,23 @@ nonresidue mod p.  The element index b*p + a fixes the row/column
 ordering used by every matrix construction, and makes each additive
 coset {a + k*theta : a in GF(p)} the contiguous block [k*p, (k+1)*p) of
 indices.
+
+Every construction at p rests on one table and the conference matrix it
+defines, so a process builds the field of each prime once: ``context(p)``
+keeps the ``FieldCtx`` of the last ``_FIELDS`` primes it was asked for,
+and each context computes its core view (``_core``), its certificate
+(``certify_character``) and its evenness (``character_is_even``) on
+first use and keeps them.  ``make_field`` checks the memory budget on
+every call and then returns the cached context; ``builder`` reads the
+same one for the order of a matrix it recognises.  The three functions
+stay pure functions of a table, which a context only caches.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -17,6 +29,9 @@ from .qmatrix import _exact_dtype
 
 DEFAULT_BUDGET_MB = 1700
 _BUDGET_ENV = "MEM_BUDGET_MB"
+# The primes whose contexts a process keeps, least recently used out;
+# a context holds 2p^3 + O(p^2) bytes, 2 MB at p = 101.
+_FIELDS = 16
 
 
 class FieldError(ValueError):
@@ -64,11 +79,12 @@ def memory_budget_mb() -> int:
     return budget
 
 
-def order_within_budget(order: int, budget_mb: int | None = None) -> bool:
-    """Dense order x order complex128 matrices must fit the budget."""
+def max_order(budget_mb: int | None = None) -> int:
+    """The largest order whose dense complex128 matrices fit the budget:
+    16 n^2 <= budget_mb * 2^20 exactly when n <= isqrt(budget_mb * 2^16)."""
     if budget_mb is None:
         budget_mb = memory_budget_mb()
-    return 16 * order * order <= budget_mb * 2**20
+    return math.isqrt(budget_mb * 2**16)
 
 
 def _check_odd_prime(p: int) -> None:
@@ -82,41 +98,92 @@ class FieldCtx:
     """GF(p^2): element coordinates and the quadratic character table.
 
     Element i is a[i] + b[i]*theta and chi(element i) is char_table[i].
-    Immutable after construction.  The table takes O(p^2) memory and
-    no budget is read here: ``make_field`` guards the matrices a command
-    is about to build.
+    Immutable: assignment is refused and the arrays are read-only, so
+    one context can serve every caller at p (``context``).  The table
+    takes O(p^2) memory and no budget is read here: ``make_field``
+    guards the matrices a command is about to build.  ``core``,
+    ``certified`` and ``even`` are computed from this context's table on
+    first use and kept with it.
     """
 
     def __init__(self, p: int):
         _check_odd_prime(p)
-        self.p = p
-        self.q = p * p
-        self.nonresidue = smallest_nonresidue(p)
-        idx = np.arange(self.q)
-        self.a, self.b = idx % p, idx // p
-        self.char_table = self._build_char_table()
-        for arr in (self.a, self.b, self.char_table):
-            arr.setflags(write=False)
-
-    def _build_char_table(self) -> np.ndarray:
+        q = p * p
+        nonresidue = smallest_nonresidue(p)
+        idx = np.arange(q)
+        a, b = idx % p, idx // p
         # chi(x) = +1 iff x is the square of some nonzero element; for
         # x = a + b*theta, x^2 = (a^2 + n b^2) + 2ab*theta.
-        a, b, p = self.a, self.b, self.p
-        table = np.full(self.q, -1, dtype=np.int8)
-        table[(2 * a * b % p) * p + (a * a + self.nonresidue * b * b) % p] = 1
+        table = np.full(q, -1, dtype=np.int8)
+        table[(2 * a * b % p) * p + (a * a + nonresidue * b * b) % p] = 1
         table[0] = 0
-        return table
+        for arr in (a, b, table):
+            arr.setflags(write=False)
+        self.__dict__.update(p=p, q=q, nonresidue=nonresidue, a=a, b=b, char_table=table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldCtx is immutable")
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        """The core view of the conference matrix, ``_core(self)``."""
+        return _core(self)
+
+    @cached_property
+    def certified(self) -> bool:
+        """``certify_character`` of the table: the conference matrix is a
+        symmetric conference matrix."""
+        return certify_character(self.char_table, self.p)
+
+    @cached_property
+    def even(self) -> bool:
+        """``character_is_even`` of the table.  A certified table is even,
+        and the certificate tests evenness first, so one evenness test
+        serves both facts of a valid table."""
+        return self.certified or character_is_even(self.char_table, self.p)
+
+
+@lru_cache(maxsize=_FIELDS, typed=True)
+def context(p: int) -> FieldCtx:
+    """The process's GF(p^2) context for the odd prime p, built once while
+    it is among the last ``_FIELDS`` primes asked for; no budget is read."""
+    return FieldCtx(p)
 
 
 def make_field(p: int, budget_mb: int | None = None) -> FieldCtx:
-    """Build the GF(p^2) context for an odd prime p whose matrices of
-    order 1 + p^2 fit the memory budget."""
+    """The GF(p^2) context (``context``) for an odd prime p whose matrices
+    of order 1 + p^2 fit the memory budget, checked on every call."""
     _check_odd_prime(p)
-    if not order_within_budget(1 + p * p, budget_mb):
+    if 1 + p * p > max_order(budget_mb):
         raise BudgetError(
             f"p={p} exceeds the memory budget; raise {_BUDGET_ENV} to allow it"
         )
-    return FieldCtx(p)
+    return context(p)
+
+
+def _core(ctx) -> np.ndarray:
+    """The core K[(b1, a1), (b2, a2)] = chi(b1 - b2, a1 - a2) of the
+    conference matrix of ``ctx.char_table``, as a read-only (p, p, q)
+    view K[b1, a1, (b2, a2)] whose rows are contiguous runs of q cells.
+
+    For x = b*p + a the table ``char_table.reshape(p, p)`` is indexed
+    [b, a].  The view lies over the (p, 2p, p) table
+    L[a1, j, a2] = chi(p - j, a1 - a2) (mod p) of 2p^3 bytes: row
+    (b1, a1) of K is the run of q cells of L[a1] from L[a1, p - b1, 0],
+    since L[a1, p - b1 + b2, a2] = chi(b1 - b2, a1 - a2) and p - b1 + b2
+    stays in 1..2p - 1.  L is one strided copy of the 2p x (2p - 1) table
+    W[j, m] = chi(p - j, p - 1 - m), as L[a1, j, a2] = W[j, p - 1 - a1 + a2].
+    """
+    p = ctx.p
+    i = (p - np.arange(2 * p)) % p
+    w = ctx.char_table.reshape(p, p)[i[:, None], i[1:]]
+    # Strided views of a buffer, which numpy checks against its bounds.
+    s_j, s_m = w.strides
+    lt = np.ndarray((p, 2 * p, p), w.dtype, w, (p - 1) * s_m, (-s_m, s_j, s_m)).copy()
+    s_a1, s_j, s_a2 = lt.strides
+    core = np.ndarray((p, p, p * p), lt.dtype, lt, p * s_j, (-s_j, s_a1, s_a2))
+    core.flags.writeable = False
+    return core
 
 
 def character_is_even(table: np.ndarray, p: int) -> bool:
@@ -132,7 +199,7 @@ def certify_character(table: np.ndarray, p: int) -> bool:
     off it, C = C^T and C C^T = qI, q = p^2.
 
     C has order q + 1, C[0, 0] = 0, a border of ones, and
-    C[1+x, 1+y] = chi(x - y); its core is ``builder._core``.  So:
+    C[1+x, 1+y] = chi(x - y); its core is ``_core``.  So:
       - the diagonal is zero and the cells off it are +-1 exactly when
         chi(0) = 0 and chi(x) = +-1 for x != 0;
       - C = C^T exactly when chi(-d) = chi(d) for every d;
@@ -146,7 +213,8 @@ def certify_character(table: np.ndarray, p: int) -> bool:
 
     With T = table viewed as [b, a], R(db, da) is
     sum_a M_db[a, a + da] for M_db = T^T T[b + db, :], one p x p product
-    per shift db, O(q^2) in all.  Every partial sum is an integer of
+    per shift db, O(q^2) in all, taken one shift at a time so that no
+    temporary exceeds p x p.  Every partial sum is an integer of
     absolute value at most q, exact in ``_exact_dtype(q)``.
     """
     q = p * p
@@ -154,10 +222,12 @@ def certify_character(table: np.ndarray, p: int) -> bool:
             or not character_is_even(table, p) or table.sum() != 0):
         return False
     ar = np.arange(p)
-    t = table.reshape(p, p)
     shift = (ar[:, None] + ar) % p
-    t = t.astype(_exact_dtype(q))
-    m = t.T @ t[shift]
-    r = m[:, ar[:, None], shift].sum(axis=1)
-    r[0, 0] = -1  # R(0) = q - 1 is not a condition
-    return bool((r == -1).all())
+    t = table.reshape(p, p).astype(_exact_dtype(q))
+    for db in range(p):
+        r = (t.T @ t[shift[db]])[ar[:, None], shift].sum(axis=0)
+        if db == 0:
+            r[0] = -1  # R(0) = q - 1 is not a condition
+        if (r != -1).any():
+            return False
+    return True

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import qmatrix
 from .builder import base_form
-from .field import certify_character
 from .qmatrix import MatrixError, QMatrix, check_skew_type, doubled_blocks, sign_gram_is_scalar
 
 
@@ -51,10 +50,13 @@ def _row_sums(re: np.ndarray, im: np.ndarray | None) -> tuple[np.ndarray, np.nda
 
 def _recognise(re: np.ndarray, im: np.ndarray | None) -> tuple[bool, bool | None]:
     """(hadamard, skew) of X = re + i*im: X X* = nI, and X + X* = 2I, or
-    None if no form decides it."""
+    None if no form decides it.  For the base form both come from the
+    phase test of X and two facts of its field's context, kept with it
+    for the process: ``ctx.certified`` (``field.certify_character``) and
+    ``ctx.even`` (``field.character_is_even``)."""
     if form := base_form(re, im):
         ctx, skew = form
-        return certify_character(ctx.char_table, ctx.p), skew
+        return ctx.certified, skew
     if blocks := doubled_blocks(re, im):
         (ar, ai), (br, bi), adjoint = blocks
         hadamard, skew = _recognise(ar, ai)

@@ -6,14 +6,9 @@ from qhadamard import make_field, skew_regular_qhm
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
-_CTX_CACHE = {}
 _S_CACHE = {}
-
-
-def field(p):
-    if p not in _CTX_CACHE:
-        _CTX_CACHE[p] = make_field(p)
-    return _CTX_CACHE[p]
+# The library keeps one context per prime (``field.context``).
+field = make_field
 
 
 def skew_regular(p):

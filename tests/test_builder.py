@@ -10,6 +10,7 @@ from qhadamard import (
     serialize, skew_core,
 )
 from qhadamard.cli import main
+from qhadamard.field import _core
 from conftest import field, skew_regular
 from reference import (
     check_quaternary_hadamard, conference_matrix, core_blocks, equal, paley_qhm, qmatrix,
@@ -30,7 +31,8 @@ def test_skew_regular_qhm_is_the_twisted_paley_matrix(p):
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_31[:8])
 def test_core_view_matches_the_block_layout(p):
     ctx = field(p)
-    core = builder._core(ctx)
+    core = _core(ctx)
+    assert ctx.core is ctx.core and np.array_equal(ctx.core, core)
     assert core.shape == (p, p, p * p) and core.strides[2] == 1
     assert not core.flags.writeable
     with pytest.raises(ValueError):
@@ -40,7 +42,7 @@ def test_core_view_matches_the_block_layout(p):
     # table does not.
     table = np.random.default_rng(p).integers(-1, 2, p * p).astype(np.int8)
     odd = SimpleNamespace(p=p, q=p * p, char_table=table)
-    assert np.array_equal(builder._core(odd).reshape(p, p, p, p), core_blocks(odd))
+    assert np.array_equal(_core(odd).reshape(p, p, p, p), core_blocks(odd))
 
 
 def test_conference_matrix_p3():

@@ -5,11 +5,16 @@ pairs (a, b) with theta^2 = n, squares enumerated from scratch, and the
 pair arithmetic of ``reference``.  Element (a, b) sits at index b*p + a.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from qhadamard import BudgetError, FieldError, cod_recurse, make_field
-from conftest import field
+from qhadamard import (
+    BudgetError, FieldCtx, FieldError, builder, cod_recurse, field as fieldmod, make_field,
+)
+from qhadamard.cli import main
+from conftest import field, skew_regular
 from reference import gf_mul, gf_pow
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -170,3 +175,77 @@ def test_element_index_roundtrip():
     ctx = field(5)
     assert np.array_equal(ctx.b * ctx.p + ctx.a, np.arange(ctx.q))
     assert ctx.a.min() == ctx.b.min() == 0 and ctx.a.max() == ctx.b.max() == 4
+
+
+# -- the process's one context per prime -----------------------------------
+
+
+def test_field_ctx_refuses_assignment():
+    ctx = make_field(5)
+    for name, value in (("p", 7), ("q", 49), ("char_table", ctx.char_table.copy()),
+                        ("core", None), ("certified", False), ("even", False)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(ctx, name, value)
+    for arr in (ctx.a, ctx.b, ctx.char_table, ctx.core):
+        with pytest.raises(ValueError):
+            arr[1] = 0
+    # The facts a context keeps are still computed on first use.
+    fresh = FieldCtx(5)
+    assert "certified" not in vars(fresh)
+    assert fresh.certified and fresh.even and np.array_equal(fresh.core, ctx.core)
+    assert fresh.p == 5 and np.array_equal(fresh.char_table, ctx.char_table)
+
+
+def test_each_prime_is_built_once_per_process(monkeypatch, capsys, tmp_path):
+    counts = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(FieldCtx, "__init__")
+    for name in ("_core", "certify_character", "character_is_even"):
+        spy(fieldmod, name)
+    fieldmod.context.cache_clear()
+    s, d, c = (str(tmp_path / name) for name in ("s.qhm", "d.qhm", "c.qhm"))
+    for argv in (["construct", "--p", "13", "--out", s], ["verify", s],
+                 ["double", s, "--out", d], ["core", s, "--out", c], ["cod", "--p", "13", "--k", "0"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"__init__": 1, "_core": 1, "certify_character": 1, "character_is_even": 1}
+
+
+def test_make_field_and_the_recogniser_share_one_context():
+    ctx = make_field(13)
+    assert make_field(13) is ctx is fieldmod.context(13)
+    s = skew_regular(13)
+    assert builder.base_form(s.re, s.im)[0] is ctx
+    # An np.int64 p gets a context of its own, so that of the int p keeps int fields.
+    assert make_field(np.int64(13)) is not ctx and type(make_field(13).q) is int
+
+
+def test_budget_is_checked_on_every_call(monkeypatch):
+    monkeypatch.delenv("MEM_BUDGET_MB", raising=False)
+    ctx = make_field(101)
+    assert make_field(101) is ctx
+    monkeypatch.setenv("MEM_BUDGET_MB", "1")
+    with pytest.raises(BudgetError):
+        make_field(101)
+    monkeypatch.delenv("MEM_BUDGET_MB")
+    assert make_field(101) is ctx
+
+
+def test_the_cache_is_bounded():
+    primes = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+    first = fieldmod.context(primes[0])
+    assert fieldmod.context(primes[0]) is first
+    for p in primes[1:fieldmod._FIELDS + 1]:
+        fieldmod.context(p)
+    assert fieldmod.context.cache_info().currsize == fieldmod._FIELDS
+    fresh = fieldmod.context(primes[0])
+    assert fresh is not first and np.array_equal(fresh.char_table, first.char_table)

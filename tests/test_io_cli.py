@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +166,19 @@ def test_cli_budget_exit_code(capsys, monkeypatch):
 def test_cli_cod_budget_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["cod", "--p", "3", "--k", "6"])
     assert code == 3 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("eval_point", [[], ["--eval", "1,1"]], ids=["summary", "eval"])
+@pytest.mark.parametrize("k", [4505, 4506, 10**9])
+def test_cli_cod_huge_k_is_one_budget_line(capsys, monkeypatch, k, eval_point):
+    # 10 * 9^4505 has 4300 digits, as many as Python prints by default;
+    # a larger order is named by its factors and never formed.
+    monkeypatch.delenv("MEM_BUDGET_MB", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["cod", "--p", "3", "--k", str(k), *eval_point])
+    assert time.perf_counter() - start < 1
+    order = str(10 * 9**k) if k == 4505 else f"(1 + 9) * 9^{k}"
+    assert (code, out, err) == (3, "", f"error: order {order} exceeds the memory budget\n")
 
 
 def _s3(capsys, monkeypatch, tmp_path):
@@ -371,3 +388,20 @@ def test_cli_usage(capsys, monkeypatch, command, usage):
         main([command, "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: qhadamard {command} [-h] {usage}\n")
+
+
+@pytest.mark.parametrize("argv", [["construct", "--p", "13"],
+                                  ["cod", "--p", "3", "--k", "1", "--eval", "1,1"]],
+                         ids=["construct", "cod-eval"])
+def test_cli_stdout_bytes_equal_the_out_file(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+
+    def cli(args):
+        return subprocess.run([sys.executable, "-m", "qhadamard.cli", *args],
+                              capture_output=True, env=env, cwd=tmp_path)
+
+    out = tmp_path / "out.qhm"
+    to_stdout, to_file = cli(argv), cli([*argv, "--out", str(out)])
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_stdout.stderr == to_file.stderr == to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()

@@ -28,7 +28,7 @@ from qhadamard import (
     serialize,
 )
 from qhadamard import builder, cli, qmatrix, verify
-from qhadamard.field import FieldCtx, certify_character, character_is_even
+from qhadamard.field import FieldCtx, certify_character, character_is_even, make_field
 from qhadamard.qmatrix import _gram_is_scalar, _row_panels, sign_gram_is_scalar
 import reference
 from conftest import skew_regular
@@ -266,23 +266,31 @@ def test_report_does_not_trust_the_character_table(edit, monkeypatch):
     # X = I - iC for the conference matrix of a broken table, with a real
     # 1 where C is zero off the diagonal.  Swapping a +1 and a -1 makes C
     # non-symmetric; zeroing chi(x) and chi(-x) leaves C symmetric with
-    # zero cells.  Neither X is Hadamard or skew.
+    # zero cells.  Neither X is Hadamard or skew.  The process's context
+    # of p is cached and certified first: a verdict is kept with the
+    # table it certifies, never by p.
     p = 5
-    table = FieldCtx(p).char_table.copy()
+    cached = make_field(p)
+    assert cached.certified and cached.even
+    table = cached.char_table.copy()
     plus, minus = np.flatnonzero(table == 1)[0], np.flatnonzero(table == -1)[0]
     if edit == "swapped":
         table[[plus, minus]] = table[[minus, plus]]
     else:
         table[[plus, neg_index(plus, p)]] = 0
-    ctx = SimpleNamespace(p=p, q=p * p, char_table=table)
+    # A context of its own over the broken table, as the recogniser's.
+    ctx = FieldCtx(p)
+    object.__setattr__(ctx, "char_table", table)
     c = conference_matrix(ctx).re
     eye = np.eye(p * p + 1)
     m = make(eye - 1j * c + ((c == 0) & (eye == 0)))
-    monkeypatch.setattr(builder, "FieldCtx", lambda p: ctx)
+    monkeypatch.setattr(builder, "context", lambda p: ctx)
     assert (builder.base_form(m.re, m.im) is None) is (edit == "zeroed")
     report = full_report(m)
     assert report.hadamard is gauss_is_scalar(m.re, m.im, m.n) is False
     assert report.skew is skew_type(m) is False
+    assert ctx.certified is certify_character(table, p) is False
+    assert make_field(p) is cached and cached.certified
 
 
 def test_panels_cover_the_rows():
