@@ -9,6 +9,10 @@ table and gathers X from it; A and B are those at (1, 0) and (0, 1).
 The file of an evaluation is written the same way: its nine codes'
 characters, checked against the alphabet, are mapped over the table,
 and each panel of code rows is gathered straight into the file's bytes.
+The summary (``factored_summary``) forms no design: it takes the base's
+certificate from S's recognised verdict and the recursion's from facts
+of the skew core, and only a broken one falls back to the dense Gram
+certificate of the design (``certify_gram``).
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import numpy as np
 
 from . import matio
 from .field import BudgetError, FieldCtx, FieldError, max_order
-from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
+from .qmatrix import (MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type,
+                      gram_is_scalar)
 from .builder import skew_core, skew_regular_qhm
-from .verify import _row_sums
+from .verify import _recognise, _row_sums
 
 _UNITS = (-1, 0, 1)
 # The code of a cell re + i*im of B, at 3*re + im + 4.
@@ -204,12 +209,12 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     return CODMatrix(base.code, table)
 
 
-def _broken_identity(base: CODMatrix, core: QMatrix, q: int) -> str | None:
+def _broken_identity(stype: tuple[int, int], core: QMatrix, q: int) -> str | None:
     """The first hypothesis of the factored certificate that the factors
-    fail, by name, each checked on the skew core I + Q; None when all
-    hold.  Every check is exact: the cells are Gaussian integers, the
-    sums have at most q unit terms, and QQ* is checked by the exact
-    kernel."""
+    fail, by name, each checked on the skew core I + Q and the base row
+    type ``stype``; None when all hold.  Every check is exact: the cells
+    are Gaussian integers, the sums have at most q unit terms, and QQ*
+    is decided by ``gram_is_scalar``."""
     if not ((core.re | core.im).all() and (core.re.diagonal() == 1).all()):
         return "Q has zero diagonal and unit cells off it"
     if not check_skew_type(core):
@@ -217,15 +222,18 @@ def _broken_identity(base: CODMatrix, core: QMatrix, q: int) -> str | None:
     x, y = _row_sums(core.re, core.im)
     if (x != 1).any() or y.any():
         return "QJ = 0"
-    # Given QJ = 0, the bordered M = [[0, 1^T], [1, Q]] has
-    # MM* = [[q, (QJ)*], [QJ, J + QQ*]], which is qI exactly when QQ* = qI - J.
+    # Given Q* = -Q and QJ = 0, N = [[1, 1^T], [-1, I + Q]] has
+    # NN* = [[q + 1, (QJ)*], [QJ, J + I + QQ*]], which is (q + 1)I exactly
+    # when QQ* = qI - J.  For the skew core of S, N is skew_core's
+    # normalization D S D* of S, of the base form, which the recogniser
+    # decides in one pass over its cells; any other N goes to the dense
+    # certificate.
     border = np.zeros((2, q + 1, q + 1), dtype=np.int8)
-    border[0, 0, 1:] = border[0, 1:, 0] = 1
+    border[0, 0], border[0, 1:, 0] = 1, -1
     border[0, 1:, 1:], border[1, 1:, 1:] = core.re, core.im
-    np.fill_diagonal(border[0, 1:, 1:], 0)
-    if not _gram_is_scalar(*border, q):
+    if not gram_is_scalar(QMatrix(*border), q + 1):
         return "QQ* = qI - J"
-    s1, s2 = base.stype
+    s1, s2 = stype
     if s2 != q * s1:
         return "s2 = q s1"
     return None
@@ -233,7 +241,16 @@ def _broken_identity(base: CODMatrix, core: QMatrix, q: int) -> str | None:
 
 def factored_summary(ctx: FieldCtx, k: int) -> dict:
     """Order, row type and both Gram verdicts of ``cod_recurse(ctx, k)``,
-    certified from its factors without forming the design.
+    certified from S and its skew core without forming the design.
+
+    The base design aI + b(S - I) has A = I and B = S - I, so AA* = I,
+    AB* + BA* = S + S* - 2I and BB* = SS* - S - S* + I: AA* = s1 I,
+    BB* = s2 I and AB* + BA* = 0 with (s1, s2) = (1, q) hold exactly
+    when S + S* = 2I and SS* = (1 + q)I, the verdict ``(True, True)`` of
+    the recogniser (``verify._recognise``), which decides S by its form
+    in one pass over its cells.  Every cell of a Hadamard S is a unit
+    and a skew S has S_ii = 1, so the base has type (1, q) and is real
+    exactly when S is.
 
     Suppose level k satisfies AA* = s1 I, BB* = s2 I, AB* + BA* = 0 and
     s2 = q s1.  One step sets A' = B (x) I and B' = A (x) J + B (x) Q, and
@@ -245,11 +262,11 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     zero diagonal and unit cells off it, and A and B have disjoint
     supports, every cell of A', B' is one unit or zero with disjoint
     supports, and a row of B' has s1 q + s2 (q - 1) = q s2 cells: the row
-    type steps as (s1, s2) -> (s2, q s2).  By induction level k is
-    certified by the dense base certificate and the q x q facts
-    Q zero-diagonal with unit cells off it, Q* = -Q, QJ = 0,
-    QQ* = qI - J, and s2 = q s1 at the base, each read off the skew core
-    I + Q (``_broken_identity``).  The order (1+q) q^k is an exact int.
+    type steps as (s1, s2) -> (s2, q s2), to (q^k, q^(k+1)) at level k.
+    By induction level k is certified by S's verdict and the q x q facts Q
+    zero-diagonal with unit cells off it, Q* = -Q, QJ = 0, QQ* = qI - J,
+    and s2 = q s1 at the base, each read off the skew core I + Q
+    (``_broken_identity``).  The order (1+q) q^k is an exact int.
 
     Level k is real exactly when the base is and (k = 0 or Q is real): an
     imaginary cell of A or B reappears in B' or A', and a real B, with
@@ -257,13 +274,19 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     conjugate verdict this decides the transpose verdict (see
     ``_is_real``).
 
-    Should a hypothesis fail, its name is reported under "broken" and the
-    verdicts are those of the dense design, so a broken hypothesis never
-    yields a verdict.
+    Should S's verdict or a hypothesis fail, its name ("base Gram" for
+    the verdict) is reported under "broken" and the verdicts are those
+    of the dense design, so a broken hypothesis never yields a verdict.
     """
     order = _checked_order(ctx, k)
-    base, core = _factors(ctx)
-    broken = (_broken_identity(base, core, ctx.q) if certify_gram(base)
+    s = skew_regular_qhm(ctx)
+    core = skew_core(s)
+    hadamard, skew = _recognise(s.re, s.im)
+    if hadamard and skew is None:
+        skew = check_skew_type(s)
+    real = not s.im.any()
+    del s  # from here on only the core and its bordered N are held
+    broken = (_broken_identity((1, ctx.q), core, ctx.q) if hadamard and skew
               else "base Gram")
     if broken is not None:
         d = cod_recurse(ctx, k)
@@ -272,9 +295,6 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
                 "gram_conjugate": conjugate,
                 "gram_transpose": conjugate and _is_real(d),
                 "broken": broken}
-    s1, s2 = base.stype
-    for _ in range(k):
-        s1, s2 = s2, ctx.q * s2
-    real = _is_real(base) and (k == 0 or not core.im.any())
-    return {"order": order, "type": [s1, s2],
-            "gram_conjugate": True, "gram_transpose": real}
+    return {"order": order, "type": [ctx.q**k, ctx.q**(k + 1)],
+            "gram_conjugate": True,
+            "gram_transpose": real and (k == 0 or not core.im.any())}

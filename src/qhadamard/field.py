@@ -95,10 +95,10 @@ def _check_odd_prime(p: int) -> None:
 
 
 class FieldCtx:
-    """GF(p^2): element coordinates and the quadratic character table.
+    """GF(p^2): the quadratic character table.
 
-    Element i is a[i] + b[i]*theta and chi(element i) is char_table[i].
-    Immutable: assignment is refused and the arrays are read-only, so
+    Element i = b*p + a is a + b*theta and chi(element i) is char_table[i].
+    Immutable: assignment is refused and the table is read-only, so
     one context can serve every caller at p (``context``).  The table
     takes O(p^2) memory and no budget is read here: ``make_field``
     guards the matrices a command is about to build.  ``core``,
@@ -117,9 +117,8 @@ class FieldCtx:
         table = np.full(q, -1, dtype=np.int8)
         table[(2 * a * b % p) * p + (a * a + nonresidue * b * b) % p] = 1
         table[0] = 0
-        for arr in (a, b, table):
-            arr.setflags(write=False)
-        self.__dict__.update(p=p, q=q, nonresidue=nonresidue, a=a, b=b, char_table=table)
+        table.setflags(write=False)
+        self.__dict__.update(p=p, q=q, nonresidue=nonresidue, char_table=table)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldCtx is immutable")

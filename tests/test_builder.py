@@ -64,7 +64,7 @@ def test_conference_matrix_properties(p):
     assert np.array_equal(x @ x.T, (n - 1) * np.eye(n))
     assert np.array_equal(x, x.T)
     # The core is chi(x - y) over the coordinates of element index b*p + a.
-    a, b = ctx.a, ctx.b
+    a, b = np.arange(ctx.q) % p, np.arange(ctx.q) // p
     diff = (b[:, None] - b[None, :]) % p * p + (a[:, None] - a[None, :]) % p
     assert np.array_equal(x[1:, 1:], ctx.char_table[diff])
 

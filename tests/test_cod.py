@@ -13,6 +13,7 @@ from qhadamard import (
 )
 from qhadamard import MatrixError, cod, serialize
 from qhadamard.cod import _broken_identity
+from qhadamard.field import DEFAULT_BUDGET_MB, max_order
 from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _row_panels
 from conftest import field, skew_regular
 from reference import (
@@ -197,23 +198,85 @@ def test_corrupted_core_names_identity_and_falls_back(monkeypatch, cells, broken
     assert not summary["gram_conjugate"]
 
 
+def edit_s(monkeypatch, edit):
+    """Make cod build S with ``edit`` applied to both planes."""
+    real_build = cod.skew_regular_qhm
+
+    def edited(ctx):
+        s = real_build(ctx)
+        return QMatrix(edit(s.re), edit(s.im))
+
+    monkeypatch.setattr(cod, "skew_regular_qhm", edited)
+
+
+def negated(cells):
+    sign = np.ones((10, 10), dtype=np.int8)
+    sign[cells] = -1
+    return lambda plane: plane * sign
+
+
+def test_non_hadamard_s_names_the_base_gram(monkeypatch):
+    # The mirrored pair (2, 5), (5, 2) negated keeps S + S* = 2I, not SS* = nI.
+    ctx = field(3)
+    edit_s(monkeypatch, negated(([2, 5], [5, 2])))
+    summary = factored_summary(ctx, 1)
+    assert summary.pop("broken") == "base Gram"
+    assert summary == dense_summary(ctx, 1)
+    assert not summary["gram_conjugate"]
+
+
+def test_non_skew_s_is_refused(monkeypatch):
+    # A negated row keeps SS* = nI, not S + S* = 2I.
+    edit_s(monkeypatch, negated(4))
+    with pytest.raises(MatrixError, match="input is not skew-type"):
+        factored_summary(field(3), 1)
+
+
+def test_s_off_the_base_form_is_certified(monkeypatch):
+    # Swapping rows and columns 1 and 2 keeps S skew and Hadamard but
+    # leaves the base form: the dense kernel decides SS* and the skew
+    # check S + S*.
+    ctx = field(3)
+    order = np.array([0, 2, 1, *range(3, 10)])
+    edit_s(monkeypatch, lambda plane: plane[order][:, order])
+    assert factored_summary(ctx, 1) == dense_summary(ctx, 1)
+
+
+# The 12 points (p, k), p <= 23 and k <= 2, whose order the default budget admits.
+ADMITTED = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19, 23) for k in (0, 1, 2)
+            if (1 + p * p) * p ** (2 * k) <= max_order(DEFAULT_BUDGET_MB)]
+
+
+@pytest.mark.parametrize("p,k", ADMITTED)
+def test_factored_summary_reaches_no_dense_kernel(monkeypatch, p, k):
+    def dense(*args):
+        raise AssertionError("the dense Gram kernel was reached")
+
+    monkeypatch.setattr("qhadamard.qmatrix._gram_is_scalar", dense)
+    monkeypatch.setattr(cod, "_gram_is_scalar", dense)
+    q = p * p
+    assert factored_summary(field(p), k) == {
+        "order": (1 + q) * q**k, "type": [q**k, q ** (k + 1)],
+        "gram_conjugate": True, "gram_transpose": False}
+
+
 def test_broken_identity_names():
     ctx = field(3)
     base, core = cod._factors(ctx)
-    assert _broken_identity(base, core, ctx.q) is None
+    assert _broken_identity(base.stype, core, ctx.q) is None
     # Cores I + Q with a diagonal cell of Q at -2, at i - 1 and an
     # off-diagonal cell at 0.
     for cell, value in (((0, 0), -1), ((0, 0), 1j), ((0, 1), 0)):
         data = core.data.copy()
         data[cell] = value
-        assert (_broken_identity(base, qmatrix(data), ctx.q)
+        assert (_broken_identity(base.stype, qmatrix(data), ctx.q)
                 == "Q has zero diagonal and unit cells off it")
     # iQ keeps the zero diagonal and the unit cells but is Hermitian.
     eye = np.eye(ctx.q)
     hermitian = qmatrix(eye + 1j * (core.data - eye))
-    assert _broken_identity(base, hermitian, ctx.q) == "Q* = -Q"
+    assert _broken_identity(base.stype, hermitian, ctx.q) == "Q* = -Q"
     no_b = design(coefficients(base)[0], np.zeros((base.n, base.n)))
-    assert _broken_identity(no_b, core, ctx.q) == "s2 = q s1"
+    assert _broken_identity(no_b.stype, core, ctx.q) == "s2 = q s1"
 
 
 def test_broken_identity_names_the_core_gram():
@@ -228,7 +291,7 @@ def test_broken_identity_names_the_core_gram():
     g_re, g_im = gram_parts(q, None)
     assert not np.array_equal(g_re, 9 * np.eye(9) - 1)
     core = QMatrix(q + np.eye(9, dtype=int), np.zeros_like(q))
-    assert _broken_identity(base, core, ctx.q) == "QQ* = qI - J"
+    assert _broken_identity(base.stype, core, ctx.q) == "QQ* = qI - J"
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])

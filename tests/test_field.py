@@ -151,11 +151,14 @@ def test_chi_minus_one_is_square(p):
 
 
 def test_coset_index():
+    # The coset {a + k*theta} is the block [k*p, (k+1)*p) of the table, a in order.
     for p in (3, 5):
         ctx = field(p)
+        squares = naive_square_set(p, ctx.nonresidue)
         for k in range(p):
-            assert ctx.b[k * p:(k + 1) * p].tolist() == [k] * p
-            assert ctx.a[k * p:(k + 1) * p].tolist() == list(range(p))
+            expected = [0 if (a, k) == (0, 0) else 1 if (a, k) in squares else -1
+                        for a in range(p)]
+            assert ctx.char_table[k * p:(k + 1) * p].tolist() == expected
 
 
 def test_coset_char_sum_examples():
@@ -172,9 +175,13 @@ def test_coset_char_sum_closed_form(p):
 
 
 def test_element_index_roundtrip():
+    # Index i is the element (i % p, i // p), whose square chi marks 1.
     ctx = field(5)
-    assert np.array_equal(ctx.b * ctx.p + ctx.a, np.arange(ctx.q))
-    assert ctx.a.min() == ctx.b.min() == 0 and ctx.a.max() == ctx.b.max() == 4
+    idx = np.arange(ctx.q)
+    a, b = idx % ctx.p, idx // ctx.p
+    assert np.array_equal(b * ctx.p + a, idx)
+    for x in zip(a[1:].tolist(), b[1:].tolist()):
+        assert chi(ctx, gf_mul(ctx.p, ctx.nonresidue, x, x)) == 1
 
 
 # -- the process's one context per prime -----------------------------------
@@ -186,7 +193,7 @@ def test_field_ctx_refuses_assignment():
                         ("core", None), ("certified", False), ("even", False)):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(ctx, name, value)
-    for arr in (ctx.a, ctx.b, ctx.char_table, ctx.core):
+    for arr in (ctx.char_table, ctx.core):
         with pytest.raises(ValueError):
             arr[1] = 0
     # The facts a context keeps are still computed on first use.

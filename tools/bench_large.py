@@ -11,10 +11,11 @@ by a fixed phase vector (``PHASES``), ``verify`` of the realified
 p = 101 file and of the doubled and realified p = 47 files,
 the rejects: ``verify`` of the doubled p = 47 file and of the p = 101
 file, each with one cell rotated by i (``ROTATED``), ``excess`` at
-p = 47, 61 and 101, ``cod --p 3 --k 3 --eval 1,1`` (order 7290), and
-the refusals ``cod`` (3, 4) and (7, 2) (exit 3) and ``construct`` at
-p = 9 and 25 (exit 2).  The file commands read what the runs before
-them wrote, so every run works on the checkout's own output.
+p = 47, 61 and 101, the ``cod`` summaries at p = 61 and 101 with k = 0,
+``cod --p 3 --k 3 --eval 1,1`` (order 7290), and the refusals ``cod``
+(3, 4) and (7, 2) (exit 3) and ``construct`` at p = 9 and 25 (exit 2).
+The file commands read what the runs before them wrote, so every run
+works on the checkout's own output.
 
 Each run is ``python -m qhadamard.cli ARGS`` with ``PYTHONPATH`` set to
 the checkout's ``src``, one BLAS thread and no ``MEM_BUDGET_MB``, in a
@@ -73,6 +74,8 @@ GRID = (
     ("excess-47", ["excess", "--p", "47", "--json"], None),
     ("excess-61", ["excess", "--p", "61", "--json"], None),
     ("excess-101", ["excess", "--p", "101"], None),
+    ("cod-61-0", ["cod", "--p", "61", "--k", "0"], None),
+    ("cod-101-0", ["cod", "--p", "101", "--k", "0"], None),
     ("cod-3-3-eval", ["cod", "--p", "3", "--k", "3", "--eval", "1,1", "--out", "E3_3.qhm"],
      "E3_3.qhm"),
     ("cod-3-4", ["cod", "--p", "3", "--k", "4"], None),
