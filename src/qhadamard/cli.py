@@ -118,8 +118,8 @@ def _eval_point(raw: str) -> tuple[int, int]:
 
 def cmd_cod(args) -> int:
     ctx = make_field(args.p)
-    # The summary certifies the design from its factors; only --eval
-    # materialises it, once k, the budget and the point are checked.
+    # The summary certifies the design from S's verdict alone; only
+    # --eval materialises it, once k, the budget and the point are checked.
     if args.eval is None:
         print(json.dumps(cod.factored_summary(ctx, args.k)))
         return 0

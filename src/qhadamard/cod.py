@@ -9,10 +9,9 @@ table and gathers X from it; A and B are those at (1, 0) and (0, 1).
 The file of an evaluation is written the same way: its nine codes'
 characters, checked against the alphabet, are mapped over the table,
 and each panel of code rows is gathered straight into the file's bytes.
-The summary (``factored_summary``) forms no design: it takes the base's
-certificate from S's recognised verdict and the recursion's from facts
-of the skew core, and only a broken one falls back to the dense Gram
-certificate of the design (``certify_gram``).
+The summary (``factored_summary``) forms neither the design nor the
+skew core: S's recognised verdict certifies the base and, by the core
+identities it implies, every level; an S that fails it is an error.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ import numpy as np
 
 from . import matio
 from .field import BudgetError, FieldCtx, FieldError, max_order
-from .qmatrix import (MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type,
-                      gram_is_scalar)
+from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
 from .builder import skew_core, skew_regular_qhm
-from .verify import _recognise, _row_sums
+from .verify import _recognise
 
 _UNITS = (-1, 0, 1)
 # The code of a cell re + i*im of B, at 3*re + im + 4.
@@ -124,18 +122,6 @@ class CODMatrix:
         return [_substitute(self.code, _lookup(v, self.table)) for v in _VALUES[a, b]]
 
 
-def _is_real(d: CODMatrix) -> bool:
-    """No block of a code in ``d.code`` holds an imaginary cell.
-
-    The plain-transpose Gram X X^T = (s1 a^2 + s2 b^2) I holds exactly
-    when ``d`` is real and X X* does (``certify_gram``): the diagonal of
-    X X^T at (1, 0) counts the real minus the imaginary cells in a row of
-    A, so it equals s1 only when A has no imaginary cell, and likewise
-    for B at (0, 1); for a real X, X^T = X*.
-    """
-    return not _lookup(_lookup(_VALUES[1, 1][1], d.table).any(axis=(1, 2)), d.code).any()
-
-
 def certify_gram(d: CODMatrix) -> bool:
     """Check X X* = (s1 a^2 + s2 b^2) I at (1, 0), (0, 1) and (1, 1).
 
@@ -209,39 +195,10 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     return CODMatrix(base.code, table)
 
 
-def _broken_identity(stype: tuple[int, int], core: QMatrix, q: int) -> str | None:
-    """The first hypothesis of the factored certificate that the factors
-    fail, by name, each checked on the skew core I + Q and the base row
-    type ``stype``; None when all hold.  Every check is exact: the cells
-    are Gaussian integers, the sums have at most q unit terms, and QQ*
-    is decided by ``gram_is_scalar``."""
-    if not ((core.re | core.im).all() and (core.re.diagonal() == 1).all()):
-        return "Q has zero diagonal and unit cells off it"
-    if not check_skew_type(core):
-        return "Q* = -Q"
-    x, y = _row_sums(core.re, core.im)
-    if (x != 1).any() or y.any():
-        return "QJ = 0"
-    # Given Q* = -Q and QJ = 0, N = [[1, 1^T], [-1, I + Q]] has
-    # NN* = [[q + 1, (QJ)*], [QJ, J + I + QQ*]], which is (q + 1)I exactly
-    # when QQ* = qI - J.  For the skew core of S, N is skew_core's
-    # normalization D S D* of S, of the base form, which the recogniser
-    # decides in one pass over its cells; any other N goes to the dense
-    # certificate.
-    border = np.zeros((2, q + 1, q + 1), dtype=np.int8)
-    border[0, 0], border[0, 1:, 0] = 1, -1
-    border[0, 1:, 1:], border[1, 1:, 1:] = core.re, core.im
-    if not gram_is_scalar(QMatrix(*border), q + 1):
-        return "QQ* = qI - J"
-    s1, s2 = stype
-    if s2 != q * s1:
-        return "s2 = q s1"
-    return None
-
-
 def factored_summary(ctx: FieldCtx, k: int) -> dict:
     """Order, row type and both Gram verdicts of ``cod_recurse(ctx, k)``,
-    certified from S and its skew core without forming the design.
+    certified from S's recognised verdict alone, without forming the
+    design or the skew core.
 
     The base design aI + b(S - I) has A = I and B = S - I, so AA* = I,
     AB* + BA* = S + S* - 2I and BB* = SS* - S - S* + I: AA* = s1 I,
@@ -249,8 +206,16 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     when S + S* = 2I and SS* = (1 + q)I, the verdict ``(True, True)`` of
     the recogniser (``verify._recognise``), which decides S by its form
     in one pass over its cells.  Every cell of a Hadamard S is a unit
-    and a skew S has S_ii = 1, so the base has type (1, q) and is real
-    exactly when S is.
+    and a skew S has S_ii = 1, so the base has type (1, q): s2 = q s1.
+
+    The skew core I + Q of the recursion inherits the rest from that
+    verdict.  SS* = (q + 1)I with every |cell| <= 1 makes every cell a
+    unit, so S normalized by its first row d is
+    N = D S D* = [[1, 1^T], [-1, I + Q]] for D = diag(d) (``skew_core``),
+    and Q has unit cells off its diagonal.  N + N* = 2I gives Q* = -Q
+    and, with S_ii = 1, a zero diagonal of Q.  NN* = (q + 1)I gives
+    QJ = 0 (row 0 against row j) and J + I + Q + Q* + QQ* = (q + 1)I,
+    so QQ* = qI - J.  A real S has a real D and so a real Q.
 
     Suppose level k satisfies AA* = s1 I, BB* = s2 I, AB* + BA* = 0 and
     s2 = q s1.  One step sets A' = B (x) I and B' = A (x) J + B (x) Q, and
@@ -263,38 +228,24 @@ def factored_summary(ctx: FieldCtx, k: int) -> dict:
     supports, every cell of A', B' is one unit or zero with disjoint
     supports, and a row of B' has s1 q + s2 (q - 1) = q s2 cells: the row
     type steps as (s1, s2) -> (s2, q s2), to (q^k, q^(k+1)) at level k.
-    By induction level k is certified by S's verdict and the q x q facts Q
-    zero-diagonal with unit cells off it, Q* = -Q, QJ = 0, QQ* = qI - J,
-    and s2 = q s1 at the base, each read off the skew core I + Q
-    (``_broken_identity``).  The order (1+q) q^k is an exact int.
+    By induction S's verdict certifies every level.  The order
+    (1+q) q^k is an exact int.
 
-    Level k is real exactly when the base is and (k = 0 or Q is real): an
-    imaginary cell of A or B reappears in B' or A', and a real B, with
-    s2 > 0 cells a row, times a non-real Q puts one in B'.  With the
-    conjugate verdict this decides the transpose verdict (see
-    ``_is_real``).
+    Level k is real exactly when S is: an imaginary cell of A or B
+    reappears in B' or A', and a real S has a real Q.  The diagonal of
+    X X^T at (1, 0) counts the real minus the imaginary cells in a row of
+    A, so it equals s1 only when A has no imaginary cell, and likewise
+    for B at (0, 1); for a real X, X^T = X*.  So the transpose verdict is
+    S's realness.
 
-    Should S's verdict or a hypothesis fail, its name ("base Gram" for
-    the verdict) is reported under "broken" and the verdicts are those
-    of the dense design, so a broken hypothesis never yields a verdict.
+    An S that is not skew or not Hadamard raises ``MatrixError``.
     """
     order = _checked_order(ctx, k)
     s = skew_regular_qhm(ctx)
-    core = skew_core(s)
     hadamard, skew = _recognise(s.re, s.im)
-    if hadamard and skew is None:
-        skew = check_skew_type(s)
-    real = not s.im.any()
-    del s  # from here on only the core and its bordered N are held
-    broken = (_broken_identity((1, ctx.q), core, ctx.q) if hadamard and skew
-              else "base Gram")
-    if broken is not None:
-        d = cod_recurse(ctx, k)
-        conjugate = certify_gram(d)
-        return {"order": d.n, "type": list(d.stype),
-                "gram_conjugate": conjugate,
-                "gram_transpose": conjugate and _is_real(d),
-                "broken": broken}
+    if not (check_skew_type(s) if skew is None else skew):
+        raise MatrixError("input is not skew-type")
+    if not hadamard:
+        raise MatrixError(f"base Gram: S S* is not {ctx.q + 1}I")
     return {"order": order, "type": [ctx.q**k, ctx.q**(k + 1)],
-            "gram_conjugate": True,
-            "gram_transpose": real and (k == 0 or not core.im.any())}
+            "gram_conjugate": True, "gram_transpose": not s.im.any()}

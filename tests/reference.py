@@ -6,14 +6,16 @@ pairs, row sums as Python complex numbers with the row-sum predicates
 on them, the skew-type test as one n x n sum, the Hadamard predicate,
 the conjugate transpose, unit scaling and 2 x 2 block matrices by cell
 values, a design's cell codes from its coefficients' values, the
-closed-form row-sum schedule of the evaluated designs, and
+closed-form row-sum schedule of the evaluated designs, a design's
+realness from its codes, the skew-core identities that the ``cod``
+summary's certificate rests on, and
 the excess pipeline on the dense matrices of order 4 + 4p^2, and S as
 the paper writes it, diag(v)(I - iC)diag(v*) from the conference matrix
 C, with the full-plane base-form test and skew core that went with it.
 All are deliberately naive: they are the oracles for the byte-level
 ``matio``, the float-BLAS Gram kernel and the structural certificates
 in ``qmatrix``, the vectorized character table in ``field``, the
-report in ``verify``, the recursion in ``cod``, the factored report
+report in ``verify``, the recursion and summary in ``cod``, the factored report
 in ``excess`` and the coset-by-coset build, recogniser and core in
 ``builder``.  ``qmatrix`` and ``equal`` build and compare matrices by
 their values.
@@ -264,6 +266,44 @@ def design(acoef, bcoef):
         for e, phase in enumerate(PHASES):
             code[coef == phase] = first + e
     return CODMatrix(code, np.arange(9, dtype=np.uint8).reshape(9, 1, 1))
+
+
+def is_real(d):
+    """No cell of the design ``d`` is imaginary: no code of ``d.code`` has
+    a block ``d.table[c]`` that holds an imaginary code, 2, 4, 6 or 8
+    (a or b times +-i).
+
+    The plain-transpose Gram X X^T = (s1 a^2 + s2 b^2) I holds exactly
+    when ``d`` is real and X X* does (``certify_gram``): the diagonal of
+    X X^T at (1, 0) counts the real minus the imaginary cells in a row of
+    A, so it equals s1 only when A has no imaginary cell, and likewise
+    for B at (0, 1); for a real X, X^T = X*.
+    """
+    imaginary = [c for c in range(9) if np.isin(d.table[c], (2, 4, 6, 8)).any()]
+    return not np.isin(d.code, imaginary).any()
+
+
+def broken_identity(stype, core, q):
+    """The first identity of the factored ``cod`` certificate that a skew
+    core I + Q of order q and a base row type ``stype`` fail, by name, or
+    None when all hold, each checked on the dense Q = core - I by value:
+    the int64 Gram ``gram_parts`` decides QQ* exactly."""
+    eye = np.eye(q)
+    values = np.asarray(core.data) - eye
+    if not ((np.diagonal(values) == 0).all()
+            and (np.abs(values[eye == 0]) == 1).all()):
+        return "Q has zero diagonal and unit cells off it"
+    if not np.array_equal(values.conj().T, -values):
+        return "Q* = -Q"
+    if values.sum(axis=1).any():
+        return "QJ = 0"
+    g_re, g_im = gram_parts(values.real, values.imag)
+    if not (np.array_equal(g_re, q * eye - 1) and not g_im.any()):
+        return "QQ* = qI - J"
+    s1, s2 = stype
+    if s2 != q * s1:
+        return "s2 = q s1"
+    return None
 
 
 def build_triple(s):

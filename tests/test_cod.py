@@ -11,14 +11,13 @@ from qhadamard import (
     cod_recurse,
     factored_summary,
 )
-from qhadamard import MatrixError, cod, serialize
-from qhadamard.cod import _broken_identity
+from qhadamard import MatrixError, cli, cod, diag_similarity, serialize, skew_core, verify
 from qhadamard.field import DEFAULT_BUDGET_MB, max_order
 from qhadamard.qmatrix import PHASES, QMatrix, _gram_is_scalar, _row_panels
 from conftest import field, skew_regular
 from reference import (
-    check_quaternary_hadamard, conj_transpose, design, equal, expected_row_sum, gram_parts,
-    parts_are_scalar, qmatrix, row_sums,
+    broken_identity, check_quaternary_hadamard, conj_transpose, design, equal, expected_row_sum,
+    gram_parts, is_real, parts_are_scalar, qmatrix, row_sums,
 )
 
 # The three points of certify_gram and one with |entry|^2 = 9.
@@ -148,7 +147,7 @@ def dense_summary(ctx, k):
     d = cod_recurse(ctx, k)
     s1, s2 = d.stype
     conjugate = certify_gram(d)
-    verdicts = (conjugate, conjugate and cod._is_real(d))
+    verdicts = (conjugate, conjugate and is_real(d))
     assert verdicts == (kernel_verdict(d, True), kernel_verdict(d, False))
     return {"order": d.n, "type": [s1, s2],
             "gram_conjugate": verdicts[0], "gram_transpose": verdicts[1]}
@@ -171,33 +170,6 @@ def test_factored_summary_checks_order_first():
         factored_summary(field(3), 6)
 
 
-def corrupt_core(monkeypatch, cells):
-    """Make the recursion's skew core carry sign flips at ``cells`` of Q."""
-    real_skew_core = cod.skew_core
-
-    def corrupted(s):
-        core = real_skew_core(s)
-        re, im = core.re.copy(), core.im.copy()
-        for i, j in cells:
-            re[i, j], im[i, j] = -re[i, j], -im[i, j]
-        return QMatrix(re, im)
-
-    monkeypatch.setattr(cod, "skew_core", corrupted)
-
-
-@pytest.mark.parametrize("cells, broken", [
-    ([(0, 1)], "Q* = -Q"),
-    ([(0, 1), (1, 0)], "QJ = 0"),
-])
-def test_corrupted_core_names_identity_and_falls_back(monkeypatch, cells, broken):
-    ctx = field(3)
-    corrupt_core(monkeypatch, cells)
-    summary = factored_summary(ctx, 1)
-    assert summary.pop("broken") == broken
-    assert summary == dense_summary(ctx, 1)
-    assert not summary["gram_conjugate"]
-
-
 def edit_s(monkeypatch, edit):
     """Make cod build S with ``edit`` applied to both planes."""
     real_build = cod.skew_regular_qhm
@@ -215,14 +187,15 @@ def negated(cells):
     return lambda plane: plane * sign
 
 
-def test_non_hadamard_s_names_the_base_gram(monkeypatch):
+def test_non_hadamard_s_names_the_base_gram(monkeypatch, capsys):
     # The mirrored pair (2, 5), (5, 2) negated keeps S + S* = 2I, not SS* = nI.
-    ctx = field(3)
     edit_s(monkeypatch, negated(([2, 5], [5, 2])))
-    summary = factored_summary(ctx, 1)
-    assert summary.pop("broken") == "base Gram"
-    assert summary == dense_summary(ctx, 1)
-    assert not summary["gram_conjugate"]
+    with pytest.raises(MatrixError, match="base Gram"):
+        factored_summary(field(3), 1)
+    capsys.readouterr()
+    assert cli.main(["cod", "--p", "3", "--k", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: base Gram") and err.count("\n") == 1
 
 
 def test_non_skew_s_is_refused(monkeypatch):
@@ -249,34 +222,69 @@ ADMITTED = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19, 23) for k in (0, 1, 2)
 
 @pytest.mark.parametrize("p,k", ADMITTED)
 def test_factored_summary_reaches_no_dense_kernel(monkeypatch, p, k):
-    def dense(*args):
-        raise AssertionError("the dense Gram kernel was reached")
+    # S's one recognition is the summary's only certificate: no dense
+    # kernel, skew core, design or design certificate, and S's form is
+    # tested once.
+    def reached(name):
+        def fail(*args):
+            raise AssertionError(f"{name} was reached")
+        return fail
 
-    monkeypatch.setattr("qhadamard.qmatrix._gram_is_scalar", dense)
-    monkeypatch.setattr(cod, "_gram_is_scalar", dense)
+    monkeypatch.setattr("qhadamard.qmatrix._gram_is_scalar", reached("the dense Gram kernel"))
+    for name in ("_gram_is_scalar", "skew_core", "cod_recurse", "certify_gram"):
+        monkeypatch.setattr(cod, name, reached(name))
+    forms = []
+    real_form = verify.base_form
+
+    def counted(re, im):
+        forms.append(re.shape)
+        return real_form(re, im)
+
+    monkeypatch.setattr(verify, "base_form", counted)
     q = p * p
     assert factored_summary(field(p), k) == {
         "order": (1 + q) * q**k, "type": [q**k, q ** (k + 1)],
         "gram_conjugate": True, "gram_transpose": False}
+    assert forms == [(1 + q, 1 + q)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_summary_lemma_holds_on_permuted_twisted_cores(p):
+    # The summary's lemma: the skew core of any skew Hadamard S meets
+    # every identity of the certificate.  Simultaneous row and column
+    # permutations and phase twists of S keep it skew and Hadamard and
+    # take it off the base form, so skew_core normalizes each in full.
+    s = skew_regular(p)
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        order = rng.permutation(s.n)
+        moved = QMatrix(s.re[order][:, order], s.im[order][:, order])
+        twisted = diag_similarity(moved, rng.choice(PHASES, s.n))
+        assert broken_identity((1, p * p), skew_core(twisted), p * p) is None
 
 
 def test_broken_identity_names():
     ctx = field(3)
     base, core = cod._factors(ctx)
-    assert _broken_identity(base.stype, core, ctx.q) is None
+    assert broken_identity(base.stype, core, ctx.q) is None
     # Cores I + Q with a diagonal cell of Q at -2, at i - 1 and an
     # off-diagonal cell at 0.
     for cell, value in (((0, 0), -1), ((0, 0), 1j), ((0, 1), 0)):
         data = core.data.copy()
         data[cell] = value
-        assert (_broken_identity(base.stype, qmatrix(data), ctx.q)
+        assert (broken_identity(base.stype, qmatrix(data), ctx.q)
                 == "Q has zero diagonal and unit cells off it")
     # iQ keeps the zero diagonal and the unit cells but is Hermitian.
     eye = np.eye(ctx.q)
     hermitian = qmatrix(eye + 1j * (core.data - eye))
-    assert _broken_identity(base.stype, hermitian, ctx.q) == "Q* = -Q"
+    assert broken_identity(base.stype, hermitian, ctx.q) == "Q* = -Q"
+    # Negating the mirrored cells (0, 1) and (1, 0) keeps Q* = -Q but
+    # moves the sums of rows 0 and 1.
+    data = core.data.copy()
+    data[[0, 1], [1, 0]] *= -1
+    assert broken_identity(base.stype, qmatrix(data), ctx.q) == "QJ = 0"
     no_b = design(coefficients(base)[0], np.zeros((base.n, base.n)))
-    assert _broken_identity(no_b.stype, core, ctx.q) == "s2 = q s1"
+    assert broken_identity(no_b.stype, core, ctx.q) == "s2 = q s1"
 
 
 def test_broken_identity_names_the_core_gram():
@@ -291,7 +299,7 @@ def test_broken_identity_names_the_core_gram():
     g_re, g_im = gram_parts(q, None)
     assert not np.array_equal(g_re, 9 * np.eye(9) - 1)
     core = QMatrix(q + np.eye(9, dtype=int), np.zeros_like(q))
-    assert _broken_identity(base.stype, core, ctx.q) == "QQ* = qI - J"
+    assert broken_identity(base.stype, core, ctx.q) == "QQ* = qI - J"
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])
@@ -440,14 +448,14 @@ def test_explicit_design_round_trip(pair):
 @settings(max_examples=200, deadline=None)
 @given(random_designs())
 def test_transpose_verdict_is_realness_and_conjugate(d):
-    assert (certify_gram(d) and cod._is_real(d)) == kernel_verdict(d, False)
+    assert (certify_gram(d) and is_real(d)) == kernel_verdict(d, False)
     assert certify_gram(d) == kernel_verdict(d, True)
     acoef, bcoef = coefficients(d)
-    assert cod._is_real(d) == (not (acoef.imag.any() or bcoef.imag.any()))
+    assert is_real(d) == (not (acoef.imag.any() or bcoef.imag.any()))
 
 
 def test_real_skew_design_passes_both_modes():
     d = design(np.eye(4), SKEW4)
     assert d.stype == (1, 3)
-    assert certify_gram(d) and cod._is_real(d)
+    assert certify_gram(d) and is_real(d)
     assert kernel_verdict(d, True) and kernel_verdict(d, False)

@@ -17,8 +17,9 @@ The grid covers
   - ``construct`` at every odd prime <= 23 and at invalid p;
   - ``excess`` with and without ``--json`` at every odd prime <= 31;
   - ``cod`` summaries and ``--eval`` points, valid and invalid, at levels
-    k = 1 and 2, summaries at k = 0 for p = 3, 11, 23 and 47, ``--eval``
-    at k = 0 and at p = 7, k = 1, ``--eval`` to stdout, and
+    k = 1 and 2, summaries at k = 0 for p = 3, 5, 11, 13, 23, 47 and 101
+    and at p = 3, k = 3 (order 7290), ``--eval`` at k = 0 and at p = 7,
+    k = 1, ``--eval`` to stdout, and
     ``--eval 1,1`` at p = 3, k = 3 (order 7290);
   - every file command on S, its twist, double, core, realification and
     the realification of its double, at every odd prime <= 23;
@@ -207,8 +208,8 @@ def grid(inputs: Path) -> list[Run]:
         runs.append(Run(f"excess-{p}", ("excess", "--p", str(p))))
         runs.append(Run(f"excess-{p}-json", ("excess", "--p", str(p), "--json")))
     runs += [Run(f"excess-{p}", ("excess", "--p", str(p))) for p in (2, 9)]
-    for p, k in ((3, 0), (3, 1), (3, 2), (5, 1), (7, 1), (11, 0), (23, 0), (47, 0),
-                 (3, -1), (3, 6), (4, 1)):
+    for p, k in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (7, 1), (11, 0), (13, 0),
+                 (23, 0), (47, 0), (101, 0), (3, -1), (3, 6), (4, 1)):
         runs.append(Run(f"cod-{p}-{k}", ("cod", "--p", str(p), "--k", str(k))))
     for p, k in ((3, 1), (5, 1), (3, 2)):
         for point in ("1,1", "0,1", "1,0", "0,0", "2,0", "x", "1"):
