@@ -66,7 +66,8 @@ def skew_regular_qhm(ctx: FieldCtx) -> QMatrix:
         np.multiply(core, unit[f][:, None], out=plane[1:].reshape(p, p, n)[:, :, 1:])
         plane[0], plane[:, 0] = unit[row0], unit[col0]
         plane.flat[:: n + 1] = unit[0]
-    return QMatrix(*planes)
+    # Unit tables times the core's {-1, 0, 1}, a unit border and diagonal.
+    return QMatrix._frozen(*planes)
 
 
 def base_form(re: np.ndarray, im: np.ndarray | None):
@@ -156,14 +157,16 @@ def skew_core(h: QMatrix) -> QMatrix:
     if form and form[1]:
         ctx = form[0]
         im = np.negative(ctx.core, order="C").reshape(ctx.q, ctx.q)
-        return QMatrix(np.eye(ctx.q, dtype=np.int8), im)
+        # base_form refused a table unless K is 0 on the diagonal, +-1 off it.
+        return QMatrix._frozen(np.eye(ctx.q, dtype=np.int8), im)
     if not check_skew_type(h):
         raise MatrixError("input is not skew-type")
     d = h.re[0] + 1j * h.im[0]
     if (d == 0).any():
         raise MatrixError("input is not normalizable to the bordered form")
     normalized = diag_similarity(h, d)
-    return QMatrix(normalized.re[1:, 1:], normalized.im[1:, 1:])
+    # Slices of a valid matrix are valid.
+    return QMatrix._frozen(normalized.re[1:, 1:], normalized.im[1:, 1:])
 
 
 def double(h: QMatrix) -> QMatrix:
@@ -182,4 +185,5 @@ def double(h: QMatrix) -> QMatrix:
     re[n:, n:], re[n:, :n] = h.re.T, h.im.T
     im[n:, :n] = re[n:, n:]
     np.negative(re[n:, :n], out=im[n:, n:])
-    return QMatrix(re, im)
+    # Copies, negations and transposes of H's valid planes, each in one quarter.
+    return QMatrix._frozen(re, im)

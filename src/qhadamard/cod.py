@@ -24,7 +24,7 @@ import numpy as np
 from . import matio
 from .field import BudgetError, FieldCtx, FieldError, max_order
 from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
-from .builder import skew_core, skew_regular_qhm
+from .builder import base_form, skew_regular_qhm
 from .verify import _recognise
 
 _UNITS = (-1, 0, 1)
@@ -140,11 +140,26 @@ def certify_gram(d: CODMatrix) -> bool:
     return True
 
 
-def _factors(ctx: FieldCtx) -> tuple[CODMatrix, QMatrix]:
-    """The base design a I + b (S - I) and the skew core I + Q of S, from
-    one build of S; ``skew_core`` certifies S + S* = 2I, so S_ii = 1."""
+def _factors(ctx: FieldCtx, k: int = 0) -> tuple[CODMatrix, np.ndarray | None]:
+    """The base design a I + b (S - I) from one build of S and, for k >= 1,
+    the code plane of a I + b Q for its skew core I + Q.
+
+    S's base-form verdict (``base_form``) certifies S + S* = 2I, so
+    S_ii = 1, and it refuses a character table unless the core view
+    K = ``ctx.core`` is 0 on its diagonal and +-1 off it.  The core is then
+    I - iK (``skew_core``), whose codes are 1 on the diagonal, 6 (b i)
+    where K = -1 and 8 (b (-i)) where K = 1: 7 + K off the diagonal.
+    """
     s = skew_regular_qhm(ctx)
-    return CODMatrix(_design(s), _IDENTITY), skew_core(s)
+    form = base_form(s.re, s.im)
+    if not (form and form[1]):
+        raise MatrixError("S is not of the skew base form")
+    base = CODMatrix(_design(s), _IDENTITY)
+    if not k:
+        return base, None
+    core = (ctx.core + np.int8(7)).astype(np.uint8).reshape(ctx.q, ctx.q)
+    np.fill_diagonal(core, 1)
+    return base, core
 
 
 def _order_text(q: int, k: int) -> str:
@@ -184,12 +199,12 @@ def cod_recurse(ctx: FieldCtx, k: int) -> CODMatrix:
     j-fold expansion T_j[c'].  Level k is the base code plane over T_k.
     """
     _checked_order(ctx, k)
-    base, core = _factors(ctx)
+    base, core = _factors(ctx, k)
     table = _IDENTITY
     if k:
         step = np.zeros((9, ctx.q, ctx.q), dtype=np.uint8)
         step[1:5] = _TIMES[:, 5, None, None]
-        step[5:] = _TIMES[:, _design(core)]
+        step[5:] = _TIMES[:, core]
         for _ in range(k):
             table = _substitute(step, table)
     return CODMatrix(base.code, table)

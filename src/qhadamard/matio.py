@@ -133,7 +133,9 @@ def parse(data: bytes) -> QMatrix:
         cells = np.ndarray((n, n), np.uint8, data, start, (n + 1, 1))
         planes = _planes(cells, _ALPHABET[real])
         if planes is not None:
-            return QMatrix(*planes)
+            # Every cell is counted in the alphabet, one character a cell:
+            # planes in {-1, 0, 1} with disjoint supports.
+            return QMatrix._frozen(*planes)
     _locate_error(data)
 
 

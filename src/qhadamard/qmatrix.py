@@ -18,6 +18,12 @@ and sends any other matrix to the dense certificate.  A realified
 matrix up to row signs (``_realified_planes``) is recognised by the
 quaternary matrix it realifies.  For any other target c the dense
 certificate decides.
+
+A matrix is validated once, where it enters the program: by the
+constructor ``QMatrix(re, im)``, the boundary for the library's callers,
+or by ``matio.parse``, which counts every cell of a file into the
+alphabet.  Producers whose planes are valid by construction wrap them
+with ``QMatrix._frozen``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -67,10 +73,21 @@ class QMatrix:
 
     ``re`` and ``im`` are read-only int8 planes in {-1, 0, 1} with
     disjoint supports; ``im`` None marks a real matrix, written as RHM.
-    The constructor is the only one, and it always validates.
+    The constructor is the only public one, and it always validates.
     """
 
     __slots__ = ("re", "im")
+
+    @classmethod
+    def _frozen(cls, re: np.ndarray, im: np.ndarray | None = None) -> QMatrix:
+        """The matrix of square int8 planes that its producer made valid,
+        frozen and stored as they are: no check and no copy."""
+        m = object.__new__(cls)
+        for name, plane in (("re", re), ("im", im)):
+            if plane is not None:
+                plane.setflags(write=False)
+            object.__setattr__(m, name, plane)
+        return m
 
     def __init__(self, re, im=None):
         re = _plane(re)
@@ -264,7 +281,8 @@ def diag_similarity(m: QMatrix, v) -> QMatrix:
     for rows in _row_panels(m.n, m.n):
         re, im = _mul(m.re[rows], m.im[rows], vr[rows, None], vi[rows, None])
         out[0, rows], out[1, rows] = _mul(re, im, vr, -vi)
-    return QMatrix(*out)
+    # Unit phases times cells of M: ``_mul`` keeps each a unit or zero.
+    return QMatrix._frozen(*out)
 
 
 def doubled_blocks(re: np.ndarray, im: np.ndarray | None):
@@ -275,11 +293,12 @@ def doubled_blocks(re: np.ndarray, im: np.ndarray | None):
         return None
     h = n // 2
     a_re, a_im, b_re, b_im = re[:h, :h], im[:h, :h], re[h:, h:], im[h:, h:]
-    # i(x + iy) = -y + ix.
-    if not (np.array_equal(im[:h, h:], a_re) and np.array_equal(re[:h, h:], -a_im)
-            and np.array_equal(im[h:, :h], b_re) and np.array_equal(re[h:, :h], -b_im)):
+    # i(x + iy) = -y + ix.  x = -y is tested as x + y = 0: the int8 sum
+    # of cells in {-1, 0, 1} is in [-2, 2], so no negated copy is made.
+    if not (np.array_equal(im[:h, h:], a_re) and not (re[:h, h:] + a_im).any()
+            and np.array_equal(im[h:, :h], b_re) and not (re[h:, :h] + b_im).any()):
         return None
-    adjoint = np.array_equal(b_re, a_re.T) and np.array_equal(b_im, -a_im.T)
+    adjoint = np.array_equal(b_re, a_re.T) and not (b_im + a_im.T).any()
     return (a_re, a_im), (b_re, b_im), adjoint
 
 
@@ -296,7 +315,8 @@ def realify(m: QMatrix) -> QMatrix:
     np.add(a, b, out=out[0::2, 1::2])
     out[1::2, 0::2] = out[0::2, 1::2]
     np.negative(out[0::2, 0::2], out=out[1::2, 1::2])
-    return QMatrix(out)
+    # a - b and a + b of disjoint planes in {-1, 0, 1} are in {-1, 0, 1}.
+    return QMatrix._frozen(out)
 
 
 def _realified_planes(w: np.ndarray):

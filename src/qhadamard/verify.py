@@ -79,14 +79,16 @@ class PropertyReport:
     excess: int | None  # real matrices only
 
     def to_json(self) -> dict:
+        sums = np.array(list(self.row_sum_multiset), dtype=np.complex128)
+        counts = np.array(list(self.row_sum_multiset.values()), dtype=np.int64)
+        # A complex sort orders by the real part, then the imaginary part.
+        order = np.argsort(sums)
+        row_sums = np.stack([sums.real[order], sums.imag[order], counts[order]], axis=1)
         return {
             "order": self.order,
             "hadamard": self.hadamard,
             "skew": self.skew,
-            "row_sums": sorted(
-                [int(s.real), int(s.imag), c]
-                for s, c in self.row_sum_multiset.items()
-            ),
+            "row_sums": row_sums.astype(np.int64).tolist(),
             "regular": None if self.regular is None
             else [int(self.regular.real), int(self.regular.imag)],
             "abs_regular": self.abs_regular,
@@ -103,9 +105,13 @@ def full_report(m: QMatrix) -> PropertyReport:
         hadamard, skew = _recognise(m.re, m.im)
     skew = check_skew_type(m) if skew is None else skew
     x, y = _row_sums(m.re, m.im)
-    sums, counts = np.unique(x + 1j * y, return_counts=True)
+    # |x|, |y| <= n < 2^31, so the key x 2^32 + y is exact and orders
+    # the sums by (x, y).
+    _, first, counts = np.unique((x.astype(np.int64) << 32) + y, return_index=True,
+                                 return_counts=True)
     # The distinct sums as int64 pairs, whose squares are exact.
-    parts = np.stack([sums.real, sums.imag]).astype(np.int64)
+    parts = np.stack([x[first], y[first]]).astype(np.int64)
+    sums = parts[0] + 1j * parts[1]
     norms = (parts * parts).sum(axis=0)
     abs_reg = bool((norms == norms[0]).all())
     abs_sq = int(norms[0]) if abs_reg else None

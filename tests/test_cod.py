@@ -143,8 +143,17 @@ def kernel_verdict(d, conjugate):
                for a, b in ((1, 0), (0, 1), (1, 1)))
 
 
-def dense_summary(ctx, k):
-    d = cod_recurse(ctx, k)
+def kron_design(s, k):
+    """Level k of the recursion from any skew Hadamard S by k explicit
+    Kronecker steps, its skew core normalized by ``skew_core``."""
+    core, eye = skew_core(s).data, np.eye(s.n - 1)
+    a, b = np.eye(s.n), s.data - np.eye(s.n)
+    for _ in range(k):
+        a, b = np.kron(b, eye), np.kron(a, np.ones_like(eye)) + np.kron(b, core - eye)
+    return design(a, b)
+
+
+def dense_summary(d):
     s1, s2 = d.stype
     conjugate = certify_gram(d)
     verdicts = (conjugate, conjugate and is_real(d))
@@ -159,7 +168,7 @@ def dense_summary(ctx, k):
 def test_factored_summary_matches_dense(p, k):
     ctx = field(p)
     summary = factored_summary(ctx, k)
-    assert summary == dense_summary(ctx, k)
+    assert summary == dense_summary(cod_recurse(ctx, k))
     assert type(summary["order"]) is int
 
 
@@ -208,11 +217,14 @@ def test_non_skew_s_is_refused(monkeypatch):
 def test_s_off_the_base_form_is_certified(monkeypatch):
     # Swapping rows and columns 1 and 2 keeps S skew and Hadamard but
     # leaves the base form: the dense kernel decides SS* and the skew
-    # check S + S*.
+    # check S + S*.  cod_recurse reads the core off the base form, so it
+    # refuses this S, and the design is built by explicit steps.
     ctx = field(3)
     order = np.array([0, 2, 1, *range(3, 10)])
     edit_s(monkeypatch, lambda plane: plane[order][:, order])
-    assert factored_summary(ctx, 1) == dense_summary(ctx, 1)
+    assert factored_summary(ctx, 1) == dense_summary(kron_design(cod.skew_regular_qhm(ctx), 1))
+    with pytest.raises(MatrixError, match="base form"):
+        cod_recurse(ctx, 1)
 
 
 # The 12 points (p, k), p <= 23 and k <= 2, whose order the default budget admits.
@@ -231,7 +243,8 @@ def test_factored_summary_reaches_no_dense_kernel(monkeypatch, p, k):
         return fail
 
     monkeypatch.setattr("qhadamard.qmatrix._gram_is_scalar", reached("the dense Gram kernel"))
-    for name in ("_gram_is_scalar", "skew_core", "cod_recurse", "certify_gram"):
+    monkeypatch.setattr("qhadamard.builder.skew_core", reached("skew_core"))
+    for name in ("_gram_is_scalar", "_factors", "cod_recurse", "certify_gram"):
         monkeypatch.setattr(cod, name, reached(name))
     forms = []
     real_form = verify.base_form
@@ -265,7 +278,7 @@ def test_summary_lemma_holds_on_permuted_twisted_cores(p):
 
 def test_broken_identity_names():
     ctx = field(3)
-    base, core = cod._factors(ctx)
+    base, core = cod._factors(ctx)[0], skew_core(skew_regular(3))
     assert broken_identity(base.stype, core, ctx.q) is None
     # Cores I + Q with a diagonal cell of Q at -2, at i - 1 and an
     # off-diagonal cell at 0.
@@ -304,13 +317,8 @@ def test_broken_identity_names_the_core_gram():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1)])
 def test_cod_recurse_matches_kron_steps(p, k):
-    ctx = field(p)
-    base, core = cod._factors(ctx)
-    eye, ones = np.eye(ctx.q), np.ones((ctx.q, ctx.q))
-    a, b = coefficients(base)
-    for _ in range(k):
-        a, b = np.kron(b, eye), np.kron(a, ones) + np.kron(b, core.data - eye)
-    d = cod_recurse(ctx, k)
+    a, b = coefficients(kron_design(skew_regular(p), k))
+    d = cod_recurse(field(p), k)
     got_a, got_b = coefficients(d)
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
     for m in (d.evaluate_qmatrix(1, 0), d.evaluate_qmatrix(0, 1)):

@@ -1,12 +1,17 @@
 """Plane invariants of every matrix the package returns.
 
-There is one matrix type and one, always validating, constructor.  Each
-result must hold read-only int8 planes with entries in {-1, 0, 1} and
-disjoint supports, and have ``im`` None exactly when it is real (RHM).
-The constructor refuses anything else.  A design holds a read-only code
-plane and level table, made only by ``cod`` from S and its skew core,
-and every matrix read from it goes through that constructor; so do the
-nine values its file's characters are formed from.
+There is one matrix type and one public constructor, which always
+validates.  Each result must hold read-only int8 planes with entries in
+{-1, 0, 1} and disjoint supports, and have ``im`` None exactly when it
+is real (RHM).  The constructor refuses anything else.  A matrix is
+validated once, where it enters: ``parse`` checks a file's every cell,
+and the producers whose planes are valid by construction (the builders,
+``diag_similarity`` and ``realify``) wrap them with ``QMatrix._frozen``,
+which checks nothing again; the property tests below check their planes
+independently.  A design holds a read-only code plane and level table,
+made only by ``cod`` from S and its skew core, and every matrix read
+from it goes through the constructor; so do the nine values its file's
+characters are formed from.
 """
 
 import numpy as np
@@ -132,7 +137,7 @@ def test_text_checks_the_nine_values(monkeypatch, tmp_path, re, im):
 
 
 def test_add_still_validates():
-    # Every construction goes through the validating constructor, which
+    # The public constructor, the boundary for the library's callers,
     # refuses entries outside {-1, 0, 1}, overlapping supports, planes
     # that are not square or differ in shape, and complex planes.
     one = np.ones((2, 2), dtype=np.int8)
@@ -154,3 +159,37 @@ def test_add_still_validates():
             QMatrix(re, im)
     other = qmatrix([[0, 1j], [-1, 0]])
     assert equal(QMatrix(eye + other.re, other.im), qmatrix([[1, 1j], [-1, 1]]))
+
+
+def test_commands_validate_each_matrix_once(monkeypatch, tmp_path, capsys):
+    # Files are checked by parse and made matrices by their producers,
+    # so no command runs the validating constructor again; cod --eval
+    # runs it once, on the nine values.
+    calls = []
+    init = QMatrix.__init__
+
+    def counted(self, *args):
+        calls.append(np.shape(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(QMatrix, "__init__", counted)
+    (tmp_path / "v.txt").write_text("1 i - j " * 6 + "1 i\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        "construct --p 5 --out s.qhm",
+        "verify s.qhm --json",
+        "double s.qhm --out d.qhm",
+        "verify d.qhm --json",
+        "core s.qhm --out c.qhm",
+        "twist s.qhm --v v.txt --out t.qhm",
+        "verify t.qhm --json",
+        "realify s.qhm --out r.rhm",
+        "verify r.rhm --json",
+        "excess --p 5 --json",
+        "cod --p 3 --k 1",
+    ):
+        assert cli.main(argv.split()) == 0, argv
+    assert calls == []
+    assert cli.main("cod --p 3 --k 1 --eval 1,1 --out e.qhm".split()) == 0
+    assert len(calls) == 1
+    capsys.readouterr()

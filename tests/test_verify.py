@@ -78,8 +78,10 @@ def test_check_semi_regular_examples():
     # first among the distinct sums; the sums of the twisted bottom rows differ.
     lambda: _doubled(scale(skew_regular(3), -1), _twisted(scale(skew_regular(3), -1))),
     lambda: _doubled(skew_regular(3), skew_regular(3)),
+    # Row sums 200i and 1 - 56i, whose keys x 2^k + y meet for k = 8.
+    lambda: qmatrix(np.array([[1j] * 200, [1] + [-1j] * 56 + [0] * 143] + [[0] * 200] * 198)),
 ], ids=["S3", "S5", "D3", "DHD", "R3", "S3-corrupted", "W3", "I2", "iJ130", "J130",
-        "T5", "D3-twisted-B", "XS3"])
+        "T5", "D3-twisted-B", "XS3", "wide-sums"])
 def test_report_row_sum_fields_match_reference(make):
     # The report derives these from the distinct sums of one row-sum multiset.
     m = make()

@@ -12,6 +12,7 @@ p = 101 file and of the doubled and realified p = 47 files,
 the rejects: ``verify`` of the doubled p = 47 file and of the p = 101
 file, each with one cell rotated by i (``ROTATED``), ``excess`` at
 p = 47, 61 and 101, the ``cod`` summaries at p = 61 and 101 with k = 0,
+``cod --p 101 --k 0 --eval 1,1`` (order 10202),
 ``cod --p 3 --k 3 --eval 1,1`` (order 7290), and the refusals ``cod``
 (3, 4) and (7, 2) (exit 3) and ``construct`` at p = 9 and 25 (exit 2).
 The file commands read what the runs before them wrote, so every run
@@ -76,6 +77,8 @@ GRID = (
     ("excess-101", ["excess", "--p", "101"], None),
     ("cod-61-0", ["cod", "--p", "61", "--k", "0"], None),
     ("cod-101-0", ["cod", "--p", "101", "--k", "0"], None),
+    ("cod-101-0-eval", ["cod", "--p", "101", "--k", "0", "--eval", "1,1", "--out", "E101_0.qhm"],
+     "E101_0.qhm"),
     ("cod-3-3-eval", ["cod", "--p", "3", "--k", "3", "--eval", "1,1", "--out", "E3_3.qhm"],
      "E3_3.qhm"),
     ("cod-3-4", ["cod", "--p", "3", "--k", "4"], None),
