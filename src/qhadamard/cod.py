@@ -4,11 +4,11 @@ A cell of X = aA + bB has one of nine codes: 0, 1 + e for a*i^e or
 5 + e for b*i^e.  X is a plane ``code`` over a level table ``table`` of
 shape (9, m, m): ``code`` with every cell c replaced by the block
 table[c].  The base design aI + b(S - I) is level 0, over the identity
-table.  An evaluation maps the codes to their values in the small
-table and gathers X from it; A and B are those at (1, 0) and (0, 1).
-The file of an evaluation is written the same way: its nine codes'
-characters, checked against the alphabet, are mapped over the table,
-and each panel of code rows is gathered straight into the file's bytes.
+table.  An evaluation is its file, parsed: the nine codes' values are
+checked against the alphabet, their characters mapped over the table,
+and each panel of code rows gathered straight into the file's bytes
+(``CODMatrix.text``), which ``matio.parse`` reads back as a matrix.  A
+and B are the evaluations at (1, 0) and (0, 1).
 The summary (``factored_summary``) forms neither the design nor the
 skew core: S's recognised verdict certifies the base and, by the core
 identities it implies, every level; an S that fails it is an error.
@@ -24,17 +24,13 @@ import numpy as np
 from . import matio
 from .field import BudgetError, FieldCtx, FieldError, max_order
 from .qmatrix import MatrixError, QMatrix, _gram_is_scalar, _row_panels, check_skew_type
-from .builder import base_form, skew_regular_qhm
+from .builder import _phase, base_form, skew_regular_qhm
 from .verify import _recognise
 
 _UNITS = (-1, 0, 1)
-# The code of a cell re + i*im of B, at 3*re + im + 4.
-_B_CODES = np.array([0, 7, 0, 8, 0, 6, 0, 5, 0], dtype=np.uint8)
 # The real and the imaginary plane of each code's value at a unit point.
 _VALUES = {(a, b): np.array([[0, a, 0, -a, 0, b, 0, -b, 0], [0, 0, a, 0, -a, 0, b, 0, -b]],
                             dtype=np.int8) for a in _UNITS for b in _UNITS}
-# _KIND[v, c]: whether code c carries a (v = 0) or b (v = 1).
-_KIND = np.array([_VALUES[1, 0].any(axis=0), _VALUES[0, 1].any(axis=0)])
 # _TIMES[e, c]: the code of i^e times a cell of code c.
 _TIMES = np.array([[0] + [v + (x + e) % 4 for v in (1, 5) for x in range(4)]
                    for e in range(4)], dtype=np.uint8)
@@ -48,14 +44,17 @@ def _lookup(values: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.frombuffer(bytearray(code).translate(table), values.dtype).reshape(code.shape)
 
 
-def _check_point(a: int, b: int) -> None:
-    if not (a in _UNITS and b in _UNITS):
-        raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
-
-
 def _design(m: QMatrix) -> np.ndarray:
-    """The code plane of aI + b(M - I) for an M with unit diagonal."""
-    code = _lookup(_B_CODES, 3 * m.re + m.im + 4)
+    """The code plane of aI + b(M - I) for an M with unit diagonal: 5 + e
+    for a unit i^e (e as in ``builder._phase``), 0 for a zero cell, whose
+    e is 0, and 1 on the diagonal, written one row panel at a time."""
+    code = np.empty((m.n, m.n), dtype=np.uint8)
+    for rows in _row_panels(m.n, m.n):
+        re, im = m.re[rows], m.im[rows]
+        e = _phase(re, im, code[rows].view(np.int8))
+        e &= 3
+        # A nonzero int8 in {-1, 1} has its lowest bit set.
+        e += ((re | im) & 1) * np.int8(5)
     np.fill_diagonal(code, 1)
     return code
 
@@ -86,27 +85,29 @@ class CODMatrix:
 
     @cached_property
     def stype(self) -> tuple[int, int]:
-        """(s1, s2) variable multiplicities; requires them constant per row."""
-        rows = [np.count_nonzero(_substitute(self.code, _lookup(kind, self.table)), axis=1)
-                for kind in _KIND]
+        """(s1, s2) variable multiplicities, the nonzero cells of each row
+        of A and of B; requires them constant per row."""
+        rows = [np.count_nonzero(m.re | m.im, axis=1)
+                for m in (self.evaluate_qmatrix(1, 0), self.evaluate_qmatrix(0, 1))]
         if not all((r == r[0]).all() for r in rows):
             raise MatrixError("row type is not constant")
         return int(rows[0][0]), int(rows[1][0])
 
     def evaluate_qmatrix(self, a: int, b: int) -> QMatrix:
-        """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix."""
-        _check_point(a, b)
-        return QMatrix(*self._planes(a, b))
+        """Evaluation at a, b in {-1, 0, 1} as a quaternary matrix: the
+        file ``text(a, b)``, read by ``matio.parse``."""
+        return matio.parse(self.text(a, b))
 
     def text(self, a: int, b: int) -> bytearray:
-        """The file's bytes of ``evaluate_qmatrix(a, b)``, with no plane.
+        """The file's bytes of the evaluation at a, b in {-1, 0, 1}.
 
         The nine codes' values, as the cells of a 3 x 3 ``QMatrix``, pass
         the constructor's checks; their characters, mapped over the level
         table, are gathered one panel of code rows at a time into the
         file's buffer, the only array of the design's order.
         """
-        _check_point(a, b)
+        if not (a in _UNITS and b in _UNITS):
+            raise MatrixError(f"({a}, {b}) is not a point of {{-1, 0, 1}}^2")
         values = QMatrix(*_VALUES[a, b].reshape(2, 3, 3))
         chars = np.empty(9, dtype=np.uint8)
         matio._chars(values.re.ravel(), values.im.ravel(), chars)
@@ -116,10 +117,6 @@ class CODMatrix:
         for rows in _row_panels(self.code.shape[0], m * self.n):
             cells[rows.start * m:rows.stop * m] = _substitute(self.code[rows], table)
         return buf
-
-    def _planes(self, a: int, b: int) -> list[np.ndarray]:
-        # Each plane is in {-1, 0, 1} and the only array of the design's order.
-        return [_substitute(self.code, _lookup(v, self.table)) for v in _VALUES[a, b]]
 
 
 def certify_gram(d: CODMatrix) -> bool:
@@ -135,7 +132,8 @@ def certify_gram(d: CODMatrix) -> bool:
     s1, s2 = d.stype
     for a, b in ((1, 0), (0, 1), (1, 1)):
         # A unit point keeps every |entry|^2 at most 1.
-        if not _gram_is_scalar(*d._planes(a, b), s1 * a * a + s2 * b * b):
+        x = d.evaluate_qmatrix(a, b)
+        if not _gram_is_scalar(x.re, x.im, s1 * a * a + s2 * b * b):
             return False
     return True
 

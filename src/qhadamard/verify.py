@@ -79,16 +79,12 @@ class PropertyReport:
     excess: int | None  # real matrices only
 
     def to_json(self) -> dict:
-        sums = np.array(list(self.row_sum_multiset), dtype=np.complex128)
-        counts = np.array(list(self.row_sum_multiset.values()), dtype=np.int64)
-        # A complex sort orders by the real part, then the imaginary part.
-        order = np.argsort(sums)
-        row_sums = np.stack([sums.real[order], sums.imag[order], counts[order]], axis=1)
         return {
             "order": self.order,
             "hadamard": self.hadamard,
             "skew": self.skew,
-            "row_sums": row_sums.astype(np.int64).tolist(),
+            "row_sums": sorted([int(s.real), int(s.imag), c]
+                               for s, c in self.row_sum_multiset.items()),
             "regular": None if self.regular is None
             else [int(self.regular.real), int(self.regular.imag)],
             "abs_regular": self.abs_regular,
@@ -109,27 +105,25 @@ def full_report(m: QMatrix) -> PropertyReport:
     # the sums by (x, y).
     _, first, counts = np.unique((x.astype(np.int64) << 32) + y, return_index=True,
                                  return_counts=True)
-    # The distinct sums as int64 pairs, whose squares are exact.
-    parts = np.stack([x[first], y[first]]).astype(np.int64)
-    sums = parts[0] + 1j * parts[1]
-    norms = (parts * parts).sum(axis=0)
-    abs_reg = bool((norms == norms[0]).all())
-    abs_sq = int(norms[0]) if abs_reg else None
-    regular = complex(sums[0]) if len(sums) == 1 else None
+    # The distinct sums as pairs of Python ints, ordered by (x, y).
+    parts = list(zip(x[first].tolist(), y[first].tolist()))
+    norms = {s * s + t * t for s, t in parts}
+    abs_sq = norms.pop() if len(norms) == 1 else None
+    regular = complex(*parts[0]) if len(parts) == 1 else None
     # A regular quaternary Hadamard matrix must have |row sum|^2 = order.
     if regular is not None and hadamard and abs_sq != m.n:
         raise MatrixError(f"regular Hadamard matrix of order {m.n} with |row sum|^2 = {abs_sq}")
     # Sums in {+-a +-bi, +-b +-ai}, a <= b: all share (a, b) = (min, max) of |x|, |y|.
-    ab = np.sort(np.abs(parts), axis=0)
-    a, b = ab[:, 0].tolist()
-    semi = hadamard and a * a + b * b == m.n and bool((ab == ab[:, :1]).all())
+    ab = {tuple(sorted((abs(s), abs(t)))) for s, t in parts}
+    a, b = min(ab)
+    semi = hadamard and a * a + b * b == m.n and len(ab) == 1
     return PropertyReport(
         order=m.n,
         hadamard=hadamard,
         skew=skew,
-        row_sum_multiset=dict(zip(sums.tolist(), counts.tolist())),
+        row_sum_multiset=dict(zip((complex(s, t) for s, t in parts), counts.tolist())),
         regular=regular,
-        abs_regular=abs_reg,
+        abs_regular=abs_sq is not None,
         abs_value_sq=abs_sq,
         semi_regular_witness=(a, b) if semi else None,
         excess=int(x.sum()) if m.im is None else None,

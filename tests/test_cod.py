@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,19 @@ def test_explicit_design_round_trip(pair):
         assert np.array_equal(cod._design(x), design(eye, x.data - eye).code)
 
 
+def test_design_peak_memory():
+    # The code plane of order 2210 (p = 47) is written in place, one row
+    # panel at a time: beside it only a panel's temporaries.
+    s = skew_regular(47)
+    tracemalloc.start()
+    try:
+        code = cod._design(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.nbytes == s.n * s.n and peak < 1.5 * code.nbytes
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_designs())
 def test_transpose_verdict_is_realness_and_conjugate(d):
@@ -460,6 +474,13 @@ def test_transpose_verdict_is_realness_and_conjugate(d):
     assert certify_gram(d) == kernel_verdict(d, True)
     acoef, bcoef = coefficients(d)
     assert is_real(d) == (not (acoef.imag.any() or bcoef.imag.any()))
+
+
+def test_stype_refuses_rows_of_different_types():
+    # Row 0 carries a and b, row 1 only a.
+    d = design(np.eye(2), [[0, 1], [0, 0]])
+    with pytest.raises(MatrixError, match="row type is not constant"):
+        d.stype
 
 
 def test_real_skew_design_passes_both_modes():

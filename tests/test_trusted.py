@@ -9,9 +9,9 @@ and the producers whose planes are valid by construction (the builders,
 ``diag_similarity`` and ``realify``) wrap them with ``QMatrix._frozen``,
 which checks nothing again; the property tests below check their planes
 independently.  A design holds a read-only code plane and level table,
-made only by ``cod`` from S and its skew core, and every matrix read
-from it goes through the constructor; so do the nine values its file's
-characters are formed from.
+made only by ``cod`` from S and its skew core.  Every matrix read from
+it is its file, read by ``parse``; the nine values that file's
+characters are formed from go through the constructor.
 """
 
 import numpy as np
